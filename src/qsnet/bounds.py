@@ -50,6 +50,23 @@ def pnorm(v, p: float) -> float:
     return top * float(np.sum((keep / top) ** p)) ** (1.0 / p)
 
 
+def unit_direction(v) -> np.ndarray:
+    """Validate a nonnegative, unit 2-norm coefficient vector.
+
+    Returns it flattened as floats, with roundoff negatives clipped to 0.
+    """
+    vec = np.asarray(v, dtype=float).reshape(-1)
+    if vec.size == 0:
+        raise ValueError("empty coefficient vector")
+    if np.any(vec < -1e-12):
+        raise ValueError("coefficient vector must be nonnegative")
+    vec = np.clip(vec, 0.0, None)
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"coefficient vector must have unit 2-norm, got {norm!r}")
+    return vec
+
+
 @dataclass(frozen=True)
 class LinearFunctional:
     """Estimation target ``theta = v . phi`` with its resource accounting.
@@ -65,22 +82,13 @@ class LinearFunctional:
     repeats: int = 1
 
     def __post_init__(self):
-        vec = np.asarray(self.v, dtype=float).reshape(-1)
-        if vec.size == 0:
-            raise ValueError("empty coefficient vector")
-        if np.any(vec < -1e-12):
-            raise ValueError("coefficient vector must be nonnegative")
-        vec = np.clip(vec, 0.0, None)
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"coefficient vector must have unit 2-norm, got {norm!r}")
+        vec = unit_direction(self.v)
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
         if int(self.n_particles) < 1:
             raise ValueError("particle budget must be positive")
         if int(self.repeats) < 1:
             raise ValueError("repeat count must be positive")
-        vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "v", vec)
         object.__setattr__(self, "kappa", float(self.kappa))

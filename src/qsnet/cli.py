@@ -10,7 +10,8 @@ Subcommands::
     qsnet qfim NETWORK STATE       information matrix and bound for a probe
 
 Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on a
-configuration error (bad flags, malformed JSON, mismatched dimensions).
+configuration error (bad flags, malformed JSON, mismatched dimensions), 3 on
+an internal fault (any other exception; its traceback goes to stderr).
 Result files are byte-identical across runs with the same seed; the run
 manifest (written alongside) carries the timestamps.
 """
@@ -18,20 +19,20 @@ manifest (written alongside) carries the timestamps.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .exceptions import FormatError, LayoutError
+from .exceptions import FormatError
 from .bounds import LinearFunctional, compare
 from .fisher import block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
 from .hilbert import DensityOperator, PureState, matrix_from_json, vector_from_json
 from .network import global_generators, load_network
-from .reporting import write_csv, write_json
+from .reporting import read_json, write_csv, write_json
 from .scenarios import (
     ScenarioConfig,
     audit_block_inverse,
@@ -201,13 +202,7 @@ def _run_bounds(args) -> int:
 
 
 def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperator:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    doc = read_json(path)
     if not isinstance(doc, list) or not doc:
         raise FormatError(f"{path}: expected a vector or matrix of [re, im] pairs")
     first = doc[0]
@@ -300,12 +295,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (FormatError, LayoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ PSD_SLACK = 1e-10         # admissible negative eigenvalue from roundoff
 
 # Operation post-condition tolerances.
 UNITARITY_TOL = 1e-10
-EIGH_RECONSTRUCTION_TOL = 1e-10
 COMMUTE_TOL = 1e-9        # mutual-commutation precondition for joint eigenbases
 
 # Fisher-information support handling.
@@ -27,7 +26,16 @@ DEFAULT_MAX_DIM = 4096
 def max_dim() -> int:
     """Hard cap on any Hilbert-space dimension built by this package.
 
-    The environment variable ``QSN_MAX_DIM`` overrides the default.
+    The environment variable ``QSN_MAX_DIM`` overrides the default; it
+    must hold a positive integer.
     """
     value = os.environ.get("QSN_MAX_DIM")
-    return DEFAULT_MAX_DIM if value is None else int(value)
+    if value is None:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QSN_MAX_DIM must be a positive integer, got {value!r}")
+    return cap

@@ -56,6 +56,8 @@ class QFIM:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"information matrix must be square, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("information matrix contains non-finite entries")
         scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
         if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
             raise ValueError("information matrix is not symmetric")
@@ -89,16 +91,26 @@ class QFIM:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def is_singular(self, rank_tol: float | None = None) -> bool:
+    def is_singular(self) -> bool:
         w = self.eigenvalues()
-        return bool(w[0] < _rank_cutoff(w, rank_tol))
+        return bool(w[0] < _rank_cutoff(w))
 
 
-def _rank_cutoff(eigenvalues: np.ndarray, rank_tol: float | None = None) -> float:
-    if rank_tol is not None:
-        return rank_tol
+def _rank_cutoff(eigenvalues: np.ndarray) -> float:
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     return max(config.RANK_TOL_FACTOR * top, config.RANK_TOL_FLOOR)
+
+
+def _support_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of a symmetric matrix restricted to its support.
+
+    Returns the eigenvectors whose eigenvalues clear the rank cutoff, as
+    columns ``V``, and ``V diag(1/w) V^T`` over those eigenvalues ``w``.
+    """
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    support = eigvals > _rank_cutoff(eigvals)
+    vs = eigvecs[:, support]
+    return vs, (vs / eigvals[support]) @ vs.T
 
 
 def qfim_pure(psi: PureState, generators: Sequence[np.ndarray], partition=()) -> QFIM:
@@ -214,21 +226,17 @@ class BoundReport:
         }
 
 
-def qcrb(fim: QFIM, weights, mu: int = 1, rank_tol: float | None = None) -> BoundReport:
+def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     """Weighted scalar Cramer-Rao bound ``sum_k W_kk [F^-1]_kk / mu``."""
-    if mu < 1:
-        raise ValueError("repeat count mu must be a positive integer")
+    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)) or mu < 1:
+        raise ValueError(f"repeat count mu must be a positive integer, got {mu!r}")
     w_diag = _check_weights(weights, fim.d)
-    eigvals, eigvecs = np.linalg.eigh(fim.matrix)
-    cutoff = _rank_cutoff(eigvals, rank_tol)
-    support = eigvals > cutoff
-    singular = not bool(np.all(support))
-    support_dim = int(np.count_nonzero(support))
+    vs, inv_supp = _support_inverse(fim.matrix)
+    support_dim = vs.shape[1]
+    singular = support_dim < fim.d
     if support_dim == 0:
         diag = tuple(np.inf for _ in range(fim.d))
         return BoundReport(np.inf, diag, True, 0, tuple(range(fim.d)))
-    vs = eigvecs[:, support]
-    inv_supp = (vs / eigvals[support]) @ vs.conj().T
     # A parameter direction is determined only if e_k lies in the support.
     proj_defect = np.sqrt(np.clip(1.0 - np.sum(np.abs(vs) ** 2, axis=1), 0.0, None))
     inside = proj_defect <= 1e-9 if singular else np.ones(fim.d, dtype=bool)
@@ -291,7 +299,7 @@ def _inv_spd(mat: np.ndarray) -> np.ndarray:
     return (v / w) @ v.T
 
 
-def inverse_block(fim: QFIM, k: int, rank_tol: float | None = None) -> np.ndarray:
+def inverse_block(fim: QFIM, k: int) -> np.ndarray:
     """The block ``[F^-1]_[kk]`` of the inverse information matrix.
 
     For a singular matrix the support-restricted pseudo-inverse is used and
@@ -299,21 +307,17 @@ def inverse_block(fim: QFIM, k: int, rank_tol: float | None = None) -> np.ndarra
     explicitly.
     """
     idx = np.asarray(fim.partition[k])
-    eigvals, eigvecs = np.linalg.eigh(fim.matrix)
-    cutoff = _rank_cutoff(eigvals, rank_tol)
-    support = eigvals > cutoff
-    if not np.all(support):
+    vs, inv = _support_inverse(fim.matrix)
+    if vs.shape[1] < fim.d:
         warnings.warn(
             "singular information matrix: inverse block restricted to the support",
             RuntimeWarning,
             stacklevel=2,
         )
-    vs = eigvecs[:, support]
-    inv = (vs / eigvals[support]) @ vs.T
     return inv[np.ix_(idx, idx)]
 
 
-def block_inverse_residuals(fim: QFIM, rank_tol: float | None = None) -> np.ndarray:
+def block_inverse_residuals(fim: QFIM) -> np.ndarray:
     """Per-block smallest eigenvalue of ``[F^-1]_[kk] - [F_[kk]]^-1``.
 
     Nonnegative (up to roundoff) for every positive-definite matrix, with
@@ -321,7 +325,7 @@ def block_inverse_residuals(fim: QFIM, rank_tol: float | None = None) -> np.ndar
     blocks vanish). Raises on singular input.
     """
     eigvals = fim.eigenvalues()
-    if eigvals[0] <= _rank_cutoff(eigvals, rank_tol):
+    if eigvals[0] <= _rank_cutoff(eigvals):
         raise np.linalg.LinAlgError("information matrix is singular")
     full_inv = _inv_spd(fim.matrix)
     residuals = np.empty(fim.n_blocks)
@@ -339,14 +343,13 @@ def cfim(
     net: SensorNetwork,
     probe: State,
     phi0=None,
-    step: float = config.CFIM_STEP,
 ) -> np.ndarray:
     """Classical Fisher information matrix of a POVM's outcome statistics.
 
     Outcome probabilities are ``p(m | phi) = Tr[E_m rho_phi]`` under the
-    network encoding; derivatives use central differences of size ``step``
-    around ``phi0`` (default: the fiducial point). Outcomes with
-    probability below the configured floor are skipped.
+    network encoding; derivatives use central differences of size
+    ``config.CFIM_STEP`` around ``phi0`` (default: the fiducial point).
+    Outcomes with probability below the configured floor are skipped.
     """
     d = net.n_params
     dim = net.total_dim
@@ -374,6 +377,7 @@ def cfim(
             return np.array([float(np.real(np.vdot(amps, e @ amps))) for e in ops])
         return np.array([float(np.real(np.trace(e @ evolved.matrix))) for e in ops])
 
+    step = config.CFIM_STEP
     p0 = probabilities(base)
     dp = np.empty((d, len(ops)))
     for k in range(d):

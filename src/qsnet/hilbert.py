@@ -32,7 +32,6 @@ __all__ = [
     "commutator",
     "tensor_product",
     "kron_all",
-    "kron_vectors",
     "embed_local",
     "eigh",
     "expm_i",
@@ -58,7 +57,8 @@ def _as_complex(a, name: str = "array") -> np.ndarray:
     return arr
 
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
+    """Raise :class:`DimensionLimitError` if ``dim`` exceeds the cap."""
     cap = config.max_dim()
     if dim > cap:
         raise DimensionLimitError(f"dimension {dim} exceeds the cap {cap} (QSN_MAX_DIM)")
@@ -91,31 +91,22 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the configured dimension cap enforced."""
+    """Kronecker product of two matrices or two vectors, with the
+    configured dimension cap enforced on every axis."""
     am = _as_complex(a, "left factor")
     bm = _as_complex(b, "right factor")
-    if am.ndim != 2 or bm.ndim != 2:
-        raise ValueError("tensor_product expects matrices")
-    _check_dim(am.shape[0] * bm.shape[0])
-    _check_dim(am.shape[1] * bm.shape[1])
+    if am.ndim != bm.ndim or am.ndim not in (1, 2):
+        raise ValueError("tensor_product expects two matrices or two vectors")
+    for m, n in zip(am.shape, bm.shape):
+        check_dim(m * n)
     return np.kron(am, bm)
 
 
 def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of a list of matrices, or of a list of vectors."""
     if not ops:
         raise ValueError("empty operator list")
     return reduce(tensor_product, ops)
-
-
-def kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    if not vectors:
-        raise ValueError("empty vector list")
-    out = _as_complex(vectors[0], "vector")
-    for v in vectors[1:]:
-        nxt = _as_complex(v, "vector")
-        _check_dim(out.size * nxt.size)
-        out = np.kron(out, nxt)
-    return out
 
 
 def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
@@ -168,7 +159,7 @@ class PureState:
             raise LayoutError(
                 f"layout {layout} implies dim {prod(layout)}, vector has {amps.size}"
             )
-        _check_dim(amps.size)
+        check_dim(amps.size)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1")
@@ -200,7 +191,7 @@ class DensityOperator:
             raise LayoutError(
                 f"layout {layout} implies dim {prod(layout)}, matrix is {mat.shape[0]}"
             )
-        _check_dim(mat.shape[0])
+        check_dim(mat.shape[0])
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > config.TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")

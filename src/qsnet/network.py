@@ -14,7 +14,6 @@ even when a sensor's generators do not commute.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import prod
 import numpy as np
@@ -25,6 +24,7 @@ from .hilbert import (
     DensityOperator,
     PureState,
     State,
+    check_dim,
     embed_local,
     commutator,
     expm_i,
@@ -34,6 +34,7 @@ from .hilbert import (
     matrix_to_json,
     require_hermitian,
 )
+from .reporting import read_json
 
 __all__ = [
     "SensorSpec",
@@ -104,9 +105,7 @@ class SensorNetwork:
             raise ValueError("a network needs at least one sensor")
         if sum(s.n_params for s in sensors) < 1:
             raise ValueError("a network needs at least one parameter")
-        total = prod(s.dim for s in sensors)
-        if total > config.max_dim():
-            raise LayoutError(f"total dimension {total} exceeds cap {config.max_dim()}")
+        check_dim(prod(s.dim for s in sensors))
         object.__setattr__(self, "sensors", sensors)
 
     @property
@@ -155,7 +154,7 @@ class NetworkDiagnostics:
     tol: float
 
 
-def validate(net: SensorNetwork, commute_tol: float = config.COMMUTE_TOL) -> NetworkDiagnostics:
+def validate(net: SensorNetwork) -> NetworkDiagnostics:
     """Report which sensors have mutually commuting generators.
 
     ``all_commuting`` selects between the two analysis regimes: when true,
@@ -175,13 +174,13 @@ def validate(net: SensorNetwork, commute_tol: float = config.COMMUTE_TOL) -> Net
             for j in range(i + 1, g):
                 r = float(np.max(np.abs(commutator(s.generators[i], s.generators[j]))))
                 table[i, j] = table[j, i] = r
-                if r > commute_tol:
+                if r > config.COMMUTE_TOL:
                     commuting = False
         tables.append(table)
         res = np.array(
             [float(np.max(np.abs(commutator(s.resource_op, gj)))) for gj in s.generators]
         )
-        if res.size and float(res.max()) > commute_tol:
+        if res.size and float(res.max()) > config.COMMUTE_TOL:
             conserved = False
         res_tables.append(res)
     return NetworkDiagnostics(
@@ -189,7 +188,7 @@ def validate(net: SensorNetwork, commute_tol: float = config.COMMUTE_TOL) -> Net
         resource_residuals=tuple(res_tables),
         all_commuting=commuting,
         resource_conserved=conserved,
-        tol=commute_tol,
+        tol=config.COMMUTE_TOL,
     )
 
 
@@ -339,9 +338,4 @@ def network_from_json(obj) -> SensorNetwork:
 
 
 def load_network(path) -> SensorNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return network_from_json(obj)
+    return network_from_json(read_json(path))

@@ -3,7 +3,8 @@
 Audit reports must be byte-identical across runs with the same seed, so
 JSON is emitted by a small canonical writer: object keys sorted, floats
 printed with 17 significant digits, no locale or hash-order dependence.
-CSV rows use the same float formatting.
+CSV rows use the same float formatting. Input documents (networks, states,
+scenario configs) are parsed by :func:`read_json`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import FormatError
+
 __all__ = [
     "format_float",
     "dumps",
+    "read_json",
     "write_json",
     "write_csv",
     "sha256_of_arrays",
@@ -57,6 +61,17 @@ def _encode(obj) -> str:
 
 def dumps(obj) -> str:
     return _encode(obj) + "\n"
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON raises :class:`FormatError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
 
 
 def write_json(path, obj) -> Path:

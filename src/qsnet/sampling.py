@@ -4,14 +4,15 @@ Haar-measure unitaries come from the phase-fixed QR decomposition of a
 complex Ginibre matrix. Haar pure states are normalized complex Gaussian
 vectors (the first column of such a unitary has exactly this
 distribution). Random mixed states are partial traces of larger Haar pure
-states, and random positive-definite matrices are shifted Wishart draws.
+states, computed from the reshaped vector without building the larger
+state, and random positive-definite matrices are shifted Wishart draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import DensityOperator, PureState, partial_trace
+from .hilbert import DensityOperator, PureState
 
 __all__ = [
     "trial_rng",
@@ -37,21 +38,24 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def _unit_gaussian(size: int, rng: np.random.Generator) -> np.ndarray:
+    vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return vec / np.linalg.norm(vec)
+
+
 def haar_state(dim: int, layout, rng: np.random.Generator) -> PureState:
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(vec / np.linalg.norm(vec), layout)
+    return PureState(_unit_gaussian(dim, rng), layout)
 
 
-def random_density(dim: int, layout, rng: np.random.Generator, ancilla_dim: int | None = None) -> DensityOperator:
-    """Mixed state from tracing an ancilla out of a larger Haar pure state.
+def random_density(dim: int, layout, rng: np.random.Generator) -> DensityOperator:
+    """Mixed state from tracing a ``dim``-level ancilla out of a Haar pure
+    state on ``dim * dim`` levels; full rank almost surely.
 
-    With the default ``ancilla_dim == dim`` the result is full rank almost
-    surely.
+    The pure state reshaped to ``dim x dim`` is a matrix ``M`` with
+    ``rho = M M^dag``, so only ``rho`` itself counts against the cap.
     """
-    anc = dim if ancilla_dim is None else int(ancilla_dim)
-    joint = haar_state(dim * anc, (dim, anc), rng)
-    reduced = partial_trace(joint, {1})
-    return DensityOperator(reduced.matrix, tuple(layout))
+    mat = _unit_gaussian(dim * dim, rng).reshape(dim, dim)
+    return DensityOperator(mat @ mat.conj().T, tuple(layout))
 
 
 def random_spd(d: int, rng: np.random.Generator, shift: float = 0.1) -> np.ndarray:

@@ -10,7 +10,6 @@ counted, never silently dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,10 +34,11 @@ from .network import (
     resource_count,
     with_collective_ancilla,
 )
-from .reporting import sha256_of_arrays
+from .reporting import read_json, sha256_of_arrays
 from .sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
 from .states import (
     SensorFamily,
+    _extremal_pair,
     local_purification_probe,
     optimal_separable_probe,
     product_defect,
@@ -138,14 +138,7 @@ def scenario_config_from_json(obj) -> tuple[str | None, ScenarioConfig]:
 
 
 def load_scenario_config(path) -> tuple[str | None, ScenarioConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-    return scenario_config_from_json(obj)
+    return scenario_config_from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -340,9 +333,39 @@ def _too_singular(fim: QFIM) -> bool:
 # --- audits -------------------------------------------------------------------
 
 
-def _surrogate_trial(net: SensorNetwork, psi: PureState, weights: np.ndarray) -> dict | None:
+def _run_trials(cfg: ScenarioConfig, trial) -> tuple[float, float, int, list[dict]]:
+    """Draw until ``cfg.trials`` trials are accepted, at most ``10 * trials``.
+
+    Draw ``t`` hands ``trial_rng(cfg.seed, t)`` to ``trial``, which returns
+    ``None`` to ask for a regeneration, otherwise its record, the values
+    checked against ``tol`` and its structure defect. Returns the worst
+    violation, the worst structure defect, the regenerated count and the
+    records, each tagged with its ``trial`` and ``draw`` index.
+    """
+    records: list[dict] = []
+    violation = -np.inf
+    structure = -np.inf
+    regenerated = 0
+    draw = 0
+    while len(records) < cfg.trials:
+        if draw >= 10 * cfg.trials:
+            raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
+        out = trial(trial_rng(cfg.seed, draw))
+        draw += 1
+        if out is None:
+            regenerated += 1
+            continue
+        record, checks, defect = out
+        violation = max(violation, *checks)
+        structure = max(structure, defect)
+        records.append({"trial": len(records), "draw": draw - 1, **record})
+    return violation, structure, regenerated, records
+
+
+def _surrogate_trial(net: SensorNetwork, psi: PureState, weights: np.ndarray, **extra):
     """One commuting-regime comparison of a probe against its separable
-    surrogate; ``None`` signals the caller to regenerate."""
+    surrogate, as a :func:`_run_trials` outcome whose record also carries
+    ``extra``; ``None`` asks for a regeneration."""
     gens = global_generators(net)
     fim = qfim_pure(psi, gens, net.partition)
     if _too_singular(fim):
@@ -357,7 +380,9 @@ def _surrogate_trial(net: SensorNetwork, psi: PureState, weights: np.ndarray) ->
     bound_surr = qcrb(fim_s, weights, 1).bound
     res_orig = resource_count(net, psi)
     res_surr = resource_count(net, surrogate)
-    return {
+    record = {
+        "inputs_sha256": _network_hash(net, psi.amplitudes, weights),
+        **extra,
         "product_defect": product_defect(surrogate),
         "block_defect": block_defect,
         "bound_original": bound_orig,
@@ -367,6 +392,8 @@ def _surrogate_trial(net: SensorNetwork, psi: PureState, weights: np.ndarray) ->
         "resources_surrogate": res_surr,
         "resource_violation": res_surr - res_orig,
     }
+    checks = (block_defect, record["bound_violation"], record["resource_violation"])
+    return record, checks, record["product_defect"]
 
 
 def audit_separable_surrogate(cfg: ScenarioConfig) -> AuditResult:
@@ -379,36 +406,14 @@ def audit_separable_surrogate(cfg: ScenarioConfig) -> AuditResult:
     resource operators are diagonal in the generator eigenbasis by
     construction).
     """
-    records: list[dict] = []
-    violation = -np.inf
-    structure = -np.inf
-    regenerated = 0
-    draw = 0
-    while len(records) < cfg.trials:
-        if draw >= 10 * cfg.trials:
-            raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
-        rng = trial_rng(cfg.seed, draw)
-        draw += 1
+
+    def trial(rng):
         net = _random_commuting_network(rng)
         psi = haar_state(net.total_dim, net.dims, rng)
         weights = rng.uniform(0.0, 1.0, net.n_params)
-        out = _surrogate_trial(net, psi, weights)
-        if out is None:
-            regenerated += 1
-            continue
-        violation = max(violation, out["block_defect"], out["bound_violation"], out["resource_violation"])
-        structure = max(structure, out["product_defect"])
-        records.append(
-            {
-                "trial": len(records),
-                "draw": draw - 1,
-                "inputs_sha256": _network_hash(net, psi.amplitudes, weights),
-                "dims": list(net.dims),
-                "n_params": net.n_params,
-                **out,
-            }
-        )
-    return _finish("separable_surrogate", cfg, violation, structure, regenerated, records)
+        return _surrogate_trial(net, psi, weights, dims=list(net.dims), n_params=net.n_params)
+
+    return _finish("separable_surrogate", cfg, *_run_trials(cfg, trial))
 
 
 def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
@@ -421,16 +426,8 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
     global purification's, and it must consume at most twice the probe's
     resources (ancilla resources counted like sensor resources).
     """
-    records: list[dict] = []
-    violation = -np.inf
-    structure = -np.inf
-    regenerated = 0
-    draw = 0
-    while len(records) < cfg.trials:
-        if draw >= 10 * cfg.trials:
-            raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
-        rng = trial_rng(cfg.seed, draw)
-        draw += 1
+
+    def trial(rng):
         net = _random_mixed_regime_network(rng)
         rho = random_density(net.total_dim, net.dims, rng)
         anc_net = with_collective_ancilla(net)
@@ -438,8 +435,7 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
         fim_global = qfim_pure(psi_global, global_generators(anc_net), anc_net.partition)
         fim_rho, _ = qfim_mixed(rho, global_generators(net), net.partition)
         if _too_singular(fim_global) or _too_singular(fim_rho):
-            regenerated += 1
-            continue
+            return None
         dnet = doubled(net)
         probe = local_purification_probe(rho, net)
         fim_local = qfim_pure(probe, global_generators(dnet), dnet.partition)
@@ -455,28 +451,22 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
         res_local = resource_count(dnet, probe)
         pairs = [(2 * k, 2 * k + 1) for k in range(len(net.sensors))]
         defect = product_defect(probe, groups=pairs)
-        violation = max(
-            violation, block_defect, bound_local - bound_global, res_local - 2.0 * res_orig
-        )
-        structure = max(structure, defect)
-        records.append(
-            {
-                "trial": len(records),
-                "draw": draw - 1,
-                "inputs_sha256": _network_hash(net, rho.matrix, weights),
-                "dims": list(net.dims),
-                "n_params": net.n_params,
-                "block_defect": block_defect,
-                "pair_product_defect": defect,
-                "bound_global_purification": bound_global,
-                "bound_local_purification": bound_local,
-                "bound_violation": bound_local - bound_global,
-                "resources_original": res_orig,
-                "resources_doubled": res_local,
-                "resource_violation": res_local - 2.0 * res_orig,
-            }
-        )
-    return _finish("local_purification", cfg, violation, structure, regenerated, records)
+        record = {
+            "inputs_sha256": _network_hash(net, rho.matrix, weights),
+            "dims": list(net.dims),
+            "n_params": net.n_params,
+            "block_defect": block_defect,
+            "pair_product_defect": defect,
+            "bound_global_purification": bound_global,
+            "bound_local_purification": bound_local,
+            "bound_violation": bound_local - bound_global,
+            "resources_original": res_orig,
+            "resources_doubled": res_local,
+            "resource_violation": res_local - 2.0 * res_orig,
+        }
+        return record, (block_defect, record["bound_violation"], record["resource_violation"]), defect
+
+    return _finish("local_purification", cfg, *_run_trials(cfg, trial))
 
 
 def _random_partition(d: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
@@ -550,11 +540,6 @@ def audit_block_inverse(cfg: ScenarioConfig) -> AuditResult:
 # --- canned scenarios ---------------------------------------------------------
 
 
-def _extreme_columns(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(np.asarray(generator))
-    return v[:, 0], v[:, -1]
-
-
 @dataclass(frozen=True)
 class GradientReport:
     """Two-site field-difference estimation with ``N`` qubits."""
@@ -610,7 +595,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     half = n // 2
     sensor = family.sensor_for(half)
     net = SensorNetwork((sensor, sensor))
-    lo, hi = _extreme_columns(sensor.generators[0])
+    lo, hi = _extremal_pair(sensor)
     vec = np.kron(lo, hi) + np.kron(hi, lo)
     psi = PureState(vec / np.linalg.norm(vec), net.dims)
     fim = qfim_pure(psi, global_generators(net), net.partition)
@@ -747,34 +732,13 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     vacuum_report = qcrb(fim_vacuum, np.ones(net.n_params), cfg.mu)
     vacuum_flagged = vacuum_report.singular and vacuum_report.support_dim == 0
 
-    records: list[dict] = []
-    violation = -np.inf
-    structure = -np.inf
-    regenerated = 0
-    draw = 0
-    while len(records) < cfg.trials:
-        if draw >= 10 * cfg.trials:
-            raise RuntimeError("regeneration cap exceeded")
-        rng = trial_rng(cfg.seed, draw)
-        draw += 1
+    def trial(rng):
         psi = haar_state(net.total_dim, net.dims, rng)
         weights = rng.uniform(0.0, 1.0, net.n_params)
-        out = _surrogate_trial(net, psi, weights)
-        if out is None:
-            regenerated += 1
-            continue
-        top = _top_level_weights(psi)
-        violation = max(violation, out["block_defect"], out["bound_violation"], out["resource_violation"])
-        structure = max(structure, out["product_defect"])
-        records.append(
-            {
-                "trial": len(records),
-                "draw": draw - 1,
-                "inputs_sha256": _network_hash(net, psi.amplitudes, weights),
-                "truncation_weight": float(top.max()),
-                **out,
-            }
-        )
+        top = float(_top_level_weights(psi).max())
+        return _surrogate_trial(net, psi, weights, truncation_weight=top)
+
+    violation, structure, regenerated, records = _run_trials(cfg, trial)
 
     uniform = np.ones(cfg.n_modes) / np.sqrt(cfg.n_modes)
     alloc_state, alloc_net, allocation = optimal_separable_probe(uniform, cfg.n_particles, family)

@@ -18,12 +18,13 @@ from typing import Callable
 import numpy as np
 
 from . import config
+from .bounds import unit_direction
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
     PureState,
     commutator,
-    kron_vectors,
+    kron_all,
     sensor_marginal,
 )
 from .network import SensorNetwork, SensorSpec
@@ -70,7 +71,7 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.asarray(g) for g in np.split(np.arange(values.size), breaks + 1)]
 
 
-def _simultaneous_eigenbasis(mats: list[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _simultaneous_eigenbasis(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     dim = mats[0].shape[0]
     rng = np.random.default_rng(_MIX_SEED)
     coeffs = rng.standard_normal(len(mats))
@@ -107,19 +108,19 @@ def _simultaneous_eigenbasis(mats: list[np.ndarray], tol: float) -> tuple[np.nda
         off = transformed - np.diag(np.diag(transformed))
         defect = float(np.max(np.abs(off)))
         gen_scale = max(1.0, float(np.max(np.abs(mat))))
-        if defect > tol * gen_scale:
+        if defect > config.COMMUTE_TOL * gen_scale:
             raise NoncommutingGeneratorsError(
                 f"generator {j} is not diagonal in the joint basis (defect {defect:.3e})"
             )
     return vectors, labels
 
 
-def joint_eigenbasis(sensor: SensorSpec, tol: float = config.COMMUTE_TOL) -> JointEigenbasis:
+def joint_eigenbasis(sensor: SensorSpec) -> JointEigenbasis:
     """Joint eigenbasis of all of a sensor's generators.
 
-    Requires them to commute mutually within ``tol``; otherwise raises
-    :class:`NoncommutingGeneratorsError`, which signals the caller to switch
-    to the local-ancilla purification route.
+    Requires them to commute mutually within ``config.COMMUTE_TOL``;
+    otherwise raises :class:`NoncommutingGeneratorsError`, which signals the
+    caller to switch to the local-ancilla purification route.
     """
     mats = list(sensor.generators)
     if not mats:
@@ -127,12 +128,12 @@ def joint_eigenbasis(sensor: SensorSpec, tol: float = config.COMMUTE_TOL) -> Joi
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             defect = float(np.max(np.abs(commutator(mats[i], mats[j]))))
-            if defect > tol:
+            if defect > config.COMMUTE_TOL:
                 raise NoncommutingGeneratorsError(
                     f"generators {i} and {j} do not commute (defect {defect:.3e}); "
                     "this sensor needs the local-ancilla purification route"
                 )
-    vectors, labels = _simultaneous_eigenbasis(mats, tol)
+    vectors, labels = _simultaneous_eigenbasis(mats)
     return JointEigenbasis(vectors, labels)
 
 
@@ -154,7 +155,7 @@ def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
         probs = np.real(np.einsum("ij,jk,ki->i", basis.vectors.conj().T, rho, basis.vectors))
         probs = np.clip(probs, 0.0, None)
         factors.append(basis.vectors @ np.sqrt(probs))
-    return PureState(kron_vectors(factors), net.dims)
+    return PureState(kron_all(factors), net.dims)
 
 
 def purify(rho: DensityOperator) -> PureState:
@@ -192,7 +193,7 @@ def local_purification_probe(rho: DensityOperator, net: SensorNetwork) -> PureSt
         local = sensor_marginal(rho, site)
         factors.append(purify(local).amplitudes)
         layout.extend([sensor.dim, sensor.dim])
-    return PureState(kron_vectors(factors), tuple(layout))
+    return PureState(kron_all(factors), tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -232,19 +233,6 @@ def extremal_superposition(family: SensorFamily, n: int) -> PureState:
     return PureState(vec, (sensor.dim,))
 
 
-def _check_direction(v) -> np.ndarray:
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if vec.size == 0:
-        raise ValueError("empty coefficient vector")
-    if np.any(vec < -1e-12):
-        raise ValueError("coefficient vector must be nonnegative")
-    vec = np.clip(vec, 0.0, None)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"coefficient vector must have unit 2-norm, got {norm!r}")
-    return vec
-
-
 def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, SensorNetwork]:
     """Sensor-entangled GHZ-like probe for the linear functional ``v . phi``.
 
@@ -253,7 +241,7 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, Sen
     and all-minimal extremal branches. Returns the probe together with the
     network it lives on, since sensor dimensions depend on the allocation.
     """
-    vec = _check_direction(v)
+    vec = unit_direction(v)
     if n_particles < 1:
         raise ValueError("particle budget must be positive")
     tilde = n_particles * vec / np.sum(vec)
@@ -270,7 +258,7 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, Sen
         lo, hi = _extremal_pair(sensor)
         los.append(lo)
         his.append(hi)
-    branch = kron_vectors(his) + kron_vectors(los)
+    branch = kron_all(his) + kron_all(los)
     branch = branch / np.linalg.norm(branch)
     return PureState(branch, net.dims), net
 
@@ -348,7 +336,7 @@ def optimal_separable_probe(
     optimum followed by single-particle transfers. Sensors with ``w_k = 0``
     contribute trivial factors.
     """
-    vec = _check_direction(v)
+    vec = unit_direction(v)
     if n_particles < 1:
         raise ValueError("particle budget must be positive")
     d = vec.size
@@ -365,7 +353,7 @@ def optimal_separable_probe(
     sensors = [family.sensor_for(int(c)) for c in best_w]
     net = SensorNetwork(tuple(sensors))
     factors = [extremal_superposition(family, int(c)).amplitudes for c in best_w]
-    return PureState(kron_vectors(factors), net.dims), net, best_w
+    return PureState(kron_all(factors), net.dims), net, best_w
 
 
 def product_defect(psi: PureState, groups=None) -> float:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qsnet import SensorNetwork, SensorSpec
+from qsnet import SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
 from qsnet.hilbert import SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
@@ -184,3 +184,15 @@ class TestQfimCommand:
 
     def test_missing_file_exit_two(self, tmp_path, single_qubit_net_file):
         assert main(["qfim", str(single_qubit_net_file), str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+class TestInternalFault:
+    def test_uncaught_exception_exits_three(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
+
+        monkeypatch.setitem(cli._AUDITS, "t1", (broken, 42, 200))
+        assert main(["audit", "t1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "regeneration cap exceeded" in err

@@ -374,3 +374,18 @@ def _random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.
     w, v = np.linalg.eigh(total)
     inv_root = (v / np.sqrt(w)) @ v.conj().T
     return [inv_root @ a @ inv_root for a in raw]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            QFIM(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("mu", [1.5, True])
+    def test_non_integer_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            qcrb(QFIM(np.eye(2)), [1.0, 1.0], mu)
+
+    def test_numpy_integer_mu_accepted(self):
+        assert qcrb(QFIM(np.eye(2)), [1.0, 1.0], np.int64(2)).bound == 1.0

@@ -1,0 +1,69 @@
+"""Golden reports: small CLI runs compared against committed reports.
+
+The files under ``tests/golden/`` were written by the CLI before the
+helper consolidation that followed them. Integers, booleans and strings
+(``inputs_sha256`` included) must match exactly; floats may drift by
+``rel_tol=1e-9`` or by the report's ``tol`` (default ``1e-9``), so a
+change that reorders float arithmetic on purpose is checked against the
+same files.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from qsnet.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    (["audit", "t1", "--trials", "5"], "audit_t1.json"),
+    (["audit", "t2", "--trials", "5"], "audit_t2.json"),
+    (["audit", "prop1", "--trials", "20"], "audit_prop1.json"),
+    (["scenario", "gradient"], "scenario_gradient.json"),
+    (["scenario", "optical", "--trials", "5"], "scenario_optical.json"),
+]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _mismatches(got, want, tol: float, where: str = "$") -> list[str]:
+    # Reports print an integral float like an int, so a float on either
+    # side makes the pair a float comparison.
+    if _is_number(got) and _is_number(want) and float in (type(got), type(want)):
+        if math.isclose(got, want, rel_tol=1e-9, abs_tol=tol):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{where}: {type(got).__name__} != {type(want).__name__}"]
+    if isinstance(want, dict):
+        if set(got) != set(want):
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in _mismatches(got[k], want[k], tol, f"{where}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [m for i, (a, b) in enumerate(zip(got, want)) for m in _mismatches(a, b, tol, f"{where}[{i}]")]
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+@pytest.mark.parametrize("argv,report", CASES, ids=[name for _, name in CASES])
+def test_report_matches_golden(tmp_path, argv, report):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / report).read_text(encoding="utf-8"))
+    want = json.loads((GOLDEN / report).read_text(encoding="utf-8"))
+    assert _mismatches(got, want, want.get("tol", 1e-9)) == []
+
+
+def test_comparison_catches_drift():
+    want = {"bound": 1.0, "sha": "ab", "n": 3, "ok": True}
+    assert _mismatches(dict(want, bound=1.0 + 1e-12), want, 1e-9) == []
+    assert _mismatches(dict(want, bound=1.1), want, 1e-9)
+    assert _mismatches(dict(want, sha="ac"), want, 1e-9)
+    assert _mismatches(dict(want, n=4), want, 1e-9)
+    assert _mismatches(dict(want, ok=1), want, 1e-9)
+    assert _mismatches({"ratio": 2.0000000000000004}, {"ratio": 2}, 1e-9) == []

@@ -6,8 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_hermitian
+from qsnet import config
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import (
+    kron_all,
     SIGMA_X,
     SIGMA_Z,
     DensityOperator,
@@ -216,3 +218,27 @@ class TestJsonWireFormat:
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             vector_from_json([[np.inf, 0.0]])
+
+
+class TestKronAll:
+    def test_vectors(self):
+        a = np.array([1.0, 2.0])
+        b = np.array([0.0, 1.0j, 3.0])
+        assert_allclose(kron_all([a, b, a]), np.kron(np.kron(a, b), a), atol=0)
+
+    def test_vector_cap(self, monkeypatch):
+        monkeypatch.setenv("QSN_MAX_DIM", "8")
+        with pytest.raises(DimensionLimitError):
+            kron_all([np.ones(3), np.ones(3)])
+
+    def test_mixed_ranks_rejected(self):
+        with pytest.raises(ValueError):
+            kron_all([identity(2), np.ones(2)])
+
+
+class TestDimensionCapSetting:
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    def test_bad_setting_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("QSN_MAX_DIM", value)
+        with pytest.raises(ValueError, match="QSN_MAX_DIM must be a positive integer"):
+            config.max_dim()

@@ -19,7 +19,7 @@ from qsnet import (
     validate,
     with_collective_ancilla,
 )
-from qsnet.exceptions import FormatError, LayoutError
+from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, PureState, commutator, identity
 from qsnet.sampling import haar_state, random_density
 
@@ -223,3 +223,11 @@ class TestJsonIngestion:
         doc["sensors"][0]["dim"] = True
         with pytest.raises(FormatError):
             network_from_json(doc)
+
+
+class TestDimensionCap:
+    def test_oversized_network_raises_dimension_limit(self, monkeypatch):
+        monkeypatch.setenv("QSN_MAX_DIM", "8")
+        sensor = SensorSpec(3, (_number_op(3),), _number_op(3))
+        with pytest.raises(DimensionLimitError):
+            SensorNetwork((sensor, sensor))
