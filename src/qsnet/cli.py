@@ -9,6 +9,13 @@ Subcommands::
     qsnet bounds sweep             closed-form bound tables
     qsnet qfim NETWORK STATE       information matrix and bound for a probe
 
+Every subcommand takes ``--out DIR``; all but ``qfim`` (always JSON) take
+``--format json|csv``. ``audit`` and ``scenario`` also take ``--seed``,
+``--trials``, ``--tol`` and ``--config FILE``, and ``scenario`` takes
+``--N``, ``--mu``, ``--modes`` and ``--cutoff``. Their run settings are
+layered: the subcommand's defaults, then the fields the config file sets,
+then explicit flags. The manifest echoes the resolved settings.
+
 Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on a
 configuration error (bad flags, malformed JSON, mismatched dimensions), 3 on
 an internal fault (any other exception; its traceback goes to stderr).
@@ -21,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,10 +51,15 @@ from .scenarios import (
     optical_phase_scenario,
 )
 
+# (runner, default seed, default trials) per kind.
 _AUDITS = {
     "t1": (audit_separable_surrogate, 42, 200),
     "t2": (audit_local_purification, 7, 200),
     "prop1": (audit_block_inverse, 3, 1000),
+}
+_SCENARIOS = {
+    "gradient": (gradient_scenario, 0, 1),
+    "optical": (optical_phase_scenario, 11, 50),
 }
 
 
@@ -54,123 +67,79 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(out_dir: Path, name: str, args_echo: dict, seed, started: str, outputs: list[str]) -> None:
+def _config(args, seed: int, trials: int) -> ScenarioConfig:
+    """The kind's defaults, then the fields ``--config`` sets, then flags."""
+    cfg = ScenarioConfig(seed=seed, trials=trials)
+    if args.config:
+        name, cfg = load_scenario_config(args.config, cfg)
+        if name is not None and name != args.kind:
+            raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:
+    """Write ``doc`` as JSON, or ``header`` and ``rows`` as CSV, then the
+    run manifest echoing ``config``."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.format == "json":
+        path = write_json(out / f"{name}.json", doc)
+    else:
+        path = write_csv(out / f"{name}.csv", header, rows)
     manifest = {
         "tool": "qsnet",
         "version": __version__,
         "run": name,
-        "config": args_echo,
-        "seed": seed,
+        "config": config,
+        "seed": config.get("seed"),
         "started": started,
         "finished": _now(),
-        "outputs": outputs,
+        "outputs": [str(path)],
     }
-    write_json(out_dir / f"{name}_manifest.json", manifest)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _file_config(args, expected: str) -> ScenarioConfig | None:
-    """Load ``--config`` if given, checking any declared scenario name."""
-    if not getattr(args, "config", None):
-        return None
-    name, cfg = load_scenario_config(args.config)
-    if name is not None and name != expected:
-        raise FormatError(f"{args.config}: config is for '{name}', not '{expected}'")
-    return cfg
-
-
-def _resolve(flag_value, file_cfg: ScenarioConfig | None, attr: str, fallback):
-    if flag_value is not None:
-        return flag_value
-    if file_cfg is not None:
-        return getattr(file_cfg, attr)
-    return fallback
+    write_json(out / f"{name}_manifest.json", manifest)
+    print(f"report: {path}")
 
 
 def _run_audit(args) -> int:
-    runner, default_seed, default_trials = _AUDITS[args.kind]
-    file_cfg = _file_config(args, args.kind)
-    seed = _resolve(args.seed, file_cfg, "seed", default_seed)
-    trials = _resolve(args.trials, file_cfg, "trials", default_trials)
-    tol = _resolve(args.tol, file_cfg, "tol", 1e-9)
-    cfg = ScenarioConfig(seed=seed, trials=trials, tol=tol)
+    runner, seed, trials = _AUDITS[args.kind]
+    cfg = _config(args, seed, trials)
     started = _now()
     result = runner(cfg)
-    out_dir = _out_dir(args)
-    name = f"audit_{args.kind}"
-    if args.format == "json":
-        path = write_json(out_dir / f"{name}.json", result.to_jsonable())
-    else:
-        header = ["name", "seed", "trials", "tol", "max_violation", "max_structure_defect", "regenerated", "passed"]
-        row = [result.name, result.seed, result.trials, result.tol, result.max_violation, result.max_structure_defect, result.regenerated, result.passed]
-        path = write_csv(out_dir / f"{name}.csv", header, [row])
-    _write_manifest(out_dir, name, {"trials": trials, "tol": tol, "format": args.format}, seed, started, [str(path)])
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{result.name}: trials={result.trials} regenerated={result.regenerated} "
         f"max_violation={result.max_violation:.3e} max_structure_defect={result.max_structure_defect:.3e} {status}"
     )
-    print(f"report: {path}")
+    header = ["name", "seed", "trials", "tol", "max_violation", "max_structure_defect", "regenerated", "passed"]
+    row = [getattr(result, h) for h in header]
+    _emit(args, f"audit_{args.kind}", asdict(cfg), started, result.to_jsonable(), header, [row])
     return 0 if result.passed else 1
 
 
 def _run_scenario(args) -> int:
+    runner, seed, trials = _SCENARIOS[args.kind]
+    cfg = _config(args, seed, trials)
     started = _now()
-    out_dir = _out_dir(args)
-    file_cfg = _file_config(args, args.kind)
-    tol = _resolve(args.tol, file_cfg, "tol", 1e-9)
-    n_particles = _resolve(args.n_particles, file_cfg, "n_particles", 4)
-    mu = _resolve(args.mu, file_cfg, "mu", 1)
+    report = runner(cfg)
+    status = "PASS" if report.passed else "FAIL"
     if args.kind == "gradient":
-        cfg = ScenarioConfig(seed=0, trials=1, tol=tol, n_particles=n_particles, mu=mu)
-        report = gradient_scenario(cfg)
-        name = "scenario_gradient"
         header = ["scenario", "N", "mu", "var_entangled", "var_separable", "ratio", "passed"]
         row = ["gradient", report.n_particles, report.mu, report.var_entangled, report.var_separable, report.ratio, report.passed]
-        seed = 0
-        echo = {"N": n_particles, "mu": mu, "tol": tol}
-        summary = f"gradient: N={report.n_particles} ratio={report.ratio:.12g} " + ("PASS" if report.passed else "FAIL")
+        print(f"gradient: N={report.n_particles} ratio={report.ratio:.12g} {status}")
     else:
-        seed = _resolve(args.seed, file_cfg, "seed", 11)
-        trials = _resolve(args.trials, file_cfg, "trials", 50)
-        modes = _resolve(args.modes, file_cfg, "n_modes", 2)
-        cutoff = _resolve(args.cutoff, file_cfg, "mode_cutoff", 3)
-        cfg = ScenarioConfig(
-            seed=seed,
-            trials=trials,
-            tol=tol,
-            n_particles=n_particles,
-            n_modes=modes,
-            mode_cutoff=cutoff,
-            mu=mu,
-        )
-        report = optical_phase_scenario(cfg)
-        name = "scenario_optical"
         header = ["scenario", "modes", "cutoff", "trials", "max_violation", "vacuum_flagged", "passed"]
         row = ["optical", report.n_modes, report.cutoff, report.surrogate_trials, report.surrogate_max_violation, report.vacuum_flagged, report.passed]
-        echo = {"modes": modes, "cutoff": cutoff, "N": n_particles, "trials": trials, "tol": tol, "mu": mu}
-        summary = (
+        print(
             f"optical: modes={report.n_modes} cutoff={report.cutoff} "
-            f"max_violation={report.surrogate_max_violation:.3e} " + ("PASS" if report.passed else "FAIL")
+            f"max_violation={report.surrogate_max_violation:.3e} {status}"
         )
-    if args.format == "json":
-        path = write_json(out_dir / f"{name}.json", report.to_jsonable())
-    else:
-        path = write_csv(out_dir / f"{name}.csv", header, [row])
-    _write_manifest(out_dir, name, echo, seed, started, [str(path)])
-    print(summary)
-    print(f"report: {path}")
+    _emit(args, f"scenario_{args.kind}", asdict(cfg), started, report.to_jsonable(), header, [row])
     return 0 if report.passed else 1
 
 
 def _run_bounds(args) -> int:
     started = _now()
-    out_dir = _out_dir(args)
     if args.N is None:
         budgets = list(args.d)
     elif len(args.N) == 1:
@@ -179,25 +148,21 @@ def _run_bounds(args) -> int:
         budgets = list(args.N)
     else:
         raise FormatError("--N must be a single value or match --d in length")
-    rows = []
-    jsonable = []
-    for d, n in zip(args.d, budgets):
-        uniform = np.ones(d) / np.sqrt(d)
-        comparison = compare(LinearFunctional(uniform, args.kappa, n, args.mu))
-        rows.append(comparison.csv_row())
-        jsonable.append(comparison.to_jsonable())
-    name = "bounds_sweep"
-    if args.format == "json":
-        path = write_json(out_dir / f"{name}.json", {"rows": jsonable})
-    else:
-        path = write_csv(out_dir / f"{name}.csv", ["d", "N", "kappa", "mu", "sep_bound", "ghz_bound", "ratio"], rows)
-    _write_manifest(out_dir, name, {"d": list(args.d), "N": budgets, "kappa": args.kappa, "mu": args.mu}, None, started, [str(path)])
-    for (d, n), comparison in zip(zip(args.d, budgets), jsonable):
-        print(
-            f"d={d} N={n}: sep={comparison['sep_bound']:.6g} ghz={comparison['ghz_bound']:.6g} "
-            f"ratio={comparison['ratio']:.6g}"
-        )
-    print(f"report: {path}")
+    comparisons = [
+        compare(LinearFunctional(np.ones(d) / np.sqrt(d), args.kappa, n, args.mu))
+        for d, n in zip(args.d, budgets)
+    ]
+    for c in comparisons:
+        print(f"d={c.d} N={c.n_particles}: sep={c.separable:.6g} ghz={c.ghz:.6g} ratio={c.ratio:.6g}")
+    _emit(
+        args,
+        "bounds_sweep",
+        {"d": list(args.d), "N": budgets, "kappa": args.kappa, "mu": args.mu},
+        started,
+        {"rows": [c.to_jsonable() for c in comparisons]},
+        ["d", "N", "kappa", "mu", "sep_bound", "ghz_bound", "ratio"],
+        [c.csv_row() for c in comparisons],
+    )
     return 0
 
 
@@ -227,7 +192,6 @@ def _run_qfim(args) -> int:
         residuals = None
     else:
         residuals = [float(r) for r in block_inverse_residuals(fim)]
-    out_dir = _out_dir(args)
     doc = {
         "qfim": fim.matrix.tolist(),
         "partition": [list(b) for b in fim.partition],
@@ -235,11 +199,9 @@ def _run_qfim(args) -> int:
         "residuals": residuals,
         **report.to_jsonable(),
     }
-    path = write_json(out_dir / "qfim.json", doc)
-    _write_manifest(out_dir, "qfim", {"network": args.network, "state": args.state, "mu": args.mu}, None, started, [str(path)])
     kind = "singular" if report.singular else "invertible"
     print(f"qfim: d={fim.d} {kind} bound={report.bound:.12g}")
-    print(f"report: {path}")
+    _emit(args, "qfim", {"network": args.network, "state": args.state, "mu": args.mu}, started, doc)
     return 0
 
 
@@ -248,30 +210,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory (default: current)")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--tol", type=float, default=None, help="violation tolerance (default 1e-9)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory (default: current)")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=["json", "csv"], default="json")
+    run = argparse.ArgumentParser(add_help=False, parents=[table])
+    run.add_argument("--seed", type=int)
+    run.add_argument("--trials", type=int)
+    run.add_argument("--tol", type=float, help=f"violation tolerance (default {ScenarioConfig.tol:g})")
+    run.add_argument("--config", help="JSON config file; flags override")
 
-    audit = sub.add_parser("audit", parents=[common], help="run a randomized audit")
+    audit = sub.add_parser("audit", parents=[run], help="run a randomized audit")
     audit.add_argument("kind", choices=sorted(_AUDITS))
-    audit.add_argument("--seed", type=int, default=None)
-    audit.add_argument("--trials", type=int, default=None)
-    audit.add_argument("--config", default=None, help="JSON config file; flags override")
     audit.set_defaults(handler=_run_audit)
 
-    scenario = sub.add_parser("scenario", parents=[common], help="run a canned experiment")
-    scenario.add_argument("kind", choices=["gradient", "optical"])
-    scenario.add_argument("--N", dest="n_particles", type=int, default=None, help="particle budget (default 4)")
-    scenario.add_argument("--mu", type=int, default=None, help="experiment repeats (default 1)")
-    scenario.add_argument("--modes", type=int, default=None, help="optical: mode count (default 2)")
-    scenario.add_argument("--cutoff", type=int, default=None, help="optical: photon cutoff per mode (default 3)")
-    scenario.add_argument("--seed", type=int, default=None)
-    scenario.add_argument("--trials", type=int, default=None)
-    scenario.add_argument("--config", default=None, help="JSON config file; flags override")
+    scenario = sub.add_parser("scenario", parents=[run], help="run a canned experiment")
+    scenario.add_argument("kind", choices=sorted(_SCENARIOS))
+    scenario.add_argument("--N", dest="n_particles", type=int, help=f"particle budget (default {ScenarioConfig.n_particles})")
+    scenario.add_argument("--mu", type=int, help=f"experiment repeats (default {ScenarioConfig.mu})")
+    scenario.add_argument("--modes", dest="n_modes", type=int, help=f"optical: mode count (default {ScenarioConfig.n_modes})")
+    scenario.add_argument(
+        "--cutoff", dest="mode_cutoff", type=int, help=f"optical: photon cutoff per mode (default {ScenarioConfig.mode_cutoff})"
+    )
     scenario.set_defaults(handler=_run_scenario)
 
-    bounds = sub.add_parser("bounds", parents=[common], help="closed-form bound tables")
+    bounds = sub.add_parser("bounds", parents=[table], help="closed-form bound tables")
     bounds.add_argument("action", choices=["sweep"])
     bounds.add_argument("--d", type=int, nargs="+", default=[2, 3, 4], help="sensor counts")
     bounds.add_argument("--N", type=int, nargs="+", default=None, help="particle budgets (default: N = d)")
@@ -279,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--mu", type=int, default=1)
     bounds.set_defaults(handler=_run_bounds)
 
-    qfim = sub.add_parser("qfim", parents=[common], help="information matrix of a probe on a network")
+    qfim = sub.add_parser("qfim", parents=[out], help="information matrix of a probe on a network")
     qfim.add_argument("network", help="network JSON file")
     qfim.add_argument("state", help="state JSON file (vector or density matrix)")
     qfim.add_argument("--mu", type=int, default=1)
-    qfim.set_defaults(handler=_run_qfim)
+    qfim.set_defaults(handler=_run_qfim, format="json")
     return parser
 
 

@@ -12,7 +12,7 @@ pseudo-inverted, the report flags them and restricts to the support.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -217,13 +217,7 @@ class BoundReport:
     undetermined: tuple[int, ...]
 
     def to_jsonable(self) -> dict:
-        return {
-            "bound": self.bound,
-            "diag_inverse": list(self.diag_inverse),
-            "singular": self.singular,
-            "support_dim": self.support_dim,
-            "undetermined": list(self.undetermined),
-        }
+        return asdict(self)
 
 
 def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:

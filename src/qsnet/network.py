@@ -19,7 +19,7 @@ from math import prod
 import numpy as np
 
 from . import config
-from .exceptions import FormatError, LayoutError
+from .exceptions import DimensionLimitError, FormatError, LayoutError
 from .hilbert import (
     DensityOperator,
     PureState,
@@ -333,6 +333,8 @@ def network_from_json(obj) -> SensorNetwork:
             raise FormatError(f"{where}: {exc}") from exc
     try:
         return SensorNetwork(tuple(sensors))
+    except DimensionLimitError:
+        raise
     except ValueError as exc:
         raise FormatError(f"network: {exc}") from exc
 

@@ -10,7 +10,7 @@ counted, never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .fisher import (
     qfim_pure,
     rotate_qfim,
 )
-from .hilbert import SIGMA_Z, PureState, commutator, embed_local, identity
+from .hilbert import SIGMA_Z, PureState, commutator, embed_local, identity, kron_all
 from .network import (
     SensorNetwork,
     SensorSpec,
@@ -102,8 +102,11 @@ class ScenarioConfig:
         return self.tol / 10.0
 
 
-def scenario_config_from_json(obj) -> tuple[str | None, ScenarioConfig]:
-    """Build a config from a JSON document, rejecting unknown fields.
+def scenario_config_from_json(
+    obj, base: ScenarioConfig = ScenarioConfig()
+) -> tuple[str | None, ScenarioConfig]:
+    """Override the fields of ``base`` that a JSON document sets, rejecting
+    unknown fields; fields the document omits keep their ``base`` values.
 
     The optional ``"scenario"`` entry names the audit or experiment the
     config is meant for; it is returned alongside the config so callers can
@@ -132,13 +135,15 @@ def scenario_config_from_json(obj) -> tuple[str | None, ScenarioConfig]:
                 raise FormatError(f"scenario config: '{field.name}' must be an integer")
             kwargs[field.name] = value
     try:
-        return name, ScenarioConfig(**kwargs)
+        return name, replace(base, **kwargs)
     except ValueError as exc:
         raise FormatError(f"scenario config: {exc}") from exc
 
 
-def load_scenario_config(path) -> tuple[str | None, ScenarioConfig]:
-    return scenario_config_from_json(read_json(path))
+def load_scenario_config(
+    path, base: ScenarioConfig = ScenarioConfig()
+) -> tuple[str | None, ScenarioConfig]:
+    return scenario_config_from_json(read_json(path), base)
 
 
 @dataclass(frozen=True)
@@ -163,18 +168,7 @@ class AuditResult:
     records: tuple[dict, ...]
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "trials": self.trials,
-            "tol": self.tol,
-            "structure_tol": self.structure_tol,
-            "max_violation": self.max_violation,
-            "max_structure_defect": self.max_structure_defect,
-            "regenerated": self.regenerated,
-            "passed": self.passed,
-            "records": list(self.records),
-        }
+        return asdict(self)
 
 
 def _finish(name, cfg, violation, structure, regenerated, records) -> AuditResult:
@@ -239,14 +233,6 @@ def truncated_mode_family() -> SensorFamily:
         return SensorSpec(n + 1, (num,), num)
 
     return SensorFamily(kappa=1.0, sensor_for=build)
-
-
-def fixed_cutoff_mode_network(n_modes: int, cutoff: int) -> SensorNetwork:
-    """``n_modes`` truncated oscillators at a common cutoff, one phase
-    parameter per mode generated (and resourced) by the number operator."""
-    num = np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
-    mode = SensorSpec(cutoff + 1, (num,), num)
-    return SensorNetwork((mode,) * n_modes)
 
 
 # --- random network ensembles ------------------------------------------------
@@ -713,16 +699,13 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     the truncation level are flagged: results remain exact for the
     truncated model, but stop representing an untruncated mode.
     """
-    net = fixed_cutoff_mode_network(cfg.n_modes, cfg.mode_cutoff)
-    gens = global_generators(net)
     family = truncated_mode_family()
+    net = SensorNetwork((family.sensor_for(cfg.mode_cutoff),) * cfg.n_modes)
+    gens = global_generators(net)
 
     factor = np.zeros(cfg.mode_cutoff + 1, dtype=complex)
     factor[0] = factor[-1] = 1.0 / np.sqrt(2.0)
-    designed = factor
-    for _ in range(cfg.n_modes - 1):
-        designed = np.kron(designed, factor)
-    designed_probe = PureState(designed, net.dims)
+    designed_probe = PureState(kron_all([factor] * cfg.n_modes), net.dims)
     fim_designed = qfim_pure(designed_probe, gens, net.partition)
     per_mode_qfi = tuple(float(x) for x in np.diag(fim_designed.matrix))
 

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from qsnet import SensorNetwork, SensorSpec, cli
+from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
 from qsnet.hilbert import SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
@@ -196,3 +197,73 @@ class TestInternalFault:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "regeneration cap exceeded" in err
+
+
+class TestRunConfig:
+    """Run settings layer: kind defaults, then the config file, then flags."""
+
+    def test_file_without_seed_keeps_audit_default_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"tol": 1e-9})
+        code = main(["audit", "prop1", "--config", str(cfg), "--trials", "20", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "audit_prop1.json").read_text())
+        assert doc["seed"] == 3
+        assert doc["trials"] == 24  # 20 general trials plus 4 block-diagonal ones
+
+    def test_file_without_seed_keeps_optical_default_seed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"tol": 1e-9})
+        code = main(["scenario", "optical", "--config", str(cfg), "--trials", "2", "--out", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "scenario_optical_manifest.json").read_text())
+        assert manifest["seed"] == 11
+        assert manifest["config"]["trials"] == 2
+
+    def test_file_max_matrix_dim_reaches_runner(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"max_matrix_dim": 3})
+        code = main(["audit", "prop1", "--config", str(cfg), "--trials", "20", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "audit_prop1.json").read_text())
+        assert max(r["d"] for r in doc["records"]) <= 3
+
+    def test_flags_win_over_file_and_file_over_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"scenario": "optical", "mode_cutoff": 2, "trials": 9})
+        code = main(["scenario", "optical", "--config", str(cfg), "--trials", "3", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "scenario_optical.json").read_text())
+        assert (doc["cutoff"], doc["surrogate_trials"], doc["modes"]) == (2, 3, 2)
+        manifest = json.loads((tmp_path / "scenario_optical_manifest.json").read_text())
+        assert manifest["config"] == asdict(ScenarioConfig(seed=11, trials=3, mode_cutoff=2))
+
+    def test_manifest_config_is_resolved_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"seed": 8, "trials": 15, "tol": 1e-8, "max_matrix_dim": 5})
+        code = main(["audit", "prop1", "--config", str(cfg), "--trials", "10", "--out", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "audit_prop1_manifest.json").read_text())
+        resolved = ScenarioConfig(seed=8, trials=10, tol=1e-8, max_matrix_dim=5)
+        assert manifest["config"] == asdict(resolved)
+        assert manifest["seed"] == 8
+
+    def test_bounds_rejects_tol(self, tmp_path):
+        assert main(["bounds", "sweep", "--tol", "1e-6", "--out", str(tmp_path)]) == 2
+
+    def test_qfim_rejects_format(self, tmp_path, single_qubit_net_file):
+        state = tmp_path / "plus.json"
+        _write(state, vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2)))
+        argv = ["qfim", str(single_qubit_net_file), str(state), "--out", str(tmp_path)]
+        assert main(argv + ["--format", "csv"]) == 2
+        assert main(argv + ["--tol", "1e-6"]) == 2
+
+    def test_oversized_network_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        sensor = SensorSpec(3, (np.diag([0.0, 1.0, 2.0]),), np.diag([0.0, 1.0, 2.0]))
+        net = tmp_path / "net.json"
+        _write(net, network_to_json(SensorNetwork((sensor, sensor))))
+        state = tmp_path / "state.json"
+        _write(state, vector_to_json(np.eye(9)[0]))
+        monkeypatch.setenv("QSN_MAX_DIM", "8")
+        assert main(["qfim", str(net), str(state), "--out", str(tmp_path)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err

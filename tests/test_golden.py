@@ -1,11 +1,11 @@
 """Golden reports: small CLI runs compared against committed reports.
 
 The files under ``tests/golden/`` were written by the CLI before the
-helper consolidation that followed them. Integers, booleans and strings
+refactors that followed them. Integers, booleans and strings
 (``inputs_sha256`` included) must match exactly; floats may drift by
 ``rel_tol=1e-9`` or by the report's ``tol`` (default ``1e-9``), so a
 change that reorders float arithmetic on purpose is checked against the
-same files.
+same files. CSV reports are compared cell by cell under the same rule.
 """
 
 import json
@@ -24,6 +24,14 @@ CASES = [
     (["audit", "prop1", "--trials", "20"], "audit_prop1.json"),
     (["scenario", "gradient"], "scenario_gradient.json"),
     (["scenario", "optical", "--trials", "5"], "scenario_optical.json"),
+    (["bounds", "sweep"], "bounds_sweep.json"),
+]
+
+CSV_CASES = [
+    (["audit", "prop1", "--trials", "20"], "audit_prop1.csv"),
+    (["scenario", "gradient"], "scenario_gradient.csv"),
+    (["scenario", "optical", "--trials", "5"], "scenario_optical.csv"),
+    (["bounds", "sweep"], "bounds_sweep.csv"),
 ]
 
 
@@ -59,6 +67,30 @@ def test_report_matches_golden(tmp_path, argv, report):
     assert _mismatches(got, want, want.get("tol", 1e-9)) == []
 
 
+def _csv_cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read_csv(path: Path) -> list[list]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [[_csv_cell(cell) for cell in line.split(",")] for line in lines]
+
+
+@pytest.mark.parametrize("argv,report", CSV_CASES, ids=[name for _, name in CSV_CASES])
+def test_csv_report_matches_golden(tmp_path, argv, report):
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path)]) == 0
+    got = _read_csv(tmp_path / report)
+    want = _read_csv(GOLDEN / report)
+    header = want[0]
+    tol = want[1][header.index("tol")] if "tol" in header else 1e-9
+    assert _mismatches(got, want, tol) == []
+
+
 def test_comparison_catches_drift():
     want = {"bound": 1.0, "sha": "ab", "n": 3, "ok": True}
     assert _mismatches(dict(want, bound=1.0 + 1e-12), want, 1e-9) == []
@@ -67,3 +99,9 @@ def test_comparison_catches_drift():
     assert _mismatches(dict(want, n=4), want, 1e-9)
     assert _mismatches(dict(want, ok=1), want, 1e-9)
     assert _mismatches({"ratio": 2.0000000000000004}, {"ratio": 2}, 1e-9) == []
+
+
+def test_csv_cells_are_typed():
+    assert [_csv_cell(x) for x in ["3", "1.5e-09", "true", "optical"]] == [3, 1.5e-09, "true", "optical"]
+    assert _mismatches([[_csv_cell("2.0000000000000004")]], [[_csv_cell("2")]], 1e-9) == []
+    assert _mismatches([[_csv_cell("false")]], [[_csv_cell("true")]], 1e-9)

@@ -231,3 +231,11 @@ class TestDimensionCap:
         sensor = SensorSpec(3, (_number_op(3),), _number_op(3))
         with pytest.raises(DimensionLimitError):
             SensorNetwork((sensor, sensor))
+
+    def test_oversized_network_file_raises_dimension_limit(self, monkeypatch):
+        sensor = SensorSpec(3, (_number_op(3),), _number_op(3))
+        doc = network_to_json(SensorNetwork((sensor, sensor)))
+        monkeypatch.setenv("QSN_MAX_DIM", "8")
+        with pytest.raises(DimensionLimitError) as info:
+            network_from_json(doc)
+        assert not isinstance(info.value, FormatError)
