@@ -83,8 +83,8 @@ class LinearFunctional:
 
     def __post_init__(self):
         vec = unit_direction(self.v)
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+        if not (np.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
         if int(self.n_particles) < 1:
             raise ValueError("particle budget must be positive")
         if int(self.repeats) < 1:

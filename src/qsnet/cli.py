@@ -14,7 +14,8 @@ Every subcommand takes ``--out DIR``; all but ``qfim`` (always JSON) take
 ``--trials``, ``--tol`` and ``--config FILE``, and ``scenario`` takes
 ``--N``, ``--mu``, ``--modes`` and ``--cutoff``. Their run settings are
 layered: the subcommand's defaults, then the fields the config file sets,
-then explicit flags. The manifest echoes the resolved settings.
+then explicit flags. A flag or config field the kind never reads is a
+configuration error. The manifest echoes the resolved settings.
 
 Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on a
 configuration error (bad flags, malformed JSON, mismatched dimensions), 3 on
@@ -47,8 +48,8 @@ from .scenarios import (
     audit_local_purification,
     audit_separable_surrogate,
     gradient_scenario,
-    load_scenario_config,
     optical_phase_scenario,
+    scenario_config_from_json,
 )
 
 # (runner, default seed, default trials) per kind.
@@ -61,6 +62,15 @@ _SCENARIOS = {
     "gradient": (gradient_scenario, 0, 1),
     "optical": (optical_phase_scenario, 11, 50),
 }
+# The ScenarioConfig fields each kind reads; setting any other is an error.
+_AUDIT_READS = {"seed", "trials", "tol"}
+_READS = {
+    "t1": _AUDIT_READS,
+    "t2": _AUDIT_READS,
+    "prop1": _AUDIT_READS | {"max_matrix_dim"},
+    "gradient": {"n_particles", "mu", "tol"},
+    "optical": {f.name for f in fields(ScenarioConfig)} - {"max_matrix_dim"},
+}
 
 
 def _now() -> str:
@@ -70,12 +80,18 @@ def _now() -> str:
 def _config(args, seed: int, trials: int) -> ScenarioConfig:
     """The kind's defaults, then the fields ``--config`` sets, then flags."""
     cfg = ScenarioConfig(seed=seed, trials=trials)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    unread = set(flags) - _READS[args.kind]
     if args.config:
-        name, cfg = load_scenario_config(args.config, cfg)
+        doc = read_json(args.config)
+        name, cfg = scenario_config_from_json(doc, cfg)
         if name is not None and name != args.kind:
             raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
-    flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+        unread |= set(doc) - {"scenario"} - _READS[args.kind]
+    if unread:
+        raise FormatError(f"{args.command} {args.kind} does not read {sorted(unread)}")
+    return replace(cfg, **flags)
 
 
 def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:

@@ -119,9 +119,9 @@ def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
         raise LayoutError(
             f"operator of shape {a.shape} does not fit site {site} with dim {dims[site]}"
         )
-    factors = [identity(d) for d in dims]
-    factors[site] = a
-    return kron_all(factors)
+    check_dim(prod(dims))
+    left = identity(prod(dims[:site]))
+    return np.kron(np.kron(left, a), identity(prod(dims[site + 1 :])))
 
 
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
@@ -260,17 +260,26 @@ def _entry_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _pair_to_entry(item, where: str) -> complex:
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)
-    ):
-        raise FormatError(f"{where}: expected a [re, im] pair, got {item!r}")
-    re, im = float(item[0]), float(item[1])
-    if not (np.isfinite(re) and np.isfinite(im)):
+def _entries_from_json(items, ndim: int, where: str) -> np.ndarray:
+    """Decode ``ndim`` nested axes of ``[re, im]`` pairs into complex entries."""
+    try:
+        pairs = np.array(items, dtype=object)
+    except ValueError as exc:
+        raise FormatError(f"{where}: ragged nesting") from exc
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise FormatError(f"{where}: expected a non-empty, non-ragged {kind} of [re, im] pairs")
+    # astype(float) would read a JSON boolean as 1.0 or 0.0; it is not a number.
+    for t in set(map(type, pairs.flat)):
+        if t is bool or not issubclass(t, (int, float)):
+            raise FormatError(f"{where}: expected numbers in [re, im] pairs, got {t.__name__}")
+    try:
+        values = pairs.astype(float)
+    except OverflowError as exc:
+        raise FormatError(f"{where}: number too large for a float") from exc
+    if not np.all(np.isfinite(values)):
         raise FormatError(f"{where}: non-finite entry")
-    return complex(re, im)
+    return values.view(complex)[..., 0]
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -278,9 +287,7 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(items, where: str = "vector") -> np.ndarray:
-    if not isinstance(items, list) or not items:
-        raise FormatError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return np.array([_pair_to_entry(item, f"{where}[{i}]") for i, item in enumerate(items)])
+    return _entries_from_json(items, 1, where)
 
 
 def matrix_to_json(a: np.ndarray) -> list:
@@ -289,16 +296,4 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise FormatError(f"{where}: expected a non-empty list of rows")
-    width = None
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or not row:
-            raise FormatError(f"{where}[{i}]: expected a non-empty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(f"{where}[{i}]: ragged row (expected {width} entries)")
-        out.append([_pair_to_entry(item, f"{where}[{i}][{j}]") for j, item in enumerate(row)])
-    return np.array(out)
+    return _entries_from_json(rows, 2, where)

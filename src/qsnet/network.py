@@ -33,6 +33,7 @@ from .hilbert import (
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
+    sensor_marginal,
 )
 from .reporting import read_json
 
@@ -44,7 +45,6 @@ __all__ = [
     "global_generator",
     "global_generators",
     "encode",
-    "total_resource_operator",
     "resource_count",
     "doubled",
     "with_collective_ancilla",
@@ -234,21 +234,13 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
     return DensityOperator(evolved, state.layout)
 
 
-def total_resource_operator(net: SensorNetwork) -> np.ndarray:
-    """Sum of every sensor's resource operator embedded in the full space."""
-    total = np.zeros((net.total_dim, net.total_dim), dtype=complex)
-    for site, s in enumerate(net.sensors):
-        total += embed_local(s.resource_op, site, net.dims)
-    return total
-
 def resource_count(net: SensorNetwork, state: State) -> float:
-    """Expectation of the total resource operator in the given state."""
+    """Total resources ``sum_k Re Tr[R_k rho_k]`` over the sensor marginals."""
     if state.layout != net.dims:
         raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
-    total = total_resource_operator(net)
-    if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.amplitudes, total @ state.amplitudes)))
-    return float(np.real(np.trace(total @ state.matrix)))
+    return float(
+        sum(np.real(np.trace(s.resource_op @ sensor_marginal(state, k).matrix)) for k, s in enumerate(net.sensors))
+    )
 
 
 def doubled(net: SensorNetwork) -> SensorNetwork:

@@ -166,14 +166,9 @@ def purify(rho: DensityOperator) -> PureState:
     """
     p, v = np.linalg.eigh(rho.matrix)
     p = np.clip(p, 0.0, None)
-    dim = rho.dim
-    vec = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        if p[i] <= 0.0:
-            continue
-        vec += np.sqrt(p[i]) * np.kron(v[:, i], v[:, i])
+    vec = ((v * np.sqrt(p)) @ v.T).reshape(-1)
     vec /= np.linalg.norm(vec)
-    return PureState(vec, rho.layout + (dim,))
+    return PureState(vec, rho.layout + (rho.dim,))
 
 
 def local_purification_probe(rho: DensityOperator, net: SensorNetwork) -> PureState:

@@ -1,9 +1,15 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qsnet import SensorNetwork, SensorSpec
 from qsnet.hilbert import SIGMA_Z
+
+# Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
+# dimension 1 to 4.
+layouts = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -126,6 +126,11 @@ class TestFunctionalValidation:
         with pytest.raises(ValueError):
             LinearFunctional(v, 1.0, 2, 0)
 
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError):
+            LinearFunctional(np.array([1.0, 0.0]), kappa, 2, 1)
+
 
 class TestNormChain:
     def test_seeded_sweep(self):

@@ -267,3 +267,61 @@ class TestRunConfig:
         monkeypatch.setenv("QSN_MAX_DIM", "8")
         assert main(["qfim", str(net), str(state), "--out", str(tmp_path)]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
+
+
+class TestOutsideNumbers:
+    """Non-finite or oversized numbers are configuration errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "t1", "--trials", "2", "--tol", "inf"],
+            ["scenario", "optical", "--trials", "2", "--tol", "nan"],
+            ["bounds", "sweep", "--kappa", "nan"],
+            ["bounds", "sweep", "--kappa", "inf"],
+        ],
+    )
+    def test_non_finite_flag(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("tol", [float("nan"), 10**400], ids=["nan", "huge_int"])
+    def test_config_tol(self, tmp_path, tol):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"tol": tol})
+        assert main(["audit", "t1", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_state_entry_too_large_for_float(self, tmp_path, single_qubit_net_file):
+        state = tmp_path / "huge.json"
+        _write(state, [[10**400, 0], [0, 0]])
+        assert main(["qfim", str(single_qubit_net_file), str(state), "--out", str(tmp_path)]) == 2
+
+
+class TestUnreadSettings:
+    """A flag or config field the kind never reads is a configuration error."""
+
+    def test_gradient_flags_named(self, tmp_path, capsys):
+        argv = ["scenario", "gradient", "--modes", "5", "--cutoff", "7", "--seed", "9", "--trials", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "['mode_cutoff', 'n_modes', 'seed', 'trials']" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_gradient.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, kind, doc",
+        [
+            ("audit", "t1", {"max_matrix_dim": 5}),
+            ("audit", "t2", {"mu": 2}),
+            ("audit", "prop1", {"n_particles": 6}),
+            ("scenario", "gradient", {"seed": 1}),
+            ("scenario", "optical", {"max_matrix_dim": 5}),
+        ],
+    )
+    def test_config_field(self, tmp_path, capsys, command, kind, doc):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, doc)
+        assert main([command, kind, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert repr(sorted(doc)) in capsys.readouterr().err
+
+    def test_read_settings_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        _write(cfg, {"scenario": "gradient", "n_particles": 6, "mu": 2, "tol": 1e-8})
+        assert main(["scenario", "gradient", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -3,9 +3,11 @@ eigendecomposition, matrix exponentials, state carriers, JSON wire format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_hermitian
+from conftest import layouts, random_hermitian, seeds
 from qsnet import config
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import (
@@ -87,6 +89,22 @@ class TestEmbedLocal:
     def test_dim_mismatch(self):
         with pytest.raises(LayoutError):
             embed_local(SIGMA_Z, 0, (3, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts, st.data(), seeds)
+    def test_matches_kron_chain(self, dims, data, seed):
+        site = data.draw(st.integers(min_value=0, max_value=len(dims) - 1))
+        rng = np.random.default_rng(seed)
+        d = dims[site]
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        factors = [identity(q) for q in dims]
+        factors[site] = op
+        assert np.array_equal(embed_local(op, site, dims), kron_all(factors))
+
+    def test_cap_checked_on_total_dim(self, monkeypatch):
+        monkeypatch.setenv("QSN_MAX_DIM", "8")
+        with pytest.raises(DimensionLimitError):
+            embed_local(SIGMA_Z, 0, (2, 3, 2))
 
 
 class TestPartialTrace:
@@ -218,6 +236,28 @@ class TestJsonWireFormat:
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             vector_from_json([[np.inf, 0.0]])
+
+    def test_bool_inside_numeric_matrix_rejected(self):
+        # np.array would read this as floats; a JSON boolean is not a number.
+        with pytest.raises(FormatError):
+            matrix_from_json([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, True]]])
+
+    def test_non_numbers_rejected(self):
+        for bad in ([["1", 0.0]], [[None, 0.0]], [[[1.0, 0.0], 0.0]], [], "pairs"):
+            with pytest.raises(FormatError):
+                vector_from_json(bad)
+
+    def test_integer_too_large_for_float_rejected(self):
+        with pytest.raises(FormatError):
+            matrix_from_json([[[10**400, 0]]])
+        with pytest.raises(FormatError):
+            vector_from_json([[0, -(10**400)]])
+
+    def test_decoding_is_bit_exact(self):
+        a = np.array([[-0.0 + 0.0j, 1e-310 - 0.0j], [0.1 + 3.0j, -(2.0**-1074) + 1e300j]])
+        for decoded in (matrix_from_json(matrix_to_json(a)), vector_from_json(vector_to_json(a))):
+            assert decoded.dtype == np.complex128
+            assert decoded.reshape(-1).tobytes() == a.reshape(-1).tobytes()
 
 
 class TestKronAll:

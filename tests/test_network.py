@@ -3,9 +3,10 @@ doubling, strict JSON ingestion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import random_hermitian, two_qubit_z_network
+from conftest import layouts, random_hermitian, seeds, two_qubit_z_network
 from qsnet import (
     SensorNetwork,
     SensorSpec,
@@ -20,7 +21,7 @@ from qsnet import (
     with_collective_ancilla,
 )
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, PureState, commutator, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, PureState, commutator, embed_local, identity
 from qsnet.sampling import haar_state, random_density
 
 
@@ -167,6 +168,23 @@ class TestResources:
         before = resource_count(net, plus)
         after = resource_count(net, encode(net, plus, [np.pi / 2]))
         assert abs(after - before) > 0.1
+
+    @settings(max_examples=50, deadline=None)
+    @given(layouts, seeds)
+    def test_matches_dense_resource_sum(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        sensors = []
+        for k, d in enumerate(dims):
+            gens = (random_hermitian(d, rng),) if k == 0 or rng.random() < 0.5 else ()
+            sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
+        net = SensorNetwork(tuple(sensors))
+        dense = sum(embed_local(s.resource_op, k, net.dims) for k, s in enumerate(net.sensors))
+        psi = haar_state(net.total_dim, net.dims, rng)
+        rho = random_density(net.total_dim, net.dims, rng)
+        want_pure = float(np.real(np.vdot(psi.amplitudes, dense @ psi.amplitudes)))
+        want_mixed = float(np.real(np.trace(dense @ rho.matrix)))
+        assert abs(resource_count(net, psi) - want_pure) <= 1e-12
+        assert abs(resource_count(net, rho) - want_mixed) <= 1e-12
 
 
 class TestDoubling:

@@ -24,6 +24,7 @@ from qsnet import (
     truncated_mode_family,
     with_collective_ancilla,
 )
+from qsnet.exceptions import DimensionLimitError, FormatError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, identity
 from qsnet.reporting import dumps
 from qsnet.sampling import haar_state, haar_unitary, random_density, trial_rng
@@ -65,6 +66,13 @@ class TestSensorFamilies:
         fam = qubit_ensemble_family()
         assert fam.sensor_for(9).dim == 10
 
+    def test_cap_checked_before_building(self, monkeypatch):
+        monkeypatch.setenv("QSN_MAX_DIM", "8")
+        with pytest.raises(DimensionLimitError):
+            truncated_mode_family().sensor_for(8)
+        with pytest.raises(DimensionLimitError):
+            qubit_ensemble_family().sensor_for(9)
+
 
 class TestConfig:
     def test_validation(self):
@@ -74,6 +82,17 @@ class TestConfig:
             ScenarioConfig(tol=0.0)
         with pytest.raises(ValueError):
             ScenarioConfig(mu=0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            ScenarioConfig(tol=tol)
+
+    def test_json_tol_too_large_for_float(self):
+        from qsnet import scenario_config_from_json
+
+        with pytest.raises(FormatError):
+            scenario_config_from_json({"tol": 10**400})
 
     def test_structure_tol_derived(self):
         assert ScenarioConfig(tol=1e-9).structure_tol == pytest.approx(1e-10)

@@ -1,11 +1,15 @@
 """Probe constructors: joint eigenbases, separable surrogates,
 purifications, extremal superpositions, GHZ-like probes, allocations."""
 
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, two_qubit_z_network
+from conftest import bell_state, layouts, seeds, two_qubit_z_network
 from qsnet import (
     SensorNetwork,
     SensorSpec,
@@ -25,7 +29,7 @@ from qsnet import (
     separable_surrogate,
 )
 from qsnet.exceptions import NoncommutingGeneratorsError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity, partial_trace
 from qsnet.sampling import haar_state, haar_unitary, random_density
 from qsnet.scenarios import qubit_ensemble_family, truncated_mode_family
 from qsnet.states import SensorFamily
@@ -207,6 +211,25 @@ class TestPurify:
         out = purify(rho)
         back = sensor_marginal(out, 0)
         assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-9
+
+    # The purification lives on D * D levels, so D stays within the default cap.
+    @settings(max_examples=50, deadline=None)
+    @given(layouts.filter(lambda dims: prod(dims) <= 64), st.booleans(), seeds)
+    def test_matches_kron_loop(self, dims, rank_one, seed):
+        rng = np.random.default_rng(seed)
+        dim = prod(dims)
+        if rank_one:
+            rho = haar_state(dim, dims, rng).density()
+        else:
+            rho = random_density(dim, dims, rng)
+        p, v = np.linalg.eigh(rho.matrix)
+        want = sum(np.sqrt(max(p[i], 0.0)) * np.kron(v[:, i], v[:, i]) for i in range(dim))
+        want = want / np.linalg.norm(want)
+        out = purify(rho)
+        assert out.layout == tuple(dims) + (dim,)
+        assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
+        back = partial_trace(out, [len(dims)])
+        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-12
 
 
 class TestLocalPurificationProbe:
