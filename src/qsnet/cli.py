@@ -40,7 +40,7 @@ from .exceptions import FormatError
 from .bounds import LinearFunctional, compare
 from .fisher import block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
 from .hilbert import DensityOperator, PureState, matrix_from_json, vector_from_json
-from .network import global_generators, load_network
+from .network import load_network
 from .reporting import read_json, write_csv, write_json
 from .scenarios import (
     ScenarioConfig,
@@ -198,11 +198,10 @@ def _run_qfim(args) -> int:
     started = _now()
     net = load_network(args.network)
     state = _load_state(args.state, net.dims)
-    gens = global_generators(net)
     if isinstance(state, PureState):
-        fim = qfim_pure(state, gens, net.partition)
+        fim = qfim_pure(state, net)
     else:
-        fim, _ = qfim_mixed(state, gens, net.partition)
+        fim = qfim_mixed(state, net)
     report = qcrb(fim, np.ones(net.n_params), args.mu)
     if report.singular:
         residuals = None

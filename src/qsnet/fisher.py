@@ -2,9 +2,10 @@
 
 Quantum Fisher information matrices (QFIM) for pure probes come from the
 covariance form ``F_mn = 2<{H_m, H_n}> - 4<H_m><H_n>`` evaluated at the
-fiducial parameter point; mixed probes go through the symmetric logarithmic
-derivatives (SLD) solved in the probe's eigenbasis. The scalar
-Cramer-Rao bound for a diagonal weighting is
+fiducial parameter point; mixed probes use the symmetric logarithmic
+derivative (SLD) form in the probe's eigenbasis. A network's generators act
+on their own sensor's axis of the probe, never as full-space matrices. The
+scalar Cramer-Rao bound for a diagonal weighting is
 ``sum_k W_kk [F^-1]_kk / mu``; singular matrices are never silently
 pseudo-inverted, the report flags them and restricts to the support.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import config
 from .exceptions import LayoutError
-from .hilbert import DensityOperator, PureState, State, require_hermitian
+from .hilbert import DensityOperator, PureState, State, apply_local, require_hermitian
 from .network import SensorNetwork, encode
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "BoundReport",
     "qfim_pure",
     "qfim_mixed",
+    "sld_operators",
     "qcrb",
     "rotate_qfim",
     "orthogonal_completion",
@@ -113,74 +115,114 @@ def _support_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vs, (vs / eigvals[support]) @ vs.T
 
 
-def qfim_pure(psi: PureState, generators: Sequence[np.ndarray], partition=()) -> QFIM:
+def _local_generators(source, state: State, partition=()):
+    """Generators of ``source`` as one-site operators on a layout of ``state``.
+
+    Returns the layout, one ``(site, h)`` pair per parameter and the
+    partition. A :class:`SensorNetwork` supplies its own sensor generators,
+    layout and partition; a sequence of full-space generators becomes
+    one-site operators on the layout ``(D,)``, with ``partition`` as given.
+    """
+    if isinstance(source, SensorNetwork):
+        if partition:
+            raise ValueError("the partition of a network's parameters comes from the network")
+        if state.layout != source.dims:
+            raise LayoutError(f"state layout {state.layout} does not match network {source.dims}")
+        gens = [(site, g) for site, s in enumerate(source.sensors) for g in s.generators]
+        return source.dims, gens, source.partition
+    gens = []
+    for k, g in enumerate(source):
+        gen = np.asarray(g, dtype=complex)
+        if gen.shape != (state.dim, state.dim):
+            raise LayoutError(f"generator {k} has shape {gen.shape}, state dim {state.dim}")
+        gens.append((0, gen))
+    if not gens:
+        raise ValueError("need at least one generator")
+    return (state.dim,), gens, partition
+
+
+def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], partition=()) -> QFIM:
     """QFIM of a pure probe, ``4 Re(<H_m H_n> - <H_m><H_n>)``.
 
-    The generators must act on the probe's full space. Valid for arbitrary
-    (also mutually non-commuting) generators.
+    ``source`` is a :class:`SensorNetwork`, whose sensor-local generators
+    are contracted on their own axis of the probe and whose partition is
+    used, or a sequence of generators on the probe's full space. Valid for
+    arbitrary (also mutually non-commuting) generators.
     """
-    d = len(generators)
-    if d == 0:
-        raise ValueError("need at least one generator")
+    layout, gens, partition = _local_generators(source, psi, partition)
     amps = psi.amplitudes
-    applied = np.empty((d, amps.size), dtype=complex)
-    for k, g in enumerate(generators):
-        gen = np.asarray(g, dtype=complex)
-        if gen.shape != (amps.size, amps.size):
-            raise LayoutError(f"generator {k} has shape {gen.shape}, state dim {amps.size}")
-        applied[k] = gen @ amps
+    tensor = amps.reshape(layout)
+    applied = np.stack([apply_local(h, site, tensor).reshape(-1) for site, h in gens])
     means = np.real(applied @ amps.conj())
     gram = applied.conj() @ applied.T
     mat = 4.0 * (np.real(gram) - np.outer(means, means))
     return QFIM((mat + mat.T) / 2, partition)
 
 
-def qfim_mixed(
-    rho: DensityOperator, generators: Sequence[np.ndarray], partition=()
-) -> tuple[QFIM, tuple[np.ndarray, ...]]:
-    """QFIM of a mixed probe via symmetric logarithmic derivatives.
+def _eigenbasis_generators(rho: DensityOperator, source, partition=()):
+    """The probe's spectrum ``p`` and eigenvectors ``V``, the SLD
+    denominators ``p_i + p_j`` with the mask of those that clear the rank
+    cutoff, the generators ``h_k = V^dag H_k V`` stacked, and the partition.
 
-    The parameter derivative at the fiducial point is the analytic
-    commutator ``d rho / d phi_k = -i [H_k, rho]``. SLDs solve
-    ``d rho = (rho L + L rho) / 2`` in the probe's eigenbasis:
-    ``L_ij = 2 (d rho)_ij / (p_i + p_j)`` wherever ``p_i + p_j`` clears the
-    rank cutoff, zero elsewhere. Returns the matrix
-    ``F_kl = Re Tr[rho L_k L_l]`` and the SLD operators.
+    Warns when a live denominator lies within 100x of the cutoff.
     """
-    d = len(generators)
-    if d == 0:
-        raise ValueError("need at least one generator")
+    layout, gens, partition = _local_generators(source, rho, partition)
     p, v = np.linalg.eigh(rho.matrix)
     cutoff = _rank_cutoff(p)
     denom = p[:, None] + p[None, :]
     live = denom > cutoff
-    shaky = live & (denom < 100.0 * cutoff)
-    if np.any(shaky):
+    if np.any(live & (denom < 100.0 * cutoff)):
         warnings.warn(
             "SLD denominators within 100x of the rank cutoff; "
             "the information matrix may be ill-determined",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    slds_eig = []
+    basis = v.reshape(layout + (rho.dim,))
+    v_dag = v.conj().T
+    h = np.stack([v_dag @ apply_local(g, site, basis).reshape(rho.dim, rho.dim) for site, g in gens])
+    return p, v, denom, live, h, partition
+
+
+def qfim_mixed(
+    rho: DensityOperator, source: SensorNetwork | Sequence[np.ndarray], partition=()
+) -> QFIM:
+    """QFIM of a mixed probe from its eigenbasis.
+
+    ``source`` is a network or a sequence of full-space generators, as for
+    :func:`qfim_pure`. With the probe's eigenvalues ``p`` and the
+    generators ``h_k`` in its eigenbasis,
+    ``F_kl = sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) Re(h_k,ij conj h_l,ij)``
+    over the pairs whose ``p_i + p_j`` clears the rank cutoff. This is
+    ``Re Tr[rho L_k L_l]`` for the symmetric logarithmic derivatives of
+    :func:`sld_operators`, which are never formed here.
+    """
+    p, _, denom, live, h, partition = _eigenbasis_generators(rho, source, partition)
+    weight = np.zeros_like(denom)
+    np.divide(2.0 * (p[:, None] - p[None, :]) ** 2, denom, out=weight, where=live)
+    x = h.reshape(len(h), -1)
+    mat = np.real((x * weight.reshape(-1)) @ x.conj().T)
+    return QFIM((mat + mat.T) / 2, partition)
+
+
+def sld_operators(
+    rho: DensityOperator, source: SensorNetwork | Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Symmetric logarithmic derivatives of a mixed probe, one per parameter.
+
+    The parameter derivative at the fiducial point is the analytic
+    commutator ``d rho / d phi_k = -i [H_k, rho]``. The SLDs solve
+    ``d rho = (rho L + L rho) / 2`` in the probe's eigenbasis:
+    ``L_ij = 2 (d rho)_ij / (p_i + p_j)`` wherever ``p_i + p_j`` clears the
+    rank cutoff, zero elsewhere. ``source`` is as for :func:`qfim_mixed`.
+    """
+    p, v, denom, live, h, _ = _eigenbasis_generators(rho, source)
     slds = []
-    for k, g in enumerate(generators):
-        gen = np.asarray(g, dtype=complex)
-        if gen.shape != rho.matrix.shape:
-            raise LayoutError(f"generator {k} has shape {gen.shape}, probe dim {rho.dim}")
-        h_eig = v.conj().T @ gen @ v
-        drho_eig = -1j * h_eig * (p[None, :] - p[:, None])
-        l_eig = np.zeros_like(drho_eig)
-        np.divide(2.0 * drho_eig, denom, out=l_eig, where=live)
-        slds_eig.append(l_eig)
+    for h_eig in h:
+        l_eig = np.zeros_like(h_eig)
+        np.divide(-2j * h_eig * (p[None, :] - p[:, None]), denom, out=l_eig, where=live)
         slds.append(v @ l_eig @ v.conj().T)
-    mat = np.empty((d, d))
-    weighted = [p[:, None] * l for l in slds_eig]
-    for k in range(d):
-        for l in range(k, d):
-            val = float(np.real(np.sum(weighted[k] * slds_eig[l].T)))
-            mat[k, l] = mat[l, k] = val
-    return QFIM((mat + mat.T) / 2, partition), tuple(slds)
+    return tuple(slds)
 
 
 def _check_weights(weights, d: int) -> np.ndarray:
@@ -343,7 +385,8 @@ def cfim(
     Outcome probabilities are ``p(m | phi) = Tr[E_m rho_phi]`` under the
     network encoding; derivatives use central differences of size
     ``config.CFIM_STEP`` around ``phi0`` (default: the fiducial point).
-    Outcomes with probability below the configured floor are skipped.
+    Outcomes with probability below the configured floor are skipped, with
+    a ``RuntimeWarning`` giving their number.
     """
     d = net.n_params
     dim = net.total_dim
@@ -378,9 +421,14 @@ def cfim(
         shift = np.zeros(d)
         shift[k] = step
         dp[k] = (probabilities(base + shift) - probabilities(base - shift)) / (2.0 * step)
-    mat = np.zeros((d, d))
-    for m in range(len(ops)):
-        if p0[m] < config.CFIM_PROB_FLOOR:
-            continue
-        mat += np.outer(dp[:, m], dp[:, m]) / p0[m]
+    kept = p0 >= config.CFIM_PROB_FLOOR
+    skipped = len(ops) - int(np.count_nonzero(kept))
+    if skipped:
+        warnings.warn(
+            f"{skipped} outcome(s) with probability below {config.CFIM_PROB_FLOOR:g} "
+            "skipped; the classical information may be underestimated",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    mat = (dp[:, kept] / p0[kept]) @ dp[:, kept].T
     return (mat + mat.T) / 2

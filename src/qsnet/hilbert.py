@@ -124,6 +124,16 @@ def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
     return np.kron(np.kron(left, a), identity(prod(dims[site + 1 :])))
 
 
+def apply_local(op: np.ndarray, site: int, tensor: np.ndarray) -> np.ndarray:
+    """Contract a one-site operator with axis ``site`` of a state tensor.
+
+    Equals ``embed_local(op, site, layout) @ state`` on the flattened axes
+    of the layout, without building the full-space operator; the caller
+    checks the shapes.
+    """
+    return np.moveaxis(np.tensordot(op, tensor, (1, site)), 0, site)
+
+
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 

@@ -24,12 +24,11 @@ from .hilbert import (
     DensityOperator,
     PureState,
     State,
+    apply_local,
     check_dim,
     embed_local,
     commutator,
     expm_i,
-    identity,
-    kron_all,
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
@@ -212,26 +211,35 @@ def _check_phi(net: SensorNetwork, phi) -> np.ndarray:
 
 
 def encode(net: SensorNetwork, state: State, phi) -> State:
-    """Apply the product encoding unitary for the parameter point ``phi``."""
+    """Apply the product encoding unitary for the parameter point ``phi``.
+
+    Each sensor's unitary acts on its own axis of the state tensor: on the
+    row axis as ``U`` and on the column axis as ``conj(U)`` for a density
+    operator. Parameter-free sensors are left untouched.
+    """
     values = _check_phi(net, phi)
     if state.layout != net.dims:
         raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
-    factors = []
+    unitaries = []
     offset = 0
-    for s in net.sensors:
+    for site, s in enumerate(net.sensors):
         if s.n_params == 0:
-            factors.append(identity(s.dim))
             continue
         exponent = np.zeros((s.dim, s.dim), dtype=complex)
         for j, g in enumerate(s.generators):
             exponent += values[offset + j] * g
         offset += s.n_params
-        factors.append(expm_i(exponent))
-    unitary = kron_all(factors)
+        unitaries.append((site, expm_i(exponent)))
     if isinstance(state, PureState):
-        return PureState(unitary @ state.amplitudes, state.layout)
-    evolved = unitary @ state.matrix @ unitary.conj().T
-    return DensityOperator(evolved, state.layout)
+        tensor = state.amplitudes.reshape(net.dims)
+        for site, u in unitaries:
+            tensor = apply_local(u, site, tensor)
+        return PureState(tensor.reshape(-1), state.layout)
+    n = len(net.dims)
+    tensor = state.matrix.reshape(net.dims + net.dims)
+    for site, u in unitaries:
+        tensor = apply_local(u.conj(), n + site, apply_local(u, site, tensor))
+    return DensityOperator(tensor.reshape(state.dim, state.dim), state.layout)
 
 
 def resource_count(net: SensorNetwork, state: State) -> float:

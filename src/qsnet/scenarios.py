@@ -30,11 +30,10 @@ from .network import (
     SensorNetwork,
     SensorSpec,
     doubled,
-    global_generators,
     resource_count,
     with_collective_ancilla,
 )
-from .reporting import read_json, sha256_of_arrays
+from .reporting import sha256_of_arrays
 from .sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
 from .states import (
     SensorFamily,
@@ -52,7 +51,6 @@ __all__ = [
     "GradientReport",
     "OpticalReport",
     "scenario_config_from_json",
-    "load_scenario_config",
     "qubit_ensemble_family",
     "truncated_mode_family",
     "audit_separable_surrogate",
@@ -141,12 +139,6 @@ def scenario_config_from_json(
         return name, replace(base, **kwargs)
     except ValueError as exc:
         raise FormatError(f"scenario config: {exc}") from exc
-
-
-def load_scenario_config(
-    path, base: ScenarioConfig = ScenarioConfig()
-) -> tuple[str | None, ScenarioConfig]:
-    return scenario_config_from_json(read_json(path), base)
 
 
 @dataclass(frozen=True)
@@ -357,12 +349,11 @@ def _surrogate_trial(net: SensorNetwork, psi: PureState, weights: np.ndarray, **
     """One commuting-regime comparison of a probe against its separable
     surrogate, as a :func:`_run_trials` outcome whose record also carries
     ``extra``; ``None`` asks for a regeneration."""
-    gens = global_generators(net)
-    fim = qfim_pure(psi, gens, net.partition)
+    fim = qfim_pure(psi, net)
     if _too_singular(fim):
         return None
     surrogate = separable_surrogate(psi, net)
-    fim_s = qfim_pure(surrogate, gens, net.partition)
+    fim_s = qfim_pure(surrogate, net)
     block_defect = max(
         float(np.max(np.abs(fim.block(k) - fim_s.block(k)))) for k in range(fim.n_blocks)
     )
@@ -423,13 +414,13 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
         rho = random_density(net.total_dim, net.dims, rng)
         anc_net = with_collective_ancilla(net)
         psi_global = purify(rho)
-        fim_global = qfim_pure(psi_global, global_generators(anc_net), anc_net.partition)
-        fim_rho, _ = qfim_mixed(rho, global_generators(net), net.partition)
+        fim_global = qfim_pure(psi_global, anc_net)
+        fim_rho = qfim_mixed(rho, net)
         if _too_singular(fim_global) or _too_singular(fim_rho):
             return None
         dnet = doubled(net)
         probe = local_purification_probe(rho, net)
-        fim_local = qfim_pure(probe, global_generators(dnet), dnet.partition)
+        fim_local = qfim_pure(probe, dnet)
         block_defect = max(
             float(np.max(np.abs(fim_global.block(k) - fim_local.block(k))))
             for k in range(fim_global.n_blocks)
@@ -575,7 +566,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     lo, hi = _extremal_pair(sensor)
     vec = np.kron(lo, hi) + np.kron(hi, lo)
     psi = PureState(vec / np.linalg.norm(vec), net.dims)
-    fim = qfim_pure(psi, global_generators(net), net.partition)
+    fim = qfim_pure(psi, net)
 
     difference = np.array([-1.0, 1.0]) / np.sqrt(2.0)
     rotation = np.vstack([difference, np.array([1.0, 1.0]) / np.sqrt(2.0)])
@@ -585,7 +576,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
 
     magnitudes = np.array([1.0, 1.0]) / np.sqrt(2.0)
     sep_state, sep_net, allocation = optimal_separable_probe(magnitudes, n, family)
-    fim_sep = qfim_pure(sep_state, global_generators(sep_net), sep_net.partition)
+    fim_sep = qfim_pure(sep_state, sep_net)
     report_sep = qcrb(rotate_qfim(fim_sep, rotation), [1.0, 0.0], cfg.mu)
 
     functional = LinearFunctional(magnitudes, family.kappa, n, cfg.mu)
@@ -692,17 +683,16 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     """
     family = truncated_mode_family()
     net = SensorNetwork((family.sensor_for(cfg.mode_cutoff),) * cfg.n_modes)
-    gens = global_generators(net)
 
     factor = np.zeros(cfg.mode_cutoff + 1, dtype=complex)
     factor[0] = factor[-1] = 1.0 / np.sqrt(2.0)
     designed_probe = PureState(kron_all([factor] * cfg.n_modes), net.dims)
-    fim_designed = qfim_pure(designed_probe, gens, net.partition)
+    fim_designed = qfim_pure(designed_probe, net)
     per_mode_qfi = tuple(float(x) for x in np.diag(fim_designed.matrix))
 
     vacuum = np.zeros(net.total_dim, dtype=complex)
     vacuum[0] = 1.0
-    fim_vacuum = qfim_pure(PureState(vacuum, net.dims), gens, net.partition)
+    fim_vacuum = qfim_pure(PureState(vacuum, net.dims), net)
     vacuum_report = qcrb(fim_vacuum, np.ones(net.n_params), cfg.mu)
     vacuum_flagged = vacuum_report.singular and vacuum_report.support_dim == 0
 
@@ -716,7 +706,7 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
 
     uniform = np.ones(cfg.n_modes) / np.sqrt(cfg.n_modes)
     alloc_state, alloc_net, allocation = optimal_separable_probe(uniform, cfg.n_particles, family)
-    fim_alloc = qfim_pure(alloc_state, global_generators(alloc_net), alloc_net.partition)
+    fim_alloc = qfim_pure(alloc_state, alloc_net)
     rotation = orthogonal_completion(uniform)
     selector = np.zeros(cfg.n_modes)
     selector[0] = 1.0

@@ -17,6 +17,18 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / (2.0 * np.sqrt(dim))
 
 
+def random_network(dims, rng: np.random.Generator) -> SensorNetwork:
+    """Sensors of the given dimensions with zero to two random (generally
+    non-commuting) generators each, the first sensor carrying at least one,
+    and random Hermitian resource operators."""
+    sensors = []
+    for k, d in enumerate(dims):
+        n_gens = int(rng.integers(1 if k == 0 else 0, 3))
+        gens = tuple(random_hermitian(d, rng) for _ in range(n_gens))
+        sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
+    return SensorNetwork(tuple(sensors))
+
+
 def two_qubit_z_network() -> SensorNetwork:
     """Two single-qubit sensors, generator sigma_z/2, excitation counting."""
     sensor = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))

@@ -77,7 +77,7 @@ def test_criterion_1_qfim_oracle_equivalence():
         psi = haar_state(net.total_dim, net.dims, rng)
         gens = global_generators(net)
         fim_pure = qfim_pure(psi, gens, net.partition)
-        fim_sld, _ = qfim_mixed(psi.density(), gens, net.partition)
+        fim_sld = qfim_mixed(psi.density(), gens, net.partition)
         worst = max(worst, float(np.max(np.abs(fim_pure.matrix - fim_sld.matrix))))
     elapsed = time.time() - start
     _check(

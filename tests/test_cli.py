@@ -8,7 +8,7 @@ import pytest
 
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
-from qsnet.hilbert import SIGMA_Z, matrix_to_json, vector_to_json
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
 
 
@@ -185,6 +185,26 @@ class TestQfimCommand:
 
     def test_missing_file_exit_two(self, tmp_path, single_qubit_net_file):
         assert main(["qfim", str(single_qubit_net_file), str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+class TestLocalGenerators:
+    def test_hot_paths_build_no_full_space_generator(self, tmp_path, monkeypatch):
+        def forbidden(net, k):
+            raise AssertionError("full-space generator built")
+
+        monkeypatch.setattr("qsnet.network.global_generator", forbidden)
+        assert main(["audit", "t2", "--trials", "3", "--seed", "7", "--out", str(tmp_path)]) == 0
+        rng = np.random.default_rng(9)
+        sensor = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))
+        ancilla = SensorSpec(3, (), np.eye(3))
+        net = SensorNetwork((sensor, ancilla, sensor))
+        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        rho = g @ g.conj().T
+        _write(tmp_path / "net.json", network_to_json(net))
+        _write(tmp_path / "rho.json", matrix_to_json(rho / np.trace(rho).real))
+        argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "rho.json"), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(json.loads((tmp_path / "qfim.json").read_text())["qfim"]) == 4
 
 
 class TestInternalFault:

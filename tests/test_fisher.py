@@ -1,17 +1,23 @@
 """Fisher-information machinery: pure and SLD-based matrices, bounds,
 rotations, block inequality, classical information of measurements."""
 
+import warnings
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_hermitian, two_qubit_z_network
+from conftest import layouts, random_hermitian, random_network, seeds, two_qubit_z_network
 from qsnet import (
     QFIM,
     SensorNetwork,
     SensorSpec,
     block_inverse_residuals,
     cfim,
+    doubled,
     encode,
     global_generators,
     inverse_block,
@@ -20,7 +26,10 @@ from qsnet import (
     qfim_mixed,
     qfim_pure,
     rotate_qfim,
+    sld_operators,
+    with_collective_ancilla,
 )
+from qsnet.exceptions import LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, PureState, identity
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
@@ -66,7 +75,7 @@ class TestQfimPure:
             for _ in range(5):
                 psi = haar_state(net.total_dim, net.dims, rng)
                 fim_p = qfim_pure(psi, global_generators(net), net.partition)
-                fim_m, _ = qfim_mixed(psi.density(), global_generators(net), net.partition)
+                fim_m = qfim_mixed(psi.density(), global_generators(net), net.partition)
                 assert np.max(np.abs(fim_p.matrix - fim_m.matrix)) <= 1e-9
 
     def test_generator_shape_checked(self):
@@ -99,7 +108,7 @@ class TestQfimMixed:
     def test_maximally_mixed_is_blind(self):
         net = _single_qubit_net()
         rho = DensityOperator(identity(2) / 2, (2,))
-        fim, _ = qfim_mixed(rho, global_generators(net), net.partition)
+        fim = qfim_mixed(rho, global_generators(net), net.partition)
         assert_allclose(fim.matrix, [[0.0]], atol=1e-12)
 
     def test_depolarized_plus_against_fidelity_oracle(self):
@@ -110,7 +119,7 @@ class TestQfimMixed:
         for p in (0.25, 0.6, 0.9):
             mixed = p * np.outer([1, 1], [1, 1]) / 2 + (1 - p) * identity(2) / 2
             rho = DensityOperator(mixed, (2,))
-            fim, _ = qfim_mixed(rho, global_generators(net), net.partition)
+            fim = qfim_mixed(rho, global_generators(net), net.partition)
             shifted = encode(net, rho, [delta])
             oracle = 8.0 * (1.0 - _root_fidelity(rho.matrix, shifted.matrix)) / delta**2
             assert fim.matrix[0, 0] == pytest.approx(oracle, abs=1e-5)
@@ -123,7 +132,7 @@ class TestQfimMixed:
         rng = np.random.default_rng(53)
         rho = random_density(4, (2, 2), rng)
         gens = global_generators(net)
-        _, slds = qfim_mixed(rho, gens, net.partition)
+        slds = sld_operators(rho, gens)
         for g, sld in zip(gens, slds):
             drho = -1j * (g @ rho.matrix - rho.matrix @ g)
             residual = drho - (rho.matrix @ sld + sld @ rho.matrix) / 2
@@ -138,7 +147,7 @@ class TestQfimMixed:
         mixed = 0.7 * np.outer(bell_a, bell_a) + 0.3 * np.outer(bell_b, bell_b)
         rho = DensityOperator(mixed, (2, 2))
         gens = global_generators(net)
-        fim, slds = qfim_mixed(rho, gens, net.partition)
+        fim, slds = qfim_mixed(rho, gens, net.partition), sld_operators(rho, gens)
         # The defining equation still holds: a unitary family never moves
         # weight into the kernel, so the residual vanishes everywhere.
         for g, sld in zip(gens, slds):
@@ -161,6 +170,77 @@ class TestQfimMixed:
         rho = DensityOperator(np.diag([1.0 - eps, eps]), (2,))
         with pytest.warns(RuntimeWarning, match="rank cutoff"):
             qfim_mixed(rho, [np.asarray(SIGMA_X) / 2], net.partition)
+
+
+def _max_rel_dev(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+class TestLocalGenerators:
+    """A network's generators are contracted on their own sensor's axis; the
+    dense ``global_generators`` form is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layouts.filter(lambda dims: prod(dims) <= 16),
+        st.sampled_from(["plain", "doubled", "collective"]),
+        st.booleans(),
+        seeds,
+    )
+    def test_network_matches_dense_generators(self, dims, shape, full_rank, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(dims, rng)
+        if shape == "doubled":
+            net = doubled(net)
+        elif shape == "collective":
+            net = with_collective_ancilla(net)
+        gens = global_generators(net)
+        dim = net.total_dim
+        psi = haar_state(dim, net.dims, rng)
+        fim = qfim_pure(psi, net)
+        assert fim.partition == net.partition
+        assert _max_rel_dev(fim.matrix, qfim_pure(psi, gens, net.partition).matrix) <= 1e-12
+        rank = dim if full_rank else int(rng.integers(1, dim)) if dim > 1 else 1
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
+        fim = qfim_mixed(rho, net)
+        assert fim.partition == net.partition
+        assert _max_rel_dev(fim.matrix, qfim_mixed(rho, gens, net.partition).matrix) <= 1e-12
+        for local, dense in zip(sld_operators(rho, net), sld_operators(rho, gens)):
+            assert _max_rel_dev(local, dense) <= 1e-12
+
+    def test_mixed_matches_sld_trace_form(self):
+        # F_kl = Re Tr[rho L_k L_l] over the operators sld_operators returns.
+        rng = np.random.default_rng(54)
+        net = random_network((2, 3), rng)
+        rho = random_density(net.total_dim, net.dims, rng)
+        slds = sld_operators(rho, net)
+        want = np.array([[np.real(np.trace(rho.matrix @ a @ b)) for b in slds] for a in slds])
+        assert _max_rel_dev(qfim_mixed(rho, net).matrix, want) <= 1e-12
+
+    def test_state_layout_must_match_network(self):
+        net = two_qubit_z_network()
+        psi = haar_state(4, (4,), np.random.default_rng(55))
+        with pytest.raises(LayoutError):
+            qfim_pure(psi, net)
+        with pytest.raises(LayoutError):
+            qfim_mixed(psi.density(), net)
+        with pytest.raises(LayoutError):
+            sld_operators(psi.density(), net)
+
+    def test_partition_with_network_rejected(self):
+        net = two_qubit_z_network()
+        psi = haar_state(4, net.dims, np.random.default_rng(56))
+        with pytest.raises(ValueError, match="partition"):
+            qfim_pure(psi, net, net.partition)
+        with pytest.raises(ValueError, match="partition"):
+            qfim_mixed(psi.density(), net, ((0,), (1,)))
+
+    def test_empty_generator_list_rejected(self):
+        with pytest.raises(ValueError):
+            qfim_pure(_plus_state(), [])
+        with pytest.raises(ValueError):
+            qfim_mixed(_plus_state().density(), [])
 
 
 class TestQcrb:
@@ -358,6 +438,21 @@ class TestCfim:
             quantum = qfim_pure(psi, global_generators(net), net.partition)
             gap = np.linalg.eigvalsh(quantum.matrix - classical)[0]
             assert gap >= -1e-6
+
+    def test_skipped_outcomes_are_reported(self):
+        # |+> measured in the x basis at phi = 0: the "-" outcome has
+        # probability 0 and is skipped, so the information reads 0 although
+        # its limit along phi -> 0 is 1.
+        net = _single_qubit_net()
+        w, v = np.linalg.eigh(np.asarray(SIGMA_X))
+        effects = [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
+        with pytest.warns(RuntimeWarning, match="1 outcome"):
+            out = cfim(effects, net, _plus_state())
+        assert_allclose(out, [[0.0]], atol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cfim(effects, net, _plus_state(), phi0=[1e-3])
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-5)
 
     def test_invalid_povm_rejected(self):
         net = _single_qubit_net()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import layouts, random_hermitian, seeds, two_qubit_z_network
+from conftest import layouts, random_hermitian, random_network, seeds, two_qubit_z_network
 from qsnet import (
     SensorNetwork,
     SensorSpec,
@@ -21,7 +21,16 @@ from qsnet import (
     with_collective_ancilla,
 )
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, PureState, commutator, embed_local, identity
+from qsnet.hilbert import (
+    SIGMA_X,
+    SIGMA_Z,
+    PureState,
+    commutator,
+    embed_local,
+    expm_i,
+    identity,
+    kron_all,
+)
 from qsnet.sampling import haar_state, random_density
 
 
@@ -141,6 +150,26 @@ class TestEncode:
         rng = np.random.default_rng(6)
         with pytest.raises(LayoutError):
             encode(net, haar_state(4, (2, 2), rng), [0.1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(layouts, seeds)
+    def test_matches_dense_product_unitary(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(dims, rng)
+        phi = rng.uniform(-2.0, 2.0, net.n_params)
+        factors = []
+        offset = 0
+        for s in net.sensors:
+            exponent = sum((phi[offset + j] * g for j, g in enumerate(s.generators)), np.zeros((s.dim, s.dim)))
+            offset += s.n_params
+            factors.append(expm_i(exponent))
+        unitary = kron_all(factors)
+        psi = haar_state(net.total_dim, net.dims, rng)
+        rho = random_density(net.total_dim, net.dims, rng)
+        got_pure = encode(net, psi, phi).amplitudes
+        got_mixed = encode(net, rho, phi).matrix
+        assert np.max(np.abs(got_pure - unitary @ psi.amplitudes)) <= 1e-12
+        assert np.max(np.abs(got_mixed - unitary @ rho.matrix @ unitary.conj().T)) <= 1e-12
 
 
 class TestResources:

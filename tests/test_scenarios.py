@@ -179,7 +179,7 @@ class TestLocalPurificationAudit:
     def test_maximally_mixed_probe_is_blind_and_would_regenerate(self):
         net = _noncommuting_network()
         rho = DensityOperator(identity(4) / 4, (2, 2))
-        fim, _ = qfim_mixed(rho, global_generators(net), net.partition)
+        fim = qfim_mixed(rho, global_generators(net), net.partition)
         assert np.max(np.abs(fim.matrix)) <= 1e-12
         report = qcrb(fim, np.ones(3), 1)
         assert report.singular and report.support_dim == 0 and report.bound == np.inf
