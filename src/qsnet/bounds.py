@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_int
+
 __all__ = [
     "LinearFunctional",
     "BoundComparison",
@@ -41,7 +43,9 @@ def pnorm(v, p: float) -> float:
     vec = np.abs(np.asarray(v, dtype=float).reshape(-1))
     if vec.size == 0:
         raise ValueError("empty vector")
-    if p <= 0.0:
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vector contains non-finite entries")
+    if not p > 0.0:
         raise ValueError(f"p must be positive, got {p}")
     keep = vec[vec > _TINY]
     if keep.size == 0:
@@ -58,6 +62,8 @@ def unit_direction(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float).reshape(-1)
     if vec.size == 0:
         raise ValueError("empty coefficient vector")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("coefficient vector contains non-finite entries")
     if np.any(vec < -1e-12):
         raise ValueError("coefficient vector must be nonnegative")
     vec = np.clip(vec, 0.0, None)
@@ -85,15 +91,11 @@ class LinearFunctional:
         vec = unit_direction(self.v)
         if not (np.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
-        if int(self.n_particles) < 1:
-            raise ValueError("particle budget must be positive")
-        if int(self.repeats) < 1:
-            raise ValueError("repeat count must be positive")
         vec.setflags(write=False)
         object.__setattr__(self, "v", vec)
         object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "n_particles", int(self.n_particles))
-        object.__setattr__(self, "repeats", int(self.repeats))
+        object.__setattr__(self, "n_particles", check_int(self.n_particles, "particle budget"))
+        object.__setattr__(self, "repeats", check_int(self.repeats, "repeat count"))
 
     @property
     def d(self) -> int:

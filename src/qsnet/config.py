@@ -1,6 +1,8 @@
-"""Numerical tolerances and size limits shared across the package."""
+"""Numerical tolerances, size limits and the integer check shared across
+the package."""
 
 import os
+from numbers import Integral
 
 # Invariant tolerances for the core carriers.
 HERMITICITY_TOL = 1e-12   # relative to the largest entry magnitude
@@ -21,6 +23,14 @@ CFIM_STEP = 1e-5          # central-difference step in parameter space
 CFIM_PROB_FLOOR = 1e-12   # outcomes below this probability are skipped
 
 DEFAULT_MAX_DIM = 4096
+
+
+def check_int(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an ``int``; anything but an integer (numpy integers
+    included, booleans not) of at least ``minimum`` raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def max_dim() -> int:

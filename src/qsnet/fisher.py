@@ -8,12 +8,15 @@ on their own sensor's axis of the probe, never as full-space matrices. The
 scalar Cramer-Rao bound for a diagonal weighting is
 ``sum_k W_kk [F^-1]_kk / mu``; singular matrices are never silently
 pseudo-inverted, the report flags them and restricts to the support.
+Each carrier holds its ``spectrum``: the probe's eigenbasis and the
+information matrix's eigenpairs are computed once, when the carrier is
+validated, and every bound, inverse and SLD reads them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +51,13 @@ class QFIM:
 
     The partition records which parameters live on which sensor; it drives
     the block accessors. A matrix without block structure carries the single
-    full block.
+    full block. ``spectrum`` keeps the ascending eigenvalues and eigenvector
+    columns of the one ``eigh`` that checks positivity.
     """
 
     matrix: np.ndarray
     partition: tuple[tuple[int, ...], ...] = ()
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -64,7 +69,8 @@ class QFIM:
         if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
             raise ValueError("information matrix is not symmetric")
         mat = (mat + mat.T) / 2
-        lo = float(np.linalg.eigvalsh(mat)[0])
+        spectrum = np.linalg.eigh(mat)
+        lo = float(spectrum[0][0])
         if lo < -1e-9 * scale:
             raise ValueError(f"information matrix has eigenvalue {lo:.3e} < 0")
         partition = tuple(tuple(int(i) for i in blk) for blk in self.partition)
@@ -73,10 +79,11 @@ class QFIM:
         flat = [i for blk in partition for i in blk]
         if flat != list(range(mat.shape[0])):
             raise ValueError(f"partition {partition} does not tile 0..{mat.shape[0] - 1}")
-        mat = mat.copy()
-        mat.setflags(write=False)
+        for part in (mat, *spectrum):
+            part.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "spectrum", tuple(spectrum))
 
     @property
     def d(self) -> int:
@@ -91,11 +98,7 @@ class QFIM:
         return self.matrix[np.ix_(idx, idx)]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def is_singular(self) -> bool:
-        w = self.eigenvalues()
-        return bool(w[0] < _rank_cutoff(w))
+        return self.spectrum[0]
 
 
 def _rank_cutoff(eigenvalues: np.ndarray) -> float:
@@ -103,13 +106,13 @@ def _rank_cutoff(eigenvalues: np.ndarray) -> float:
     return max(config.RANK_TOL_FACTOR * top, config.RANK_TOL_FLOOR)
 
 
-def _support_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of a symmetric matrix restricted to its support.
+def _support_inverse(fim: QFIM) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of an information matrix restricted to its support.
 
     Returns the eigenvectors whose eigenvalues clear the rank cutoff, as
     columns ``V``, and ``V diag(1/w) V^T`` over those eigenvalues ``w``.
     """
-    eigvals, eigvecs = np.linalg.eigh(mat)
+    eigvals, eigvecs = fim.spectrum
     support = eigvals > _rank_cutoff(eigvals)
     vs = eigvecs[:, support]
     return vs, (vs / eigvals[support]) @ vs.T
@@ -167,7 +170,7 @@ def _eigenbasis_generators(rho: DensityOperator, source, partition=()):
     Warns when a live denominator lies within 100x of the cutoff.
     """
     layout, gens, partition = _local_generators(source, rho, partition)
-    p, v = np.linalg.eigh(rho.matrix)
+    p, v = rho.spectrum
     cutoff = _rank_cutoff(p)
     denom = p[:, None] + p[None, :]
     live = denom > cutoff
@@ -236,6 +239,8 @@ def _check_weights(weights, d: int) -> np.ndarray:
         w = np.diag(w)
     if w.shape != (d,):
         raise LayoutError(f"expected {d} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights contain non-finite entries")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if not np.any(w > 0.0):
@@ -264,10 +269,9 @@ class BoundReport:
 
 def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     """Weighted scalar Cramer-Rao bound ``sum_k W_kk [F^-1]_kk / mu``."""
-    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)) or mu < 1:
-        raise ValueError(f"repeat count mu must be a positive integer, got {mu!r}")
+    mu = config.check_int(mu, "repeat count mu")
     w_diag = _check_weights(weights, fim.d)
-    vs, inv_supp = _support_inverse(fim.matrix)
+    vs, inv_supp = _support_inverse(fim)
     support_dim = vs.shape[1]
     singular = support_dim < fim.d
     if support_dim == 0:
@@ -339,11 +343,11 @@ def inverse_block(fim: QFIM, k: int) -> np.ndarray:
     """The block ``[F^-1]_[kk]`` of the inverse information matrix.
 
     For a singular matrix the support-restricted pseudo-inverse is used and
-    a warning is emitted; check :meth:`QFIM.is_singular` to branch
+    a warning is emitted; :func:`qcrb` reports ``singular`` to branch on
     explicitly.
     """
     idx = np.asarray(fim.partition[k])
-    vs, inv = _support_inverse(fim.matrix)
+    vs, inv = _support_inverse(fim)
     if vs.shape[1] < fim.d:
         warnings.warn(
             "singular information matrix: inverse block restricted to the support",
@@ -360,10 +364,10 @@ def block_inverse_residuals(fim: QFIM) -> np.ndarray:
     zero exactly when block ``k`` decouples from the rest (its off-diagonal
     blocks vanish). Raises on singular input.
     """
-    eigvals = fim.eigenvalues()
+    eigvals, eigvecs = fim.spectrum
     if eigvals[0] <= _rank_cutoff(eigvals):
         raise np.linalg.LinAlgError("information matrix is singular")
-    full_inv = _inv_spd(fim.matrix)
+    full_inv = (eigvecs / eigvals) @ eigvecs.T
     residuals = np.empty(fim.n_blocks)
     for k in range(fim.n_blocks):
         idx = np.asarray(fim.partition[k])

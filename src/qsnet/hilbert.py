@@ -3,6 +3,9 @@
 Plain complex ndarrays carry every operator. :class:`PureState` and
 :class:`DensityOperator` add subsystem-layout bookkeeping and invariant
 checks on top; both freeze their arrays, so instances are safe to share.
+A density operator holds its ``spectrum`` from the one eigendecomposition
+that validates it; purification and the mixed-state Fisher information
+read it rather than factoring the matrix again.
 
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
@@ -11,7 +14,7 @@ of rows of pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
@@ -187,10 +190,15 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-one positive-semidefinite operator with a subsystem layout."""
+    """Trace-one positive-semidefinite operator with a subsystem layout.
+
+    ``spectrum`` keeps the ascending eigenvalues and eigenvector columns of
+    the one ``eigh`` that checks positivity, for every later consumer.
+    """
 
     matrix: np.ndarray
     layout: tuple[int, ...]
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = require_hermitian(self.matrix, name="density operator")
@@ -205,11 +213,16 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > config.TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
-        lo = float(np.linalg.eigvalsh(mat)[0])
+        mat = _frozen(mat)
+        spectrum = np.linalg.eigh(mat)
+        lo = float(spectrum[0][0])
         if lo < -config.PSD_SLACK:
             raise ValueError(f"density operator has eigenvalue {lo:.3e} < -{config.PSD_SLACK}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        for part in spectrum:
+            part.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "spectrum", tuple(spectrum))
 
     @property
     def dim(self) -> int:
@@ -219,7 +232,7 @@ class DensityOperator:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        return self.spectrum[0]
 
 
 State = PureState | DensityOperator

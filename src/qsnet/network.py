@@ -66,9 +66,7 @@ class SensorSpec:
     resource_op: np.ndarray
 
     def __post_init__(self):
-        dim = int(self.dim)
-        if dim < 1:
-            raise ValueError(f"sensor dimension must be positive, got {dim}")
+        dim = config.check_int(self.dim, "sensor dimension")
         gens = []
         for i, g in enumerate(self.generators):
             mat = require_hermitian(g, name=f"generator {i}")

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .bounds import LinearFunctional, enhancement_ratio, ghz_bound, separable_bound
+from .config import check_int
 from .exceptions import FormatError
 from .fisher import (
     QFIM,
@@ -25,7 +26,7 @@ from .fisher import (
     qfim_pure,
     rotate_qfim,
 )
-from .hilbert import SIGMA_Z, PureState, check_dim, commutator, embed_local, identity, kron_all
+from .hilbert import PureState, check_dim, commutator, identity, kron_all
 from .network import (
     SensorNetwork,
     SensorSpec,
@@ -69,6 +70,9 @@ _COND_GUARD = 1e-2
 # full 2**n product space to the (n+1)-dimensional symmetric sector.
 _FULL_REP_MAX = 8
 
+# Smallest admissible value of each integer field of ScenarioConfig.
+_INT_MINIMUM = dict(seed=0, trials=1, n_particles=0, n_modes=1, mode_cutoff=0, mu=1, max_matrix_dim=2)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -84,14 +88,10 @@ class ScenarioConfig:
     max_matrix_dim: int = 12
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        for name, minimum in _INT_MINIMUM.items():
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
-        if self.mu < 1:
-            raise ValueError("mu must be a positive integer")
-        if self.max_matrix_dim < 2:
-            raise ValueError("max_matrix_dim must be at least 2")
 
     @property
     def structure_tol(self) -> float:
@@ -190,25 +190,22 @@ def qubit_ensemble_family(full_rep_max: int = _FULL_REP_MAX) -> SensorFamily:
     The single generator is ``J_z = (1/2) sum_j sigma_z_j`` (spectral width
     ``n``, so ``kappa = 1``); the resource operator counts atoms, ``n``
     times the identity. Up to ``full_rep_max`` qubits the sensor lives in
-    the full ``2**n`` product space; above that it uses the
-    ``(n+1)``-dimensional symmetric sector, which carries the same ``J_z``
-    spectrum and all the probes built here.
+    the full ``2**n`` product space, where ``J_z`` is diagonal with entry
+    ``n/2 - popcount(i)`` on basis state ``i``; above that it uses the
+    ``(n+1)``-dimensional symmetric sector, with entry ``n/2 - m`` on the
+    state of ``m`` flipped qubits, which carries the same ``J_z`` spectrum
+    and all the probes built here.
     """
 
     def build(n: int) -> SensorSpec:
-        if n < 0:
-            raise ValueError("particle count must be nonnegative")
-        if n == 0:
-            zero = np.zeros((1, 1))
-            return SensorSpec(1, (zero,), zero)
-        if n <= full_rep_max:
-            dims = (2,) * n
-            jz = sum(embed_local(SIGMA_Z / 2, j, dims) for j in range(n))
-            dim = 2**n
-        else:
-            dim = n + 1
-            check_dim(dim)
-            jz = np.diag([n / 2.0 - m for m in range(dim)]).astype(complex)
+        n = check_int(n, "particle count", 0)
+        full = n <= full_rep_max
+        dim = 2**n if full else n + 1
+        check_dim(dim)
+        flipped = np.arange(dim)
+        if full:
+            flipped = ((flipped[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        jz = np.diag(n / 2.0 - flipped).astype(complex)
         return SensorSpec(dim, (jz,), float(n) * identity(dim))
 
     return SensorFamily(kappa=1.0, sensor_for=build)
@@ -223,8 +220,7 @@ def truncated_mode_family() -> SensorFamily:
     """
 
     def build(n: int) -> SensorSpec:
-        if n < 0:
-            raise ValueError("particle count must be nonnegative")
+        n = check_int(n, "particle count", 0)
         check_dim(n + 1)
         num = np.diag(np.arange(n + 1, dtype=float)).astype(complex)
         return SensorSpec(n + 1, (num,), num)
@@ -528,23 +524,9 @@ class GradientReport:
     passed: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "scenario": "gradient",
-            "N": self.n_particles,
-            "mu": self.mu,
-            "var_entangled": self.var_entangled,
-            "var_separable": self.var_separable,
-            "ratio": self.ratio,
-            "closed_form_entangled": self.closed_form_entangled,
-            "closed_form_separable": self.closed_form_separable,
-            "closed_form_ratio": self.closed_form_ratio,
-            "sum_sensitivity": self.sum_sensitivity,
-            "allocation": list(self.allocation),
-            "entangled_singular_for_both_params": self.entangled_singular_for_both_params,
-            "separable_bound_both_params": self.separable_bound_both_params,
-            "defects": self.defects,
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        doc["N"] = doc.pop("n_particles")
+        return {"scenario": "gradient", **doc}
 
 
 def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
@@ -639,24 +621,9 @@ class OpticalReport:
     records: tuple[dict, ...]
 
     def to_jsonable(self) -> dict:
-        return {
-            "scenario": "optical_phases",
-            "modes": self.n_modes,
-            "cutoff": self.cutoff,
-            "per_mode_qfi": list(self.per_mode_qfi),
-            "vacuum_flagged": self.vacuum_flagged,
-            "surrogate_trials": self.surrogate_trials,
-            "surrogate_max_violation": self.surrogate_max_violation,
-            "surrogate_max_product_defect": self.surrogate_max_product_defect,
-            "regenerated": self.regenerated,
-            "truncation_weights": list(self.truncation_weights),
-            "truncation_flagged": list(self.truncation_flagged),
-            "allocation": list(self.allocation),
-            "allocation_bound": self.allocation_bound,
-            "analytic_bound": self.analytic_bound,
-            "passed": self.passed,
-            "records": list(self.records),
-        }
+        doc = asdict(self)
+        doc["modes"] = doc.pop("n_modes")
+        return {"scenario": "optical_phases", **doc}
 
 
 def _top_level_weights(psi: PureState) -> np.ndarray:

@@ -164,7 +164,7 @@ def purify(rho: DensityOperator) -> PureState:
     The ancilla copy is appended as one extra subsystem of the full input
     dimension; tracing it out returns the input.
     """
-    p, v = np.linalg.eigh(rho.matrix)
+    p, v = rho.spectrum
     p = np.clip(p, 0.0, None)
     vec = ((v * np.sqrt(p)) @ v.T).reshape(-1)
     vec /= np.linalg.norm(vec)
@@ -219,8 +219,7 @@ def _extremal_pair(sensor: SensorSpec) -> tuple[np.ndarray, np.ndarray]:
 def extremal_superposition(family: SensorFamily, n: int) -> PureState:
     """Equal superposition of the extremal generator eigenvectors for ``n``
     particles, the optimal single-sensor probe at that particle count."""
-    if n < 0:
-        raise ValueError("particle count must be nonnegative")
+    n = config.check_int(n, "particle count", 0)
     sensor = family.sensor_for(n)
     lo, hi = _extremal_pair(sensor)
     vec = lo + hi
@@ -237,8 +236,7 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, Sen
     network it lives on, since sensor dimensions depend on the allocation.
     """
     vec = unit_direction(v)
-    if n_particles < 1:
-        raise ValueError("particle budget must be positive")
+    n_particles = config.check_int(n_particles, "particle budget")
     tilde = n_particles * vec / np.sum(vec)
     counts = np.rint(tilde).astype(int)
     for k, (target, got) in enumerate(zip(tilde, counts)):
@@ -332,8 +330,7 @@ def optimal_separable_probe(
     contribute trivial factors.
     """
     vec = unit_direction(v)
-    if n_particles < 1:
-        raise ValueError("particle budget must be positive")
+    n_particles = config.check_int(n_particles, "particle budget")
     d = vec.size
     if n_particles < int(np.count_nonzero(vec > 0.0)):
         raise ValueError("budget too small: some weighted sensor would get no particles")

@@ -20,6 +20,7 @@ from qsnet import (
     separable_bound,
     separable_bound_weak,
 )
+from qsnet.bounds import unit_direction
 from qsnet.scenarios import qubit_ensemble_family
 
 
@@ -171,3 +172,33 @@ class TestNormChain:
         ratio = enhancement_ratio(f)
         assert 1.0 - 1e-12 <= ratio <= len(raw) + 1e-9
         assert ghz_bound(f) <= separable_bound(f) + 1e-12
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_unit_direction_rejects(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            unit_direction([bad, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            separable_bound(LinearFunctional([bad, 1.0], 1.0, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pnorm_rejects(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            pnorm([bad, 1.0], 1.0)
+        with pytest.raises(ValueError):
+            pnorm([1.0], np.nan)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("field", ["n_particles", "repeats"])
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+    def test_non_integer_rejected(self, field, bad):
+        counts = {"n_particles": 2, "repeats": 1, field: bad}
+        with pytest.raises(ValueError, match="integer"):
+            LinearFunctional(np.array([1.0, 0.0]), 1.0, **counts)
+
+    def test_numpy_integers_accepted(self):
+        f = LinearFunctional(np.array([1.0, 0.0]), 1.0, np.int64(3), np.int32(2))
+        assert (f.n_particles, f.repeats) == (3, 2)
+        assert type(f.n_particles) is int and type(f.repeats) is int

@@ -345,3 +345,30 @@ class TestUnreadSettings:
         cfg = tmp_path / "cfg.json"
         _write(cfg, {"scenario": "gradient", "n_particles": 6, "mu": 2, "tol": 1e-8})
         assert main(["scenario", "gradient", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+class TestDecomposeOnce:
+    def test_mixed_qfim_run_factors_each_matrix_once(self, tmp_path, monkeypatch):
+        # Four qubit sensors: a 16 x 16 probe and a 4 x 4 information matrix
+        # with four 1 x 1 blocks, so the two sizes are told apart by shape.
+        sensor = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
+        net = SensorNetwork((sensor,) * 4)
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        rho = g @ g.conj().T
+        _write(tmp_path / "net.json", network_to_json(net))
+        _write(tmp_path / "rho.json", matrix_to_json(rho / np.trace(rho).real))
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, **kwargs):
+                shapes.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "rho.json"), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "qfim.json").read_text())["residuals"] is not None
+        assert shapes.count((16, 16)) == 1
+        assert shapes.count((4, 4)) == 1

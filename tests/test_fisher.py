@@ -484,3 +484,22 @@ class TestInputChecks:
 
     def test_numpy_integer_mu_accepted(self):
         assert qcrb(QFIM(np.eye(2)), [1.0, 1.0], np.int64(2)).bound == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            qcrb(QFIM(np.eye(2)), [bad, 1.0])
+
+
+class TestSpectrum:
+    def test_kept_read_only_and_consistent(self):
+        fim = QFIM(random_spd(5, np.random.default_rng(6)), ((0, 1), (2, 3, 4)))
+        w, v = fim.spectrum
+        for part in (w, v):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+        with pytest.raises(AttributeError):
+            fim.spectrum = (w, v)
+        assert_allclose((v * w) @ v.T, fim.matrix, atol=1e-12)
+        assert_allclose(w, np.linalg.eigvalsh(fim.matrix), atol=1e-12)
+        assert fim.eigenvalues() is w

@@ -282,3 +282,17 @@ class TestDimensionCapSetting:
         monkeypatch.setenv("QSN_MAX_DIM", value)
         with pytest.raises(ValueError, match="QSN_MAX_DIM must be a positive integer"):
             config.max_dim()
+
+
+class TestSpectrum:
+    def test_kept_read_only_and_consistent(self):
+        rho = random_density(6, (2, 3), np.random.default_rng(5))
+        p, v = rho.spectrum
+        for part in (p, v):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+        with pytest.raises(AttributeError):
+            rho.spectrum = (p, v)
+        assert_allclose((v * p) @ v.conj().T, rho.matrix, atol=1e-12)
+        assert_allclose(p, np.linalg.eigvalsh(rho.matrix), atol=1e-12)
+        assert rho.eigenvalues() is p

@@ -286,3 +286,14 @@ class TestDimensionCap:
         with pytest.raises(DimensionLimitError) as info:
             network_from_json(doc)
         assert not isinstance(info.value, FormatError)
+
+
+class TestSensorDimension:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            SensorSpec(bad, (), np.zeros((2, 2)))
+
+    def test_numpy_integer_accepted(self):
+        spec = SensorSpec(np.int64(2), (), np.zeros((2, 2)))
+        assert spec.dim == 2 and type(spec.dim) is int

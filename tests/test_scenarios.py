@@ -1,6 +1,8 @@
 """Randomized audits and canned scenarios: correctness, determinism,
 regeneration semantics, sensor families."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,7 +27,7 @@ from qsnet import (
     with_collective_ancilla,
 )
 from qsnet.exceptions import DimensionLimitError, FormatError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, embed_local, identity
 from qsnet.reporting import dumps
 from qsnet.sampling import haar_state, haar_unitary, random_density, trial_rng
 
@@ -74,6 +76,23 @@ class TestSensorFamilies:
             qubit_ensemble_family().sensor_for(9)
 
 
+class TestQubitEnsembleGenerator:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_embedded_sum(self, n):
+        jz = qubit_ensemble_family().sensor_for(n).generators[0]
+        oracle = sum(embed_local(SIGMA_Z / 2, j, (2,) * n) for j in range(n))
+        assert np.array_equal(jz, oracle)
+
+    def test_builds_without_embedding(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("embed_local called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qsnet") and hasattr(module, "embed_local"):
+                monkeypatch.setattr(module, "embed_local", forbidden)
+        assert qubit_ensemble_family().sensor_for(8).dim == 256
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +101,19 @@ class TestConfig:
             ScenarioConfig(tol=0.0)
         with pytest.raises(ValueError):
             ScenarioConfig(mu=0)
+
+    @pytest.mark.parametrize(
+        "field", ["seed", "trials", "n_particles", "n_modes", "mode_cutoff", "mu", "max_matrix_dim"]
+    )
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_non_integer_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ScenarioConfig(seed=np.int64(4), trials=np.int32(3))
+        assert (cfg.seed, cfg.trials) == (4, 3)
+        assert type(cfg.seed) is int and type(cfg.trials) is int
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan])
     def test_non_finite_tol_rejected(self, tol):

@@ -413,3 +413,19 @@ class TestOptimalSeparableProbe:
         fam = qubit_ensemble_family()
         with pytest.raises(ValueError):
             optimal_separable_probe(np.ones(3) / np.sqrt(3), 2, fam)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qubit_ensemble_family().sensor_for(2.5),
+            lambda: truncated_mode_family().sensor_for(2.0),
+            lambda: extremal_superposition(qubit_ensemble_family(), 2.5),
+            lambda: ghz_probe(np.ones(2) / np.sqrt(2), 2.0, qubit_ensemble_family()),
+            lambda: optimal_separable_probe(np.ones(2) / np.sqrt(2), 2.5, qubit_ensemble_family()),
+        ],
+    )
+    def test_non_integer_count_rejected(self, build):
+        with pytest.raises(ValueError, match="integer"):
+            build()
