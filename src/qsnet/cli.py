@@ -182,16 +182,22 @@ def _run_bounds(args) -> int:
     return 0
 
 
-def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperator:
-    doc = read_json(path)
+def _state_entries(doc, path: str) -> np.ndarray:
     if not isinstance(doc, list) or not doc:
         raise FormatError(f"{path}: expected a vector or matrix of [re, im] pairs")
     first = doc[0]
     if isinstance(first, list) and first and isinstance(first[0], list):
-        mat = matrix_from_json(doc, where="state")
-        return DensityOperator(mat, layout)
-    vec = vector_from_json(doc, where="state")
-    return PureState(vec, layout)
+        return matrix_from_json(doc, where="state")
+    return vector_from_json(doc, where="state")
+
+
+def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperator:
+    # The parsed document (Python lists, about three times the file size)
+    # is released when _state_entries returns, before the state validates.
+    entries = _state_entries(read_json(path), path)
+    if entries.ndim == 2:
+        return DensityOperator(entries, layout)
+    return PureState(entries, layout)
 
 
 def _run_qfim(args) -> int:

@@ -3,9 +3,12 @@
 Quantum Fisher information matrices (QFIM) for pure probes come from the
 covariance form ``F_mn = 2<{H_m, H_n}> - 4<H_m><H_n>`` evaluated at the
 fiducial parameter point; mixed probes use the symmetric logarithmic
-derivative (SLD) form in the probe's eigenbasis. A network's generators act
-on their own sensor's axis of the probe, never as full-space matrices. The
-scalar Cramer-Rao bound for a diagonal weighting is
+derivative (SLD) form in the probe's eigenbasis. That sum runs over the
+strict upper triangle of eigenvalue pairs, in blocks of eigenbasis columns,
+so its scratch stays at one ``D x D`` matrix plus ``d * D * _BLOCK_COLUMNS``
+complex entries for ``d`` parameters. A network's generators act on their
+own sensor's axis of the probe, never as full-space matrices. The scalar
+Cramer-Rao bound for a diagonal weighting is
 ``sum_k W_kk [F^-1]_kk / mu``; singular matrices are never silently
 pseudo-inverted, the report flags them and restricts to the support.
 Each carrier holds its ``spectrum``: the probe's eigenbasis and the
@@ -124,7 +127,8 @@ def _local_generators(source, state: State, partition=()):
     Returns the layout, one ``(site, h)`` pair per parameter and the
     partition. A :class:`SensorNetwork` supplies its own sensor generators,
     layout and partition; a sequence of full-space generators becomes
-    one-site operators on the layout ``(D,)``, with ``partition`` as given.
+    one-site operators on the layout ``(D,)``, with ``partition`` as given;
+    they must be Hermitian, as both information formulas assume.
     """
     if isinstance(source, SensorNetwork):
         if partition:
@@ -138,7 +142,7 @@ def _local_generators(source, state: State, partition=()):
         gen = np.asarray(g, dtype=complex)
         if gen.shape != (state.dim, state.dim):
             raise LayoutError(f"generator {k} has shape {gen.shape}, state dim {state.dim}")
-        gens.append((0, gen))
+        gens.append((0, require_hermitian(gen, name=f"generator {k}")))
     if not gens:
         raise ValueError("need at least one generator")
     return (state.dim,), gens, partition
@@ -162,29 +166,41 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
     return QFIM((mat + mat.T) / 2, partition)
 
 
-def _eigenbasis_generators(rho: DensityOperator, source, partition=()):
-    """The probe's spectrum ``p`` and eigenvectors ``V``, the SLD
-    denominators ``p_i + p_j`` with the mask of those that clear the rank
-    cutoff, the generators ``h_k = V^dag H_k V`` stacked, and the partition.
+# Columns of the probe's eigenbasis handled per step of the mixed-state sum:
+# its scratch holds len(generators) * D * _BLOCK_COLUMNS complex entries.
+_BLOCK_COLUMNS = 128
 
-    Warns when a live denominator lies within 100x of the cutoff.
+
+def _rotate(rows: np.ndarray, basis: np.ndarray, gens, cols: slice, out: np.ndarray) -> None:
+    """Fill ``out[k]`` with the first ``out.shape[1]`` rows and the columns
+    ``cols`` of ``h_k = V^dag H_k V``, the generators in the probe's
+    eigenbasis.
+
+    ``rows`` is ``V^dag`` and ``basis`` is ``V`` with its row axis split
+    into the layout, so each ``H_k`` is contracted on its own site.
     """
-    layout, gens, partition = _local_generators(source, rho, partition)
-    p, v = rho.spectrum
-    cutoff = _rank_cutoff(p)
-    denom = p[:, None] + p[None, :]
+    dim = rows.shape[0]
+    for k, (site, g) in enumerate(gens):
+        applied = apply_local(g, site, basis[..., cols]).reshape(dim, -1)
+        np.matmul(rows[: out.shape[1]], applied, out=out[k])
+
+
+def _denominators(p: np.ndarray, cutoff: float, stop: int, cols: slice):
+    """SLD denominators ``p_i + p_j`` for the rows ``:stop`` and the columns
+    ``cols``, the mask of those that clear the rank cutoff, and whether a
+    cleared one lies within 100x of it."""
+    denom = p[:stop, None] + p[None, cols]
     live = denom > cutoff
-    if np.any(live & (denom < 100.0 * cutoff)):
-        warnings.warn(
-            "SLD denominators within 100x of the rank cutoff; "
-            "the information matrix may be ill-determined",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    basis = v.reshape(layout + (rho.dim,))
-    v_dag = v.conj().T
-    h = np.stack([v_dag @ apply_local(g, site, basis).reshape(rho.dim, rho.dim) for site, g in gens])
-    return p, v, denom, live, h, partition
+    return denom, live, bool(np.any(live & (denom < 100.0 * cutoff)))
+
+
+def _warn_near_cutoff() -> None:
+    warnings.warn(
+        "SLD denominators within 100x of the rank cutoff; "
+        "the information matrix may be ill-determined",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def qfim_mixed(
@@ -192,19 +208,47 @@ def qfim_mixed(
 ) -> QFIM:
     """QFIM of a mixed probe from its eigenbasis.
 
-    ``source`` is a network or a sequence of full-space generators, as for
-    :func:`qfim_pure`. With the probe's eigenvalues ``p`` and the
-    generators ``h_k`` in its eigenbasis,
+    ``source`` is a network or a sequence of Hermitian full-space
+    generators, as for :func:`qfim_pure`. With the probe's eigenvalues
+    ``p`` and the generators ``h_k`` in its eigenbasis,
     ``F_kl = sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) Re(h_k,ij conj h_l,ij)``
     over the pairs whose ``p_i + p_j`` clears the rank cutoff. This is
     ``Re Tr[rho L_k L_l]`` for the symmetric logarithmic derivatives of
     :func:`sld_operators`, which are never formed here.
+
+    The summand is symmetric in ``(i, j)`` and zero on the diagonal, so only
+    the strict upper triangle ``i < j`` is summed, twice. It is streamed
+    over blocks of ``_BLOCK_COLUMNS`` eigenbasis columns: beyond the probe,
+    the scratch is one ``D x D`` matrix plus ``d * D * _BLOCK_COLUMNS``
+    complex entries for ``d`` parameters, never ``d`` full ``D x D``
+    generators.
     """
-    p, _, denom, live, h, partition = _eigenbasis_generators(rho, source, partition)
-    weight = np.zeros_like(denom)
-    np.divide(2.0 * (p[:, None] - p[None, :]) ** 2, denom, out=weight, where=live)
-    x = h.reshape(len(h), -1)
-    mat = np.real((x * weight.reshape(-1)) @ x.conj().T)
+    layout, gens, partition = _local_generators(source, rho, partition)
+    p, v = rho.spectrum
+    cutoff = _rank_cutoff(p)
+    dim, d = rho.dim, len(gens)
+    width = min(_BLOCK_COLUMNS, dim)
+    rows, basis = v.conj().T, v.reshape(layout + (dim,))
+    scratch = np.empty(d * dim * width, dtype=complex)
+    mat = np.zeros((d, d))
+    near = False
+    for start in range(0, dim, width):
+        stop = min(start + width, dim)
+        cols = slice(start, stop)
+        block = scratch[: d * stop * (stop - start)].reshape(d, stop, -1)
+        _rotate(rows, basis, gens, cols, block)
+        denom, live, close = _denominators(p, cutoff, stop, cols)
+        near |= close
+        live &= np.arange(stop)[:, None] < np.arange(start, stop)[None, :]
+        # Twice the weight of the full sum, under a square root: X X^T then
+        # holds both triangles.
+        weight = np.zeros_like(denom)
+        np.divide(4.0 * (p[:stop, None] - p[None, cols]) ** 2, denom, out=weight, where=live)
+        block *= np.sqrt(weight)
+        x = block.view(float).reshape(d, -1)
+        mat += x @ x.T
+    if near:
+        _warn_near_cutoff()
     return QFIM((mat + mat.T) / 2, partition)
 
 
@@ -219,7 +263,15 @@ def sld_operators(
     ``L_ij = 2 (d rho)_ij / (p_i + p_j)`` wherever ``p_i + p_j`` clears the
     rank cutoff, zero elsewhere. ``source`` is as for :func:`qfim_mixed`.
     """
-    p, v, denom, live, h, _ = _eigenbasis_generators(rho, source)
+    layout, gens, _ = _local_generators(source, rho)
+    p, v = rho.spectrum
+    dim = rho.dim
+    everything = slice(0, dim)
+    h = np.empty((len(gens), dim, dim), dtype=complex)
+    _rotate(v.conj().T, v.reshape(layout + (dim,)), gens, everything, h)
+    denom, live, near = _denominators(p, _rank_cutoff(p), dim, everything)
+    if near:
+        _warn_near_cutoff()
     slds = []
     for h_eig in h:
         l_eig = np.zeros_like(h_eig)

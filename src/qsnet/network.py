@@ -32,7 +32,6 @@ from .hilbert import (
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
-    sensor_marginal,
 )
 from .reporting import read_json
 
@@ -241,12 +240,23 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
 
 
 def resource_count(net: SensorNetwork, state: State) -> float:
-    """Total resources ``sum_k Re Tr[R_k rho_k]`` over the sensor marginals."""
+    """Total resources ``sum_k Re Tr[R_k rho_k]`` over the sensor marginals.
+
+    Each ``R_k`` is contracted on its own axis of the state, which is
+    ``Tr[(R_k x I) rho]``; no marginal is traced out or decomposed.
+    """
     if state.layout != net.dims:
         raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
-    return float(
-        sum(np.real(np.trace(s.resource_op @ sensor_marginal(state, k).matrix)) for k, s in enumerate(net.sensors))
-    )
+    if isinstance(state, PureState):
+        tensor = state.amplitudes.reshape(net.dims)
+        terms = (np.vdot(tensor, apply_local(s.resource_op, k, tensor)) for k, s in enumerate(net.sensors))
+    else:
+        rows = state.matrix.reshape(net.dims + (state.dim,))
+        terms = (
+            np.trace(apply_local(s.resource_op, k, rows).reshape(state.dim, state.dim))
+            for k, s in enumerate(net.sensors)
+        )
+    return float(sum(np.real(t) for t in terms))
 
 
 def doubled(net: SensorNetwork) -> SensorNetwork:

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
@@ -372,3 +374,29 @@ class TestDecomposeOnce:
         assert json.loads((tmp_path / "qfim.json").read_text())["residuals"] is not None
         assert shapes.count((16, 16)) == 1
         assert shapes.count((4, 4)) == 1
+
+    def test_parsed_state_released_before_validation(self, tmp_path, monkeypatch):
+        # The JSON document of a density matrix (nested lists of Python
+        # floats) is several times the size of the decoded array; it must be
+        # gone by the time the probe is validated and factored.
+        dim = 64
+        g = np.random.default_rng(5).standard_normal((dim, dim))
+        rho = g @ g.T / np.sum(g**2)
+        path = tmp_path / "rho.json"
+        _write(path, matrix_to_json(rho))
+        held = []
+        real = cli.DensityOperator
+
+        def measured(matrix, layout):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return real(matrix, layout)
+
+        monkeypatch.setattr(cli, "DensityOperator", measured)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = cli._load_state(str(path), (dim,))
+        finally:
+            tracemalloc.stop()
+        assert_allclose(state.matrix, rho, atol=0)
+        assert held[0] < 4 * dim * dim * 16

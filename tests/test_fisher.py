@@ -1,6 +1,7 @@
 """Fisher-information machinery: pure and SLD-based matrices, bounds,
 rotations, block inequality, classical information of measurements."""
 
+import tracemalloc
 import warnings
 from math import prod
 
@@ -29,6 +30,7 @@ from qsnet import (
     sld_operators,
     with_collective_ancilla,
 )
+from qsnet import config, fisher
 from qsnet.exceptions import LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, PureState, identity
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
@@ -241,6 +243,65 @@ class TestLocalGenerators:
             qfim_pure(_plus_state(), [])
         with pytest.raises(ValueError):
             qfim_mixed(_plus_state().density(), [])
+
+
+    def test_non_hermitian_generator_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            qfim_mixed(_plus_state().density(), [np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+def _full_square_sld_qfim(rho: DensityOperator, gens) -> np.ndarray:
+    """``sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) Re(h_k,ij conj h_l,ij)`` over
+    every pair clearing the rank cutoff, with dense generators."""
+    p, v = np.linalg.eigh(rho.matrix)
+    cutoff = max(config.RANK_TOL_FACTOR * p[-1], config.RANK_TOL_FLOOR)
+    denom = p[:, None] + p[None, :]
+    live = denom > cutoff
+    weight = np.where(live, 2.0 * (p[:, None] - p[None, :]) ** 2 / np.where(live, denom, 1.0), 0.0)
+    h = [v.conj().T @ g @ v for g in gens]
+    return np.array([[np.sum(weight * np.real(a * b.conj())) for b in h] for a in h])
+
+
+class TestMixedColumnBlocks:
+    """``qfim_mixed`` sums the strict upper triangle in blocks of eigenbasis
+    columns; a block width that does not divide D runs several blocks and a
+    ragged last one."""
+
+    @pytest.mark.parametrize("full_rank", [True, False])
+    @pytest.mark.parametrize("shape", ["plain", "doubled", "collective"])
+    def test_matches_dense_full_square(self, monkeypatch, shape, full_rank):
+        monkeypatch.setattr(fisher, "_BLOCK_COLUMNS", 3)
+        rng = np.random.default_rng(71)
+        net = random_network((2, 5), rng)
+        if shape == "doubled":
+            net = doubled(net)
+        elif shape == "collective":
+            net = with_collective_ancilla(net)
+        dim = net.total_dim
+        assert dim % 3 and dim > 2 * 3
+        rank = dim if full_rank else dim // 3
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
+        gens = global_generators(net)
+        fim = qfim_mixed(rho, net)
+        assert _max_rel_dev(fim.matrix, qfim_mixed(rho, gens, net.partition).matrix) <= 1e-12
+        assert _max_rel_dev(fim.matrix, _full_square_sld_qfim(rho, gens)) <= 1e-12
+
+    def test_scratch_stays_below_bound(self):
+        # 8 qubits with sigma_z/2 and sigma_x/2 each: D = 256, 16 parameters.
+        # Holding every rotated generator would take 16 D^2 entries, and
+        # their stacked copy as many again.
+        sensor = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))
+        net = SensorNetwork((sensor,) * 8)
+        dim = net.total_dim
+        rho = random_density(dim, net.dims, np.random.default_rng(72))
+        tracemalloc.start()
+        try:
+            qfim_mixed(rho, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * dim * dim * np.dtype(complex).itemsize
 
 
 class TestQcrb:

@@ -216,6 +216,23 @@ class TestResources:
         assert abs(resource_count(net, rho) - want_mixed) <= 1e-12
 
 
+    def test_contracts_without_tracing_marginals(self, monkeypatch):
+        # Resources are read off the state by contracting each R_k on its own
+        # axis: no marginal is traced out, so nothing is decomposed.
+        rng = np.random.default_rng(12)
+        net = random_network((2, 3, 2), rng)
+        psi = haar_state(net.total_dim, net.dims, rng)
+        rho = random_density(net.total_dim, net.dims, rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigendecomposition in resource_count")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for state in (psi, rho):
+            assert np.isfinite(resource_count(net, state))
+
+
 class TestDoubling:
     def test_doubled_structure(self):
         net = two_qubit_z_network()
