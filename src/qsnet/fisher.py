@@ -26,7 +26,15 @@ import numpy as np
 
 from . import config
 from .exceptions import LayoutError
-from .hilbert import DensityOperator, PureState, State, apply_local, require_hermitian
+from .hilbert import (
+    DensityOperator,
+    FactoredState,
+    PureState,
+    State,
+    apply_local,
+    local_moments,
+    require_hermitian,
+)
 from .network import SensorNetwork, encode
 
 __all__ = [
@@ -66,9 +74,11 @@ class QFIM:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"information matrix must be square, got {mat.shape}")
+        if mat.size == 0:
+            raise ValueError("information matrix is empty: no parameters")
         if not np.all(np.isfinite(mat)):
             raise ValueError("information matrix contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+        scale = max(1.0, float(np.max(np.abs(mat))))
         if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
             raise ValueError("information matrix is not symmetric")
         mat = (mat + mat.T) / 2
@@ -148,21 +158,25 @@ def _local_generators(source, state: State, partition=()):
     return (state.dim,), gens, partition
 
 
-def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], partition=()) -> QFIM:
+def qfim_pure(
+    psi: PureState | FactoredState, source: SensorNetwork | Sequence[np.ndarray], partition=()
+) -> QFIM:
     """QFIM of a pure probe, ``4 Re(<H_m H_n> - <H_m><H_n>)``.
 
     ``source`` is a :class:`SensorNetwork`, whose sensor-local generators
     are contracted on their own axis of the probe and whose partition is
     used, or a sequence of generators on the probe's full space. Valid for
-    arbitrary (also mutually non-commuting) generators.
+    arbitrary (also mutually non-commuting) generators. With a network, a
+    :class:`FactoredState` probe stays in its factors
+    (:func:`qsnet.hilbert.local_moments`); full-space generators need the
+    dense vector, so they expand it.
     """
     layout, gens, partition = _local_generators(source, psi, partition)
-    amps = psi.amplitudes
-    tensor = amps.reshape(layout)
-    applied = np.stack([apply_local(h, site, tensor).reshape(-1) for site, h in gens])
-    means = np.real(applied @ amps.conj())
-    gram = applied.conj() @ applied.T
-    mat = 4.0 * (np.real(gram) - np.outer(means, means))
+    if layout != psi.layout:
+        psi = PureState(psi.amplitudes, layout)
+    means, second = local_moments(psi, gens)
+    means = np.real(means)
+    mat = 4.0 * (np.real(second) - np.outer(means, means))
     return QFIM((mat + mat.T) / 2, partition)
 
 

@@ -1,15 +1,23 @@
 """Shared helpers for the test suite."""
 
+import sys
+
 import numpy as np
 from hypothesis import strategies as st
 
 from qsnet import SensorNetwork, SensorSpec
-from qsnet.hilbert import SIGMA_Z
+from qsnet.hilbert import SIGMA_Z, kron_all
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
 # dimension 1 to 4.
 layouts = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def tensor_product(a, b) -> np.ndarray:
+    """Kronecker product of two matrices or two vectors: the two-factor
+    case of ``kron_all``, which checks the dimension cap and finiteness."""
+    return kron_all([a, b])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,3 +45,15 @@ def two_qubit_z_network() -> SensorNetwork:
 
 def bell_state() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def forbid_kron_all(monkeypatch) -> None:
+    """Make every ``kron_all`` reachable from the package raise, so a test
+    shows that a path never multiplies out a product state."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kron_all called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qsnet") and hasattr(module, "kron_all"):
+            monkeypatch.setattr(module, "kron_all", forbidden)

@@ -443,6 +443,10 @@ class TestQfimType:
         with pytest.raises(ValueError):
             QFIM(np.eye(3), ((0, 1),))
 
+    def test_empty_rejected_by_name(self):
+        with pytest.raises(ValueError, match="information matrix is empty"):
+            QFIM(np.zeros((0, 0)))
+
 
 def _sigma_y_effects() -> list[np.ndarray]:
     w, v = np.linalg.eigh(np.asarray(SIGMA_Y))
