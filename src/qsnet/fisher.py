@@ -26,15 +26,7 @@ import numpy as np
 
 from . import config
 from .exceptions import LayoutError
-from .hilbert import (
-    DensityOperator,
-    FactoredState,
-    PureState,
-    State,
-    apply_local,
-    local_moments,
-    require_hermitian,
-)
+from .hilbert import DensityOperator, PureState, State, apply_local, require_hermitian
 from .network import SensorNetwork, encode
 
 __all__ = [
@@ -158,25 +150,21 @@ def _local_generators(source, state: State, partition=()):
     return (state.dim,), gens, partition
 
 
-def qfim_pure(
-    psi: PureState | FactoredState, source: SensorNetwork | Sequence[np.ndarray], partition=()
-) -> QFIM:
+def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], partition=()) -> QFIM:
     """QFIM of a pure probe, ``4 Re(<H_m H_n> - <H_m><H_n>)``.
 
     ``source`` is a :class:`SensorNetwork`, whose sensor-local generators
     are contracted on their own axis of the probe and whose partition is
     used, or a sequence of generators on the probe's full space. Valid for
-    arbitrary (also mutually non-commuting) generators. With a network, a
-    :class:`FactoredState` probe stays in its factors
-    (:func:`qsnet.hilbert.local_moments`); full-space generators need the
-    dense vector, so they expand it.
+    arbitrary (also mutually non-commuting) generators.
     """
     layout, gens, partition = _local_generators(source, psi, partition)
-    if layout != psi.layout:
-        psi = PureState(psi.amplitudes, layout)
-    means, second = local_moments(psi, gens)
-    means = np.real(means)
-    mat = 4.0 * (np.real(second) - np.outer(means, means))
+    amps = psi.amplitudes
+    tensor = amps.reshape(layout)
+    applied = np.stack([apply_local(h, site, tensor).reshape(-1) for site, h in gens])
+    means = np.real(applied @ amps.conj())
+    gram = applied.conj() @ applied.T
+    mat = 4.0 * (np.real(gram) - np.outer(means, means))
     return QFIM((mat + mat.T) / 2, partition)
 
 

@@ -7,15 +7,6 @@ A density operator holds its ``spectrum`` from the one eigendecomposition
 that validates it; purification and the mixed-state Fisher information
 read it rather than factoring the matrix again.
 
-:class:`FactoredState` keeps a pure state as a sum of products of
-per-factor vectors, each factor covering consecutive subsystems, and never
-multiplies it out unless asked: :meth:`FactoredState.expand` (and its
-``amplitudes``) builds the dense :class:`PureState` under the dimension
-cap. :func:`local_moments` reads the means and second moments of one-site
-operators off either carrier, a dense state being the one-branch,
-one-factor case; the partial trace and anything else that needs the dense
-vector expands the factors first.
-
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
 of rows of pairs.
@@ -24,8 +15,6 @@ of rows of pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import groupby
 from math import prod
 from typing import Iterable, Sequence
 
@@ -40,7 +29,6 @@ __all__ = [
     "SIGMA_Z",
     "PureState",
     "DensityOperator",
-    "FactoredState",
     "identity",
     "require_hermitian",
     "commutator",
@@ -249,150 +237,7 @@ class DensityOperator:
         return self.spectrum[0]
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredState:
-    """Pure state kept as a sum of products, ``sum_r c_r f_r1 x f_r2 x ...``.
-
-    ``branches`` holds one ``(c_r, (f_r1, f_r2, ...))`` pair per branch.
-    Factor ``g`` is a vector on the consecutive subsystems
-    ``factor_layouts[g]``, and ``layout`` is their concatenation. A product
-    state is the one-branch case.
-
-    The entries must be finite and the total norm 1, computed from the
-    branch overlaps ``overlaps[g, r, s] = <f_rg|f_sg>``, which the carrier
-    keeps with ``coefficients`` and the per-factor stacks ``factors[g]``
-    (one row per branch). Nothing is multiplied out: :meth:`expand`, and
-    ``amplitudes`` through it, builds the dense vector under the dimension
-    cap. Equality is identity: the fields hold arrays.
-    """
-
-    branches: tuple
-    factor_layouts: tuple[tuple[int, ...], ...]
-    layout: tuple[int, ...] = field(init=False, compare=False)
-    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
-    factors: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    overlaps: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        layouts = tuple(tuple(int(q) for q in lay) for lay in self.factor_layouts)
-        if not layouts or any(not lay or min(lay) < 1 for lay in layouts):
-            raise LayoutError(f"factor layouts must be non-empty and positive, got {layouts}")
-        branches = tuple(self.branches)
-        if not branches:
-            raise ValueError("a factored state needs at least one branch")
-        for r, (_, vecs) in enumerate(branches):
-            if len(vecs) != len(layouts):
-                raise LayoutError(f"branch {r} has {len(vecs)} factors, the layout has {len(layouts)}")
-        coefs = _frozen(_as_complex([c for c, _ in branches], "branch coefficients").reshape(-1))
-        stacks = []
-        for g, lay in enumerate(layouts):
-            if any(np.size(vecs[g]) != prod(lay) for _, vecs in branches):
-                raise LayoutError(f"factor {g} does not fit its layout {lay}")
-            # A fresh array: freezing it leaves the caller's vectors alone.
-            stack = _as_complex(np.stack([np.reshape(vecs[g], -1) for _, vecs in branches]), f"factor {g}")
-            stack.setflags(write=False)
-            stacks.append(stack)
-        overlaps = np.stack([f.conj() @ f.T for f in stacks])
-        norm = float(np.sqrt(max(np.real(coefs.conj() @ overlaps.prod(axis=0) @ coefs), 0.0)))
-        if abs(norm - 1.0) > config.NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1")
-        overlaps.setflags(write=False)
-        branches = tuple((c, tuple(f[r] for f in stacks)) for r, c in enumerate(coefs))
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "factor_layouts", layouts)
-        object.__setattr__(self, "layout", tuple(q for lay in layouts for q in lay))
-        object.__setattr__(self, "coefficients", coefs)
-        object.__setattr__(self, "factors", tuple(stacks))
-        object.__setattr__(self, "overlaps", overlaps)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.layout)
-
-    def expand(self) -> PureState:
-        """The dense state, built only if its dimension is within the cap."""
-        check_dim(self.dim)
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = (out[:, :, None] * f[:, None, :]).reshape(out.shape[0], -1)
-        return PureState(self.coefficients @ out, self.layout)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self.expand().amplitudes
-
-    @cached_property
-    def _environment(self) -> np.ndarray:
-        """``[g, h, r, s]``: ``conj(c_r) c_s`` times the overlaps of every
-        factor but ``g`` and ``h``, read by :func:`local_moments`."""
-        eye = np.eye(len(self.factors), dtype=bool)
-        others = ~(eye[:, None] | eye[None])
-        env = np.where(others[..., None, None], self.overlaps, 1.0).prod(axis=2)
-        return env * np.outer(self.coefficients.conj(), self.coefficients)
-
-
-State = PureState | FactoredState | DensityOperator
-
-
-# Additive identity that keeps the sign of a zero, so a sum of one term is
-# that term bit for bit.
-_ZERO = complex(-0.0, -0.0)
-
-
-def _pair_sum(terms: np.ndarray, env: np.ndarray | None, index) -> np.ndarray:
-    """``sum_rs terms[..., r, s] env[index][..., r, s]`` over the branch
-    pairs, or the plain sum for a dense state, which has no environment."""
-    if env is not None:
-        terms = terms * env[index]
-    return terms.sum(axis=(-2, -1), initial=_ZERO)
-
-
-def local_moments(state: PureState | FactoredState, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Means ``<psi|a_m|psi>`` and second moments ``<a_m psi|a_n psi>`` of
-    one-site operators, given as ``(site, a_m)`` pairs in site order; the
-    caller checks their shapes against the layout.
-
-    For ``psi = sum_r c_r prod_g f_rg`` each entry is a sum over branch
-    pairs ``(r, s)``: the operators' own factors contribute ``<f_r|a f_s>``
-    or ``<a f_r|b f_s>``, each operator contracted on its own axis of its
-    factor, and every other factor ``g`` contributes ``overlaps[g, r, s]``,
-    the coefficients ``conj(c_r) c_s``. Nothing is multiplied out; a dense
-    :class:`PureState` is the one-branch, one-factor case.
-    """
-    if isinstance(state, FactoredState):
-        stacks, layouts, env = state.factors, state.factor_layouts, state._environment
-    else:
-        # One branch in one factor, without a coefficient: no environment.
-        stacks, layouts, env = (state.amplitudes[None],), (state.layout,), None
-    n_branches = stacks[0].shape[0]
-    home = [(g, axis) for g, lay in enumerate(layouts) for axis in range(len(lay))]
-    factor_of = [home[site][0] for site, _ in ops]
-    if factor_of != sorted(factor_of):
-        raise ValueError("one-site operators must come in site order")
-    d = len(ops)
-    bras = np.empty((d, n_branches, n_branches), dtype=complex)  # [m, s, r] = <f_r|a_m f_s>
-    grams = []
-    lo = 0
-    for g, group in groupby(ops, key=lambda op: home[op[0]][0]):
-        group = list(group)
-        hi = lo + len(group)
-        tensor = stacks[g].reshape((n_branches,) + layouts[g])
-        applied = np.empty((len(group),) + tensor.shape, dtype=complex)
-        for i, (site, a) in enumerate(group):
-            applied[i] = apply_local(a, 1 + home[site][1], tensor)
-        applied = applied.reshape(len(group) * n_branches, -1)
-        bras[lo:hi] = (applied @ stacks[g].conj().T).reshape(len(group), n_branches, n_branches)
-        gram = (applied.conj() @ applied.T).reshape(len(group), n_branches, len(group), n_branches)
-        grams.append((lo, hi, gram.transpose(0, 2, 1, 3)))
-        lo = hi
-    kets = bras.transpose(0, 2, 1)  # [m, r, s] = <f_r|a_m f_s>
-    # terms[m, n, r, s]: <a_m f_r|f_s> <f_r|a_n f_s> for operators on
-    # different factors, <a_m f_r|a_n f_s> for operators on the same one.
-    terms = bras.conj()[:, None] * kets[None]
-    for lo, hi, gram in grams:
-        terms[lo:hi, lo:hi] = gram
-    fo = np.array(factor_of)
-    return _pair_sum(kets, env, (fo, fo)), _pair_sum(terms, env, (fo[:, None], fo))
+State = PureState | DensityOperator
 
 
 def _resolve_subsets(layout: tuple[int, ...], discard: Iterable[int]):
@@ -409,8 +254,6 @@ def _resolve_subsets(layout: tuple[int, ...], discard: Iterable[int]):
 
 def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
     """Reduced density operator after discarding the listed subsystems."""
-    if isinstance(state, FactoredState):
-        state = state.expand()
     kept, dropped = _resolve_subsets(state.layout, discard)
     dims = state.layout
     keep_dim = prod(dims[i] for i in kept)

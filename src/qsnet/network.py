@@ -22,7 +22,6 @@ from . import config
 from .exceptions import DimensionLimitError, FormatError, LayoutError
 from .hilbert import (
     DensityOperator,
-    FactoredState,
     PureState,
     State,
     apply_local,
@@ -30,7 +29,6 @@ from .hilbert import (
     embed_local,
     commutator,
     expm_i,
-    local_moments,
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
@@ -214,14 +212,11 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
 
     Each sensor's unitary acts on its own axis of the state tensor: on the
     row axis as ``U`` and on the column axis as ``conj(U)`` for a density
-    operator. Parameter-free sensors are left untouched. A
-    :class:`FactoredState` is expanded to its dense vector first.
+    operator. Parameter-free sensors are left untouched.
     """
     values = _check_phi(net, phi)
     if state.layout != net.dims:
         raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
-    if isinstance(state, FactoredState):
-        state = state.expand()
     unitaries = []
     offset = 0
     for site, s in enumerate(net.sensors):
@@ -248,14 +243,13 @@ def resource_count(net: SensorNetwork, state: State) -> float:
     """Total resources ``sum_k Re Tr[R_k rho_k]`` over the sensor marginals.
 
     Each ``R_k`` is contracted on its own axis of the state, which is
-    ``Tr[(R_k x I) rho]``; no marginal is traced out or decomposed. A pure
-    state's terms are the means of :func:`qsnet.hilbert.local_moments`, read
-    off a :class:`FactoredState`'s factors without expanding it.
+    ``Tr[(R_k x I) rho]``; no marginal is traced out or decomposed.
     """
     if state.layout != net.dims:
         raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
-    if not isinstance(state, DensityOperator):
-        terms = local_moments(state, [(k, s.resource_op) for k, s in enumerate(net.sensors)])[0]
+    if isinstance(state, PureState):
+        tensor = state.amplitudes.reshape(net.dims)
+        terms = (np.vdot(tensor, apply_local(s.resource_op, k, tensor)) for k, s in enumerate(net.sensors))
     else:
         rows = state.matrix.reshape(net.dims + (state.dim,))
         terms = (

@@ -6,14 +6,6 @@ diagonal Fisher blocks, canonical purifications and sensor-local
 purification probes on the doubled space, extremal-superposition
 single-sensor probes, sensor-entangled GHZ-like probes for one linear
 functional, and the integer-allocation optimal separable probe.
-
-Every probe the paper's argument builds from per-sensor vectors comes back
-as a :class:`qsnet.hilbert.FactoredState` and is never multiplied out: the
-separable surrogate, the local purification probe (one ``(q_k, q_k)``
-factor per sensor and its ancilla) and the optimal separable probe are one
-product branch, the GHZ-like probe is two. The Fisher information and the
-resource count read the factors; ``amplitudes`` expands them under the
-dimension cap.
 """
 
 from __future__ import annotations
@@ -30,9 +22,9 @@ from .bounds import unit_direction
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
-    FactoredState,
     PureState,
     commutator,
+    kron_all,
     sensor_marginal,
 )
 from .network import SensorNetwork, SensorSpec
@@ -145,12 +137,7 @@ def joint_eigenbasis(sensor: SensorSpec) -> JointEigenbasis:
     return JointEigenbasis(vectors, labels)
 
 
-def _product(factors, net: SensorNetwork) -> FactoredState:
-    """One-branch state with one factor per sensor of ``net``."""
-    return FactoredState(((1.0, tuple(factors)),), tuple((s.dim,) for s in net.sensors))
-
-
-def separable_surrogate(psi: PureState, net: SensorNetwork) -> FactoredState:
+def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
     """Product state matching the probe's per-sensor eigenbasis statistics.
 
     Sensor ``k`` of the output carries amplitude ``sqrt(p_i)`` on joint
@@ -168,7 +155,7 @@ def separable_surrogate(psi: PureState, net: SensorNetwork) -> FactoredState:
         probs = np.real(np.einsum("ij,jk,ki->i", basis.vectors.conj().T, rho, basis.vectors))
         probs = np.clip(probs, 0.0, None)
         factors.append(basis.vectors @ np.sqrt(probs))
-    return _product(factors, net)
+    return PureState(kron_all(factors), net.dims)
 
 
 def purify(rho: DensityOperator) -> PureState:
@@ -184,20 +171,24 @@ def purify(rho: DensityOperator) -> PureState:
     return PureState(vec, rho.layout + (rho.dim,))
 
 
-def local_purification_probe(rho: DensityOperator, net: SensorNetwork) -> FactoredState:
+def local_purification_probe(rho: DensityOperator, net: SensorNetwork) -> PureState:
     """Product of per-sensor purifications on the doubled network layout.
 
     Sensor ``k``'s factor purifies the probe's reduced state on that sensor
     into a same-dimension local ancilla, so the output lives on the
     interleaved layout ``(q_1, q_1, q_2, q_2, ...)`` produced by
-    :func:`qsnet.network.doubled`, one ``(q_k, q_k)`` factor per sensor.
-    Its Fisher matrix is block-diagonal with the same diagonal blocks as
-    any global purification of the probe.
+    :func:`qsnet.network.doubled`. Its Fisher matrix is block-diagonal with
+    the same diagonal blocks as any global purification of the probe.
     """
     if rho.layout != net.dims:
         raise LayoutError(f"state layout {rho.layout} does not match network {net.dims}")
-    factors = [purify(sensor_marginal(rho, site)).amplitudes for site in range(len(net.sensors))]
-    return FactoredState(((1.0, tuple(factors)),), tuple((q, q) for q in net.dims))
+    factors = []
+    layout = []
+    for site, sensor in enumerate(net.sensors):
+        local = sensor_marginal(rho, site)
+        factors.append(purify(local).amplitudes)
+        layout.extend([sensor.dim, sensor.dim])
+    return PureState(kron_all(factors), tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -236,14 +227,13 @@ def extremal_superposition(family: SensorFamily, n: int) -> PureState:
     return PureState(vec, (sensor.dim,))
 
 
-def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[FactoredState, SensorNetwork]:
+def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, SensorNetwork]:
     """Sensor-entangled GHZ-like probe for the linear functional ``v . phi``.
 
     Distributes ``tilde_v_k = N v_k / ||v||_1`` particles to sensor ``k``
     (every ``tilde_v_k`` must be an integer) and superposes the all-maximal
-    and all-minimal extremal branches, the two branches of the returned
-    :class:`FactoredState`. Returns the probe together with the network it
-    lives on, since sensor dimensions depend on the allocation.
+    and all-minimal extremal branches. Returns the probe together with the
+    network it lives on, since sensor dimensions depend on the allocation.
     """
     vec = unit_direction(v)
     n_particles = config.check_int(n_particles, "particle budget")
@@ -256,11 +246,14 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[FactoredState,
             )
     sensors = [family.sensor_for(int(c)) for c in counts]
     net = SensorNetwork(tuple(sensors))
-    los, his = zip(*(_extremal_pair(sensor) for sensor in sensors))
-    # Squared norm of his + los from the per-sensor overlaps.
-    norm2 = sum(np.prod([np.vdot(a, b) for a, b in zip(x, y)]) for x in (his, los) for y in (his, los))
-    c = 1.0 / np.sqrt(np.real(norm2))
-    return FactoredState(((c, his), (c, los)), tuple((s.dim,) for s in sensors)), net
+    los, his = [], []
+    for sensor in sensors:
+        lo, hi = _extremal_pair(sensor)
+        los.append(lo)
+        his.append(hi)
+    branch = kron_all(his) + kron_all(los)
+    branch = branch / np.linalg.norm(branch)
+    return PureState(branch, net.dims), net
 
 
 def _allocation_cost(v: np.ndarray, w: np.ndarray) -> float:
@@ -327,7 +320,7 @@ def optimal_separable_probe(
     n_particles: int,
     family: SensorFamily,
     exhaustive_limit: int = 10**6,
-) -> tuple[FactoredState, SensorNetwork, np.ndarray]:
+) -> tuple[PureState, SensorNetwork, np.ndarray]:
     """Best product of extremal superpositions for estimating ``v . phi``.
 
     Minimizes ``sum_k v_k^2 / w_k^2`` over integer allocations with
@@ -352,18 +345,15 @@ def optimal_separable_probe(
     sensors = [family.sensor_for(int(c)) for c in best_w]
     net = SensorNetwork(tuple(sensors))
     factors = [extremal_superposition(family, int(c)).amplitudes for c in best_w]
-    return _product(factors, net), net, best_w
+    return PureState(kron_all(factors), net.dims), net, best_w
 
 
-def product_defect(psi: PureState | FactoredState, groups=None) -> float:
+def product_defect(psi: PureState, groups=None) -> float:
     """Largest second Schmidt coefficient over all (group | rest) splits.
 
     ``groups`` lists the subsystem indices forming each separability unit;
     by default every subsystem is its own unit. Zero (within roundoff)
-    exactly when the state is a product across every group boundary. A
-    one-branch :class:`FactoredState` whose factors each lie inside one
-    group is such a product by construction, so it reads exactly ``0.0``;
-    any other factored state is expanded first.
+    exactly when the state is a product across every group boundary.
     """
     dims = psi.layout
     n = len(dims)
@@ -376,18 +366,6 @@ def product_defect(psi: PureState | FactoredState, groups=None) -> float:
         raise LayoutError(f"groups {groups} do not partition {n} subsystems")
     if len(groups) == 1:
         return 0.0
-    if isinstance(psi, FactoredState):
-        group_of = [0] * n
-        for k, g in enumerate(groups):
-            for i in g:
-                group_of[i] = k
-        start, split = 0, False
-        for lay in psi.factor_layouts:
-            split |= len(set(group_of[start : start + len(lay)])) > 1
-            start += len(lay)
-        if len(psi.branches) == 1 and not split:
-            return 0.0
-        psi = psi.expand()
     worst = 0.0
     tensor = psi.amplitudes.reshape(dims)
     for group in groups:

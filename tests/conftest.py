@@ -1,7 +1,5 @@
 """Shared helpers for the test suite."""
 
-import sys
-
 import numpy as np
 from hypothesis import strategies as st
 
@@ -45,15 +43,3 @@ def two_qubit_z_network() -> SensorNetwork:
 
 def bell_state() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-
-
-def forbid_kron_all(monkeypatch) -> None:
-    """Make every ``kron_all`` reachable from the package raise, so a test
-    shows that a path never multiplies out a product state."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("kron_all called")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qsnet") and hasattr(module, "kron_all"):
-            monkeypatch.setattr(module, "kron_all", forbidden)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import forbid_kron_all
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
@@ -208,11 +207,6 @@ class TestLocalGenerators:
         argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "rho.json"), "--out", str(tmp_path)]
         assert main(argv) == 0
         assert len(json.loads((tmp_path / "qfim.json").read_text())["qfim"]) == 4
-
-    @pytest.mark.parametrize("kind", ["t1", "t2"])
-    def test_audits_never_multiply_out_a_probe(self, tmp_path, monkeypatch, kind):
-        forbid_kron_all(monkeypatch)
-        assert main(["audit", kind, "--trials", "3", "--out", str(tmp_path)]) == 0
 
 
 class TestInternalFault:

@@ -15,19 +15,17 @@ from qsnet.hilbert import (
     SIGMA_X,
     SIGMA_Z,
     DensityOperator,
-    FactoredState,
     PureState,
+    apply_local,
     commutator,
     eigh,
     embed_local,
     expm_i,
-    apply_local,
     identity,
-    local_moments,
     matrix_from_json,
-    require_hermitian,
     matrix_to_json,
     partial_trace,
+    require_hermitian,
     sensor_marginal,
     vector_from_json,
     vector_to_json,
@@ -313,77 +311,6 @@ class TestNonFiniteEntries:
             PureState(np.array([bad, 1.0]), (2,))
 
 
-def _product(*factors) -> FactoredState:
-    return FactoredState(((1.0, factors),), tuple((f.size,) for f in factors))
-
-
-class TestFactoredState:
-    def test_expands_to_the_kron_of_its_branches(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        c = 1 / np.sqrt(2)
-        ghz = FactoredState(((c, (zero, zero)), (c, (one, one))), ((2,), (2,)))
-        assert ghz.layout == (2, 2) and ghz.dim == 4
-        assert_allclose(ghz.amplitudes, [c, 0.0, 0.0, c], atol=1e-15)
-        state = _product(plus, np.array([0.6, 0.8j, 0.0]))
-        assert state.layout == (2, 3)
-        assert_allclose(state.expand().amplitudes, np.kron(plus, [0.6, 0.8j, 0.0]), atol=1e-15)
-
-    def test_factor_may_span_several_subsystems(self):
-        rng = np.random.default_rng(3)
-        pair = haar_state(6, (2, 3), rng)
-        state = FactoredState(((1.0, (pair.amplitudes, np.array([1.0]))),), ((2, 3), (1,)))
-        assert state.layout == (2, 3, 1)
-        assert_allclose(state.amplitudes, pair.amplitudes, atol=1e-15)
-
-    def test_norm_from_branch_overlaps(self):
-        zero = np.array([1.0, 0.0])
-        with pytest.raises(ValueError, match="norm"):
-            FactoredState(((1.0, (zero,)), (1.0, (zero,))), ((2,),))
-        # Two equal branches of weight 1/2 add up to a unit vector.
-        assert_allclose(FactoredState(((0.5, (zero,)), (0.5, (zero,))), ((2,),)).amplitudes, zero)
-
-    def test_shapes_checked(self):
-        zero = np.array([1.0, 0.0])
-        with pytest.raises(LayoutError):
-            FactoredState(((1.0, (zero,)),), ((3,),))
-        with pytest.raises(LayoutError):
-            FactoredState(((1.0, (zero,)),), ((2,), (1,)))
-        with pytest.raises(LayoutError):
-            FactoredState(((1.0, (zero,)),), ((),))
-        with pytest.raises(ValueError):
-            FactoredState((), ((2,),))
-
-    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            _product(np.array([bad, 1.0]))
-        with pytest.raises(ValueError, match="non-finite"):
-            FactoredState(((bad, (np.array([1.0, 0.0]),)),), ((2,),))
-
-    def test_factors_frozen(self):
-        state = _product(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            state.factors[0][0, 0] = 0.0
-        with pytest.raises(ValueError):
-            state.branches[0][1][0][0] = 0.0
-
-    def test_cap_checked_on_expansion_only(self, monkeypatch):
-        monkeypatch.setenv("QSN_MAX_DIM", "8")
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        state = _product(*[plus] * 4)
-        assert state.dim == 16
-        with pytest.raises(DimensionLimitError):
-            state.expand()
-        with pytest.raises(DimensionLimitError):
-            partial_trace(state, [0])
-
-    def test_marginal_expands(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        marginal = sensor_marginal(_product(plus, np.array([0.0, 1.0])), 0)
-        assert_allclose(marginal.matrix, np.full((2, 2), 0.5), atol=1e-15)
-
-
 class TestApplyLocal:
     @settings(max_examples=60, deadline=None)
     @given(layouts, st.data(), seeds)
@@ -398,16 +325,3 @@ class TestApplyLocal:
         got = apply_local(op, site, tensor)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
-class TestLocalMoments:
-    def test_operators_must_come_in_site_order(self):
-        zero = np.array([1.0, 0.0])
-        with pytest.raises(ValueError, match="site order"):
-            local_moments(_product(zero, zero), [(1, SIGMA_Z), (0, SIGMA_Z)])
-
-    def test_dense_basis_state(self):
-        state = PureState(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        means, second = local_moments(state, [(0, SIGMA_Z), (1, SIGMA_X)])
-        assert_allclose(means, [1.0, 0.0], atol=0)
-        assert_allclose(second, [[1.0, 0.0], [0.0, 1.0]], atol=0)

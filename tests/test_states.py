@@ -5,18 +5,16 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, forbid_kron_all, layouts, random_network, seeds, two_qubit_z_network
+from conftest import bell_state, layouts, seeds, two_qubit_z_network
 from qsnet import (
-    FactoredState,
     LinearFunctional,
     SensorNetwork,
     SensorSpec,
     doubled,
-    encode,
     extremal_superposition,
     ghz_bound,
     ghz_probe,
@@ -35,7 +33,6 @@ from qsnet import (
     sensor_marginal,
     separable_bound,
     separable_surrogate,
-    with_collective_ancilla,
 )
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity, partial_trace
@@ -440,110 +437,18 @@ class TestIntegerCounts:
             build()
 
 
-def _expanded(branches) -> np.ndarray:
-    """Oracle: the sum over branches of the Kronecker product of their factors."""
-    total = 0.0
-    for c, vecs in branches:
-        out = np.ones(1, dtype=complex)
-        for v in vecs:
-            out = np.kron(out, v)
-        total = total + c * out
-    return total
-
-
-_VARIANTS = {"plain": lambda net: net, "doubled": doubled, "ancilla": with_collective_ancilla}
-
-
-class TestFactoredProbes:
-    """A factored probe gives what its dense expansion gives, to 1e-12."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(layouts, st.sampled_from(sorted(_VARIANTS)), st.integers(1, 3), st.data(), seeds)
-    def test_matches_expanded_state(self, dims, variant, n_branches, data, seed):
-        # The doubled and ancilla networks live on D * D levels.
-        assume(prod(dims) ** (1 if variant == "plain" else 2) <= 4096)
-        rng = np.random.default_rng(seed)
-        net = _VARIANTS[variant](random_network(dims, rng))
-        layout = net.dims
-        cuts = data.draw(st.lists(st.booleans(), min_size=len(layout) - 1, max_size=len(layout) - 1))
-        factor_layouts, start = [], 0
-        for i, cut in enumerate(cuts + [True]):
-            if cut:
-                factor_layouts.append(layout[start : i + 1])
-                start = i + 1
-        branches = [
-            (
-                complex(*rng.standard_normal(2)),
-                tuple(rng.standard_normal(prod(lay)) + 1j * rng.standard_normal(prod(lay)) for lay in factor_layouts),
-            )
-            for _ in range(n_branches)
-        ]
-        vec = _expanded(branches)
-        norm = np.linalg.norm(vec)
-        # Branches that nearly cancel would scale every roundoff up.
-        assume(sum(abs(c) * prod(np.linalg.norm(f) for f in vecs) for c, vecs in branches) <= 10 * norm)
-        branches = [(c / norm, vecs) for c, vecs in branches]
-        state = FactoredState(branches, factor_layouts)
-        dense = PureState(vec / norm, layout)
-        assert np.max(np.abs(state.amplitudes - dense.amplitudes)) <= 1e-12
-
-        want = qfim_pure(dense, net).matrix
-        got = qfim_pure(state, net).matrix
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
-        want = resource_count(net, dense)
-        assert abs(resource_count(net, state) - want) <= 1e-12 * max(1.0, abs(want))
-
-        labels = rng.integers(0, len(layout), len(layout))
-        random_groups = [tuple(np.nonzero(labels == k)[0]) for k in np.unique(labels)]
-        factor_groups, start = [], 0
-        for lay in factor_layouts:
-            factor_groups.append(tuple(range(start, start + len(lay))))
-            start += len(lay)
-        for groups in (None, factor_groups, random_groups):
-            want = product_defect(dense, groups)
-            assert abs(product_defect(state, groups) - want) <= 1e-12 * max(1.0, want)
-
-        phi = rng.uniform(-1.0, 1.0, net.n_params)
-        assert_allclose(encode(net, state, phi).amplitudes, encode(net, dense, phi).amplitudes, atol=1e-12)
-
-    def test_product_reads_zero_defect_exactly(self):
-        rng = np.random.default_rng(51)
-        net = two_qubit_z_network()
-        surrogate = separable_surrogate(haar_state(4, (2, 2), rng), net)
-        assert product_defect(surrogate) == 0.0
-        probe = local_purification_probe(random_density(4, (2, 2), rng), net)
-        assert product_defect(probe, groups=[(0, 1), (2, 3)]) == 0.0
-        # Groups that cut through a factor need the dense vector.
-        assert product_defect(probe, groups=[(0,), (1, 2, 3)]) > 1e-3
-
-    def test_ghz_defect_from_its_two_branches(self):
-        state, _ = ghz_probe(np.ones(2) / np.sqrt(2), 2, qubit_ensemble_family())
-        assert len(state.branches) == 2
-        assert product_defect(state) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
+class TestProductDefectGroups:
     def test_empty_group_rejected(self):
         psi = PureState(bell_state(), (2, 2))
         with pytest.raises(LayoutError, match="empty group"):
             product_defect(psi, groups=[(), (0, 1)])
 
-    def test_constructors_never_multiply_out(self, monkeypatch):
-        forbid_kron_all(monkeypatch)
-        rng = np.random.default_rng(53)
-        net = two_qubit_z_network()
-        fam = qubit_ensemble_family()
-        probes = [
-            separable_surrogate(haar_state(4, (2, 2), rng), net),
-            local_purification_probe(random_density(4, (2, 2), rng), net),
-            optimal_separable_probe(np.ones(2) / np.sqrt(2), 4, fam)[0],
-            ghz_probe(np.ones(2) / np.sqrt(2), 4, fam)[0],
-        ]
-        assert all(isinstance(p, FactoredState) for p in probes)
 
+class TestPaperComparison:
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_paper_comparison_from_the_factors(self, monkeypatch, d):
+    def test_separable_and_ghz_probes_reach_their_bounds(self, d):
         # Separable probes reach ||v||_{2/3}^2 / N^2 and the GHZ-like probe
-        # ||v||_1^2 / N^2, read off the factored states alone.
-        forbid_kron_all(monkeypatch)
+        # ||v||_1^2 / N^2, read off the probes' own Fisher information.
         fam = qubit_ensemble_family()
         v = np.ones(d) / np.sqrt(d)
         n = 2 * d
