@@ -85,7 +85,10 @@ def _config(args, seed: int, trials: int) -> ScenarioConfig:
     unread = set(flags) - _READS[args.kind]
     if args.config:
         doc = read_json(args.config)
-        name, cfg = scenario_config_from_json(doc, cfg)
+        try:
+            name, cfg = scenario_config_from_json(doc, cfg)
+        except FormatError as exc:
+            raise FormatError(f"{args.config}: {exc}") from exc
         if name is not None and name != args.kind:
             raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
         unread |= set(doc) - {"scenario"} - _READS[args.kind]
@@ -192,8 +195,9 @@ def _state_entries(doc, path: str) -> np.ndarray:
 
 
 def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperator:
-    # The parsed document (Python lists, about three times the file size)
-    # is released when _state_entries returns, before the state validates.
+    # The parsed document (Python lists, about 2.6 times the file size; the
+    # parse itself peaks near 6 times it) is released when _state_entries
+    # returns, before the state validates.
     entries = _state_entries(read_json(path), path)
     if entries.ndim == 2:
         return DensityOperator(entries, layout)

@@ -347,6 +347,8 @@ def rotate_qfim(fim: QFIM, m) -> QFIM:
     parameters are global.
     """
     mat = np.asarray(m, dtype=float)
+    if not np.isfinite(mat).all():
+        raise ValueError("rotation m contains non-finite entries")
     if mat.shape != (fim.d, fim.d):
         raise LayoutError(f"rotation shape {mat.shape}, expected ({fim.d}, {fim.d})")
     defect = float(np.max(np.abs(mat @ mat.T - np.eye(fim.d))))
@@ -363,6 +365,8 @@ def orthogonal_completion(v) -> np.ndarray:
     deterministic.
     """
     vec = np.asarray(v, dtype=float).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError("vector v contains non-finite entries")
     d = vec.size
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:

@@ -153,6 +153,8 @@ def eigh(op) -> tuple[np.ndarray, np.ndarray]:
 
 def expm_i(op, angle: float = 1.0) -> np.ndarray:
     """Unitary ``exp(-i * angle * op)`` for Hermitian ``op``, via eigh."""
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
     w, v = eigh(op)
     phases = np.exp(-1j * angle * w)
     return (v * phases) @ v.conj().T

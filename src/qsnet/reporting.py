@@ -3,8 +3,14 @@
 Audit reports must be byte-identical across runs with the same seed, so
 JSON is emitted by a small canonical writer: object keys sorted, floats
 printed with 17 significant digits, no locale or hash-order dependence.
-CSV rows use the same float formatting. Input documents (networks, states,
-scenario configs) are parsed by :func:`read_json`.
+CSV rows use the same float formatting.
+
+Input documents (networks, states, scenario configs) are parsed by
+:func:`read_json` with ``orjson``, which decodes floats bit-for-bit like
+the standard library but in about half the time. It reads strict RFC 8259
+JSON: ``NaN`` and ``Infinity`` literals and a UTF-8 byte order mark are
+malformed input, and integers outside the 64-bit range come back as floats
+(or as malformed input when they overflow a float).
 """
 
 from __future__ import annotations
@@ -65,13 +71,17 @@ def dumps(obj) -> str:
 
 def read_json(path):
     """Parse a JSON file; malformed JSON raises :class:`FormatError`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+    # Imported here: its import chain costs every CLI start a few ms, and
+    # the audits read no JSON.
+    import orjson
+
+    data = Path(path).read_bytes()
+    try:
+        return orjson.loads(data)
+    except json.JSONDecodeError as exc:  # orjson's error subclasses it
+        raise FormatError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def write_json(path, obj) -> Path:

@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import math
+import struct
 import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
+from qsnet.reporting import read_json
 
 
 def _write(path, obj):
@@ -316,6 +321,88 @@ class TestOutsideNumbers:
         state = tmp_path / "huge.json"
         _write(state, [[10**400, 0], [0, 0]])
         assert main(["qfim", str(single_qubit_net_file), str(state), "--out", str(tmp_path)]) == 2
+
+
+# Every finite double, drawn by bit pattern, plus the signed zero and the
+# extremes of the subnormal, normal and finite ranges.
+EDGE_DOUBLES = [-0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308]
+finite_doubles = st.one_of(
+    st.sampled_from(EDGE_DOUBLES),
+    st.integers(min_value=0, max_value=2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite),
+)
+
+
+class TestJsonInput:
+    """Input files are parsed bit-exactly, and strictly as RFC 8259 JSON."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(finite_doubles, min_size=1, max_size=64))
+    @example(EDGE_DOUBLES)
+    def test_floats_decode_like_stdlib(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("floats") / "values.json"
+        text = json.dumps(values)
+        path.write_text(text, encoding="utf-8")
+        got = np.array(read_json(path), dtype=float)
+        assert got.tobytes() == np.array(json.loads(text), dtype=float).tobytes()
+
+    def test_state_file_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(31)
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi[1] = 0.0
+        psi = psi / np.linalg.norm(psi)
+        psi[1] = complex(-0.0, 5e-324)  # adds nothing to the norm
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        rho = rho / np.trace(rho).real
+        _write(tmp_path / "psi.json", vector_to_json(psi))
+        _write(tmp_path / "rho.json", matrix_to_json(rho))
+        pure = cli._load_state(str(tmp_path / "psi.json"), (2, 2))
+        mixed = cli._load_state(str(tmp_path / "rho.json"), (2, 2))
+        assert pure.amplitudes.tobytes() == psi.tobytes()
+        assert mixed.matrix.tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("kind", ["state", "network", "config"])
+    def test_non_finite_literal(self, tmp_path, single_qubit_net_file, capsys, literal, kind):
+        bad = tmp_path / f"{kind}.json"
+        if kind == "config":
+            bad.write_text(f'{{"tol":\n  {literal}}}', encoding="utf-8")
+            argv = ["audit", "t1", "--trials", "2", "--config", str(bad)]
+            where = "line 2 column 3"
+        elif kind == "network":
+            bad.write_text(single_qubit_net_file.read_text().replace("0.5", literal, 1), encoding="utf-8")
+            argv = ["qfim", str(bad), str(single_qubit_net_file)]
+            where = "line 1 column"
+        else:
+            bad.write_text(f"[[1, 0],\n [{literal}, 0]]", encoding="utf-8")
+            argv = ["qfim", str(single_qubit_net_file), str(bad)]
+            where = "line 2 column 3"
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"{bad}: invalid JSON at {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xef\xbb\xbf" + json.dumps(vector_to_json([1.0, 0.0])).encode(), "line 1 column 1"),
+            (json.dumps(vector_to_json([1.0, 0.0])).encode() + b"\n[]", "line 2 column 1"),
+            (b"", "line 1 column 1"),
+        ],
+        ids=["bom", "trailing", "empty"],
+    )
+    def test_malformed_state_file(self, tmp_path, single_qubit_net_file, capsys, data, where):
+        bad = tmp_path / "state.json"
+        bad.write_bytes(data)
+        assert main(["qfim", str(single_qubit_net_file), str(bad), "--out", str(tmp_path)]) == 2
+        assert f"{bad}: invalid JSON at {where}: " in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_is_not_an_integer(self, tmp_path, capsys):
+        # Integers past 2**64 - 1 parse as floats, which no integer field takes.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 18446744073709551616}', encoding="utf-8")
+        assert main(["audit", "t1", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"{cfg}: scenario config: 'seed' must be an integer" in capsys.readouterr().err
 
 
 class TestUnreadSettings:

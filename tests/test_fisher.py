@@ -370,6 +370,10 @@ class TestRotation:
         with pytest.raises(ValueError):
             rotate_qfim(QFIM(np.eye(2)), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_non_finite_rotation_rejected(self):
+        with pytest.raises(ValueError, match="rotation m contains non-finite entries"):
+            rotate_qfim(QFIM(np.eye(2)), [[np.nan, 0.0], [0.0, 1.0]])
+
 
 class TestOrthogonalCompletion:
     def test_standard_basis_vector(self):
@@ -391,6 +395,10 @@ class TestOrthogonalCompletion:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             orthogonal_completion(np.zeros(3))
+
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(ValueError, match="vector v contains non-finite entries"):
+            orthogonal_completion([np.nan, 0.0])
 
 
 class TestBlockInverse:

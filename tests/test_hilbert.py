@@ -184,6 +184,11 @@ class TestExpmI:
         assert np.max(np.abs(u_a @ u_b - expm_i(h, 0.3))) <= 1e-10
         assert np.max(np.abs(u_a.conj().T @ u_a - identity(5))) <= 1e-10
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            expm_i(np.eye(2), angle)
+
 
 class TestStateCarriers:
     def test_pure_state_norm_enforced(self):
