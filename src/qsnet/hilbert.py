@@ -9,12 +9,15 @@ read it rather than factoring the matrix again.
 
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
-of rows of pairs.
+of rows of pairs. Decoding checks and flattens one nesting level at a time
+(tuples and ndarrays are read like lists) and converts the flat numbers in
+one call, so a D x D density never passes through an object array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
 
@@ -287,26 +290,46 @@ def _entry_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_sequence(x) -> bool:
+    """Whether numpy's nesting rules would descend into ``x``."""
+    return isinstance(x, (list, tuple)) or (isinstance(x, np.ndarray) and x.ndim > 0)
+
+
 def _entries_from_json(items, ndim: int, where: str) -> np.ndarray:
-    """Decode ``ndim`` nested axes of ``[re, im]`` pairs into complex entries."""
-    try:
-        pairs = np.array(items, dtype=object)
-    except ValueError as exc:
-        raise FormatError(f"{where}: ragged nesting") from exc
-    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
-        kind = "vector" if ndim == 1 else "matrix"
-        raise FormatError(f"{where}: expected a non-empty, non-ragged {kind} of [re, im] pairs")
-    # astype(float) would read a JSON boolean as 1.0 or 0.0; it is not a number.
-    for t in set(map(type, pairs.flat)):
+    """Decode ``ndim`` nested axes of ``[re, im]`` pairs into complex entries.
+
+    The nesting levels are checked and flattened one at a time, so no object
+    array is built. Shapes follow numpy's rules: a level is an axis only if
+    every item on it is a sequence and all have one length.
+    """
+    kind = "vector" if ndim == 1 else "matrix"
+    bad_shape = f"{where}: expected a non-empty, non-ragged {kind} of [re, im] pairs"
+    flat = [items]
+    shape = []
+    for _ in range(ndim + 1):
+        if not set(map(type, flat)) <= {list, tuple}:
+            if not all(map(_is_sequence, flat)):
+                raise FormatError(bad_shape)
+            flat = [x.tolist() if isinstance(x, np.ndarray) else x for x in flat]
+        lengths = set(map(len, flat))
+        if len(lengths) != 1:
+            raise FormatError(bad_shape)
+        shape.append(lengths.pop())
+        flat = list(chain.from_iterable(flat))
+    # Pairs of equal-length sequences would be one axis too many.
+    if shape[-1] != 2 or (all(map(_is_sequence, flat)) and len(set(map(len, flat))) == 1):
+        raise FormatError(bad_shape)
+    # float() would read a JSON boolean as 1.0 or 0.0; it is not a number.
+    for t in set(map(type, flat)):
         if t is bool or not issubclass(t, (int, float)):
             raise FormatError(f"{where}: expected numbers in [re, im] pairs, got {t.__name__}")
     try:
-        values = pairs.astype(float)
+        values = np.array(flat, dtype=float)
     except OverflowError as exc:
         raise FormatError(f"{where}: number too large for a float") from exc
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{where}: non-finite entry")
-    return values.view(complex)[..., 0]
+    return values.view(complex).reshape(shape[:-1])
 
 
 def vector_to_json(v: np.ndarray) -> list:

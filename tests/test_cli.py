@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import gc
 import json
 import math
 import struct
@@ -14,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
 from qsnet.cli import main
+from qsnet.exceptions import FormatError, LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
 from qsnet.reporting import read_json
@@ -192,6 +194,15 @@ class TestQfimCommand:
 
     def test_missing_file_exit_two(self, tmp_path, single_qubit_net_file):
         assert main(["qfim", str(single_qubit_net_file), str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("mu", ["0", "-3"])
+    def test_bad_mu_rejected_before_reading_files(self, tmp_path, single_qubit_net_file, capsys, mu):
+        missing = tmp_path / "nope.json"
+        argv = ["qfim", str(single_qubit_net_file), str(missing), "--mu", mu, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "mu must be an integer >= 1" in err
+        assert "nope.json" not in err
 
 
 class TestLocalGenerators:
@@ -403,6 +414,63 @@ class TestJsonInput:
         cfg.write_text('{"seed": 18446744073709551616}', encoding="utf-8")
         assert main(["audit", "t1", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"{cfg}: scenario config: 'seed' must be an integer" in capsys.readouterr().err
+
+
+class TestCollectorPause:
+    """A state file is parsed and decoded with the cyclic collector paused,
+    and the collector's state is restored whatever the load raises."""
+
+    @staticmethod
+    def _density_file(path, dim):
+        g = np.random.default_rng(6).standard_normal((dim, dim))
+        _write(path, matrix_to_json(g @ g.T / np.sum(g**2)))
+        return str(path)
+
+    def test_load_runs_no_collection(self, tmp_path):
+        # 64 x 64 pairs are about 4200 lists, several times the default
+        # threshold of the youngest generation.
+        path = self._density_file(tmp_path / "rho.json", 64)
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            cli._load_state(path, (64,))
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["loaded", "malformed", "ragged", "layout"])
+    def test_collector_state_restored(self, tmp_path, enabled, outcome):
+        path = tmp_path / "state.json"
+        layout, raises = (4,), None
+        if outcome == "loaded":
+            self._density_file(path, 4)
+        elif outcome == "malformed":
+            path.write_text("[[1, 0],", encoding="utf-8")
+            raises = FormatError
+        elif outcome == "ragged":
+            _write(path, [[1, 0], [0]])
+            raises = FormatError
+        else:
+            self._density_file(path, 4)
+            layout, raises = (3,), LayoutError
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if raises is None:
+                cli._load_state(str(path), layout)
+            else:
+                with pytest.raises(raises):
+                    cli._load_state(str(path), layout)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestUnreadSettings:

@@ -217,7 +217,78 @@ class TestStateCarriers:
             psi.amplitudes[0] = 0.0
 
 
+def _object_array_decode(items, ndim, where):
+    """Reference decoder: the nested input read through one object array."""
+    try:
+        pairs = np.array(items, dtype=object)
+    except ValueError as exc:
+        raise FormatError(f"{where}: ragged nesting") from exc
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise FormatError(f"{where}: expected a non-empty, non-ragged {kind} of [re, im] pairs")
+    for t in set(map(type, pairs.flat)):
+        if t is bool or not issubclass(t, (int, float)):
+            raise FormatError(f"{where}: expected numbers in [re, im] pairs, got {t.__name__}")
+    try:
+        values = pairs.astype(float)
+    except OverflowError as exc:
+        raise FormatError(f"{where}: number too large for a float") from exc
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{where}: non-finite entry")
+    return values.view(complex)[..., 0]
+
+
+def _decode_outcome(decode, *args):
+    try:
+        out = decode(*args)
+    except FormatError as exc:
+        return str(exc)
+    return out.shape, out.tobytes()
+
+
+_wire_leaves = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.none(),
+    st.just("1"),
+)
+_wire_nests = st.recursive(
+    _wire_leaves, lambda kids: st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple), max_leaves=16
+)
+
+
+@st.composite
+def _near_grids(draw):
+    """A grid of pairs (1 to 3 axes) of lists and tuples, one node of which
+    may be replaced."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2)) + [2]
+    numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+    size = int(np.prod(shape))
+    doc = np.array(draw(st.lists(numbers, min_size=size, max_size=size)), dtype=object).reshape(shape).tolist()
+    if draw(st.booleans()):
+        node = doc
+        for _ in range(draw(st.integers(0, len(shape) - 1))):
+            node = node[draw(st.integers(0, len(node) - 1))]
+        node[draw(st.integers(0, len(node) - 1))] = draw(_wire_leaves | _wire_nests)
+
+    def some_tuples(node):
+        if not isinstance(node, list):
+            return node
+        kids = [some_tuples(k) for k in node]
+        return tuple(kids) if draw(st.booleans()) else kids
+
+    return some_tuples(doc)
+
+
 class TestJsonWireFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_near_grids(), _wire_nests), st.sampled_from([1, 2]))
+    def test_decodes_like_object_array(self, doc, ndim):
+        decode = vector_from_json if ndim == 1 else matrix_from_json
+        expected = _decode_outcome(_object_array_decode, doc, ndim, "probe")
+        assert _decode_outcome(decode, doc, "probe") == expected
+
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -258,6 +329,44 @@ class TestJsonWireFormat:
             matrix_from_json([[[10**400, 0]]])
         with pytest.raises(FormatError):
             vector_from_json([[0, -(10**400)]])
+
+    @pytest.mark.parametrize(
+        "decode, doc, expected",
+        [
+            (vector_from_json, [], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [[]], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [[1.0, 0.0], [1.0]], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [[1.0, 0.0, 2.0]], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [[[1.0, 0.0]]], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, "pairs", "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [1.0, 0.0], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, {"a": 1}, "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [[[1, 0], [0, 0]]], "expected a non-empty, non-ragged vector of [re, im] pairs"),
+            (vector_from_json, [[[1, 0], [0]]], "expected numbers in [re, im] pairs, got list"),
+            (vector_from_json, [[1, [2]], [3, 4]], "expected numbers in [re, im] pairs, got list"),
+            (vector_from_json, ((1.0, 0.0), (0.0, -2.5)), np.array([1.0, complex(0.0, -2.5)])),
+            (vector_from_json, np.array([[1.0, 0.0]]), np.array([1.0 + 0.0j])),
+            (matrix_from_json, [], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+            (matrix_from_json, [[]], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+            (matrix_from_json, [[1.0, 0.0]], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+            (matrix_from_json, [[[1.0, 0.0]], [1.0, 0.0]], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+            (matrix_from_json, [[[1.0, 0.0]], []], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+            (matrix_from_json, [[[1, 0], [0, 0]], [[0, 0]]], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+            (matrix_from_json, [[[1.0, 0.0, 0.0]]], "expected a non-empty, non-ragged matrix of [re, im] pairs"),
+        ],
+    )
+    def test_decoder_edge_cases(self, decode, doc, expected):
+        # Each case pins the exact outcome: the decoded entries, or the
+        # message with its location prefix.
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as info:
+                decode(doc, where="probe")
+            assert str(info.value) == f"probe: {expected}"
+        else:
+            decoded = decode(doc, where="probe")
+            assert decoded.dtype == np.complex128
+            assert decoded.shape == expected.shape
+            assert decoded.tobytes() == expected.tobytes()
 
     def test_decoding_is_bit_exact(self):
         a = np.array([[-0.0 + 0.0j, 1e-310 - 0.0j], [0.1 + 3.0j, -(2.0**-1074) + 1e300j]])
