@@ -14,7 +14,6 @@ from .bounds import (
     ghz_bound,
     pnorm,
     separable_bound,
-    separable_bound_weak,
 )
 from .exceptions import (
     DimensionLimitError,
@@ -27,7 +26,6 @@ from .fisher import (
     BoundReport,
     block_inverse_residuals,
     cfim,
-    inverse_block,
     orthogonal_completion,
     qcrb,
     qfim_mixed,
@@ -45,7 +43,6 @@ from .hilbert import (
     sensor_marginal,
 )
 from .network import (
-    NetworkDiagnostics,
     SensorNetwork,
     SensorSpec,
     doubled,
@@ -55,7 +52,6 @@ from .network import (
     network_from_json,
     network_to_json,
     resource_count,
-    validate,
     with_collective_ancilla,
 )
 from .scenarios import (
@@ -98,8 +94,6 @@ __all__ = [
     # network
     "SensorSpec",
     "SensorNetwork",
-    "NetworkDiagnostics",
-    "validate",
     "encode",
     "global_generator",
     "global_generators",
@@ -128,7 +122,6 @@ __all__ = [
     "qcrb",
     "rotate_qfim",
     "orthogonal_completion",
-    "inverse_block",
     "block_inverse_residuals",
     "cfim",
     # bounds
@@ -136,7 +129,6 @@ __all__ = [
     "BoundComparison",
     "pnorm",
     "separable_bound",
-    "separable_bound_weak",
     "ghz_bound",
     "enhancement_ratio",
     "compare",

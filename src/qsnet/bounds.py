@@ -27,7 +27,6 @@ __all__ = [
     "BoundComparison",
     "pnorm",
     "separable_bound",
-    "separable_bound_weak",
     "ghz_bound",
     "enhancement_ratio",
     "compare",
@@ -95,7 +94,7 @@ class LinearFunctional:
         object.__setattr__(self, "v", vec)
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "n_particles", check_int(self.n_particles, "particle budget"))
-        object.__setattr__(self, "repeats", check_int(self.repeats, "repeat count"))
+        object.__setattr__(self, "repeats", check_int(self.repeats, "mu"))
 
     @property
     def d(self) -> int:
@@ -118,11 +117,6 @@ class LinearFunctional:
 def separable_bound(f: LinearFunctional) -> float:
     """``||v||_{2/3}^2 / (mu kappa^2 N^2)``, the separable-probe floor."""
     return pnorm(f.v, 2.0 / 3.0) ** 2 / f._denominator()
-
-
-def separable_bound_weak(f: LinearFunctional) -> float:
-    """``||v||_1^3 / (mu kappa^2 N^2)``, the weaker end of the chain."""
-    return pnorm(f.v, 1.0) ** 3 / f._denominator()
 
 
 def ghz_bound(f: LinearFunctional) -> float:

@@ -160,6 +160,8 @@ def _run_scenario(args) -> int:
 
 def _run_bounds(args) -> int:
     started = _now()
+    for d in args.d:
+        config.check_int(d, "--d")
     if args.N is None:
         budgets = list(args.d)
     elif len(args.N) == 1:
@@ -216,7 +218,7 @@ def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperat
 
 def _run_qfim(args) -> int:
     started = _now()
-    config.check_int(args.mu, "repeat count mu")
+    config.check_int(args.mu, "mu")
     net = load_network(args.network)
     state = _load_state(args.state, net.dims)
     if isinstance(state, PureState):

@@ -38,7 +38,6 @@ __all__ = [
     "qcrb",
     "rotate_qfim",
     "orthogonal_completion",
-    "inverse_block",
     "block_inverse_residuals",
     "cfim",
 ]
@@ -323,7 +322,7 @@ class BoundReport:
 
 def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     """Weighted scalar Cramer-Rao bound ``sum_k W_kk [F^-1]_kk / mu``."""
-    mu = config.check_int(mu, "repeat count mu")
+    mu = config.check_int(mu, "mu")
     w_diag = _check_weights(weights, fim.d)
     vs, inv_supp = _support_inverse(fim)
     support_dim = vs.shape[1]
@@ -395,24 +394,6 @@ def _inv_spd(mat: np.ndarray) -> np.ndarray:
     if float(w[0]) <= 0.0:
         raise np.linalg.LinAlgError("block is not positive definite")
     return (v / w) @ v.T
-
-
-def inverse_block(fim: QFIM, k: int) -> np.ndarray:
-    """The block ``[F^-1]_[kk]`` of the inverse information matrix.
-
-    For a singular matrix the support-restricted pseudo-inverse is used and
-    a warning is emitted; :func:`qcrb` reports ``singular`` to branch on
-    explicitly.
-    """
-    idx = np.asarray(fim.partition[k])
-    vs, inv = _support_inverse(fim)
-    if vs.shape[1] < fim.d:
-        warnings.warn(
-            "singular information matrix: inverse block restricted to the support",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return inv[np.ix_(idx, idx)]
 
 
 def block_inverse_residuals(fim: QFIM) -> np.ndarray:

@@ -27,7 +27,6 @@ from .hilbert import (
     apply_local,
     check_dim,
     embed_local,
-    commutator,
     expm_i,
     matrix_from_json,
     matrix_to_json,
@@ -38,8 +37,6 @@ from .reporting import read_json
 __all__ = [
     "SensorSpec",
     "SensorNetwork",
-    "NetworkDiagnostics",
-    "validate",
     "global_generator",
     "global_generators",
     "encode",
@@ -137,55 +134,6 @@ class SensorNetwork:
                 return site, k - offset
             offset += s.n_params
         raise AssertionError("unreachable")
-
-
-@dataclass(frozen=True)
-class NetworkDiagnostics:
-    """Per-sensor commutation structure and resource-conservation report."""
-
-    commutator_tables: tuple[np.ndarray, ...]
-    resource_residuals: tuple[np.ndarray, ...]
-    all_commuting: bool
-    resource_conserved: bool
-    tol: float
-
-
-def validate(net: SensorNetwork) -> NetworkDiagnostics:
-    """Report which sensors have mutually commuting generators.
-
-    ``all_commuting`` selects between the two analysis regimes: when true,
-    separable-surrogate constructions apply directly; otherwise the
-    local-ancilla purification route is needed. Resource operators that fail
-    to commute with their sensor's generators are reported, not rejected,
-    since resource conservation then depends on the probe.
-    """
-    tables = []
-    res_tables = []
-    commuting = True
-    conserved = True
-    for s in net.sensors:
-        g = s.n_params
-        table = np.zeros((g, g))
-        for i in range(g):
-            for j in range(i + 1, g):
-                r = float(np.max(np.abs(commutator(s.generators[i], s.generators[j]))))
-                table[i, j] = table[j, i] = r
-                if r > config.COMMUTE_TOL:
-                    commuting = False
-        tables.append(table)
-        res = np.array(
-            [float(np.max(np.abs(commutator(s.resource_op, gj)))) for gj in s.generators]
-        )
-        if res.size and float(res.max()) > config.COMMUTE_TOL:
-            conserved = False
-        res_tables.append(res)
-    return NetworkDiagnostics(
-        commutator_tables=tuple(tables),
-        resource_residuals=tuple(res_tables),
-        all_commuting=commuting,
-        resource_conserved=conserved,
-        tol=config.COMMUTE_TOL,
-    )
 
 
 def global_generator(net: SensorNetwork, k: int) -> np.ndarray:

@@ -1,9 +1,18 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the dense textbook oracle for the
+Fisher-information code.
+
+The oracle builds every generator on the full network space with
+``np.kron`` and evaluates the textbook formulas on those matrices. It reads
+only the rank-cutoff constants from ``qsnet.config`` and shares no code
+with ``qsnet.fisher``.
+"""
+
+from math import prod
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qsnet import SensorNetwork, SensorSpec
+from qsnet import SensorNetwork, SensorSpec, config
 from qsnet.hilbert import SIGMA_Z, kron_all
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
@@ -43,3 +52,82 @@ def two_qubit_z_network() -> SensorNetwork:
 
 def bell_state() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+# --- dense textbook oracle -----------------------------------------------------
+
+
+def dense_generators(net: SensorNetwork) -> list[np.ndarray]:
+    """Each parameter's generator on the full space, ``I (x) H (x) I``, in
+    global parameter order."""
+    gens = []
+    for site, sensor in enumerate(net.sensors):
+        before = np.eye(prod(net.dims[:site]))
+        after = np.eye(prod(net.dims[site + 1 :]))
+        gens.extend(np.kron(np.kron(before, g), after) for g in sensor.generators)
+    return gens
+
+
+def oracle_qfim_pure(psi, net: SensorNetwork) -> np.ndarray:
+    """``F_mn = 4 Re(<H_m H_n> - <H_m><H_n>)`` for the pure probe ``psi``.
+
+    ``<H_m H_n>`` is taken as the overlap of ``H_m psi`` with ``H_n psi``,
+    which equals it for Hermitian ``H_m``."""
+    amps = psi.amplitudes
+    applied = [g @ amps for g in dense_generators(net)]
+    means = [np.vdot(amps, a) for a in applied]
+    return np.array(
+        [
+            [4.0 * np.real(np.vdot(a, b) - means[m] * means[n]) for n, b in enumerate(applied)]
+            for m, a in enumerate(applied)
+        ]
+    )
+
+
+# Largest probe dimension for the least-squares SLDs: their linear system
+# has D^2 x D^2 entries.
+LSTSQ_MAX_DIM = 16
+
+
+def oracle_slds(rho, net: SensorNetwork) -> list[np.ndarray]:
+    """Symmetric logarithmic derivatives of the mixed probe ``rho``.
+
+    Each ``L_k`` is the minimum-norm least-squares solution of
+    ``(rho (x) I + I (x) rho^T) vec L = 2 vec(-i [H_k, rho])`` (row-major
+    ``vec``), which is ``rho L + L rho = 2 d rho``. The operator's singular
+    values are the sums ``p_i + p_j`` of the probe's eigenvalues; ``rcond``
+    drops those at or below the library's rank cutoff.
+    """
+    mat = rho.matrix
+    dim = mat.shape[0]
+    assert dim <= LSTSQ_MAX_DIM, f"least-squares SLDs at D = {dim}"
+    eye = np.eye(dim)
+    top = float(np.linalg.norm(mat, 2))
+    cutoff = max(config.RANK_TOL_FACTOR * top, config.RANK_TOL_FLOOR)
+    rhs = np.stack([-2j * (g @ mat - mat @ g).reshape(-1) for g in dense_generators(net)], axis=1)
+    system = np.kron(mat, eye) + np.kron(eye, mat.T)
+    vecs = np.linalg.lstsq(system, rhs, rcond=cutoff / (2.0 * top))[0]
+    return [vecs[:, k].reshape(dim, dim) for k in range(vecs.shape[1])]
+
+
+def oracle_qfim_mixed(rho, net: SensorNetwork) -> np.ndarray:
+    """``F_kl = Re Tr[rho L_k L_l]`` over the :func:`oracle_slds`, or the
+    :func:`full_square_sld_qfim` above ``LSTSQ_MAX_DIM``."""
+    if rho.matrix.shape[0] > LSTSQ_MAX_DIM:
+        return full_square_sld_qfim(rho, net)
+    slds = oracle_slds(rho, net)
+    return np.array([[np.real(np.trace(rho.matrix @ a @ b)) for b in slds] for a in slds])
+
+
+def full_square_sld_qfim(rho, net: SensorNetwork) -> np.ndarray:
+    """``sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) Re(h_k,ij conj h_l,ij)`` over
+    every eigenvalue pair clearing the rank cutoff, with the dense
+    generators rotated into the probe's eigenbasis. The oracle for
+    dimensions too large for :func:`oracle_slds`."""
+    p, v = np.linalg.eigh(rho.matrix)
+    cutoff = max(config.RANK_TOL_FACTOR * p[-1], config.RANK_TOL_FLOOR)
+    denom = p[:, None] + p[None, :]
+    live = denom > cutoff
+    weight = np.where(live, 2.0 * (p[:, None] - p[None, :]) ** 2 / np.where(live, denom, 1.0), 0.0)
+    h = [v.conj().T @ g @ v for g in dense_generators(net)]
+    return np.array([[np.sum(weight * np.real(a * b.conj())) for b in h] for a in h])

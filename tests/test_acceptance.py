@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import oracle_qfim_pure, random_hermitian
 from qsnet import (
+    QFIM,
     LinearFunctional,
     ScenarioConfig,
     SensorNetwork,
@@ -22,7 +23,6 @@ from qsnet import (
     cfim,
     enhancement_ratio,
     ghz_probe,
-    global_generators,
     gradient_scenario,
     orthogonal_completion,
     pnorm,
@@ -67,7 +67,8 @@ def _random_network_for_layout(dims, rng) -> SensorNetwork:
 
 
 def test_criterion_1_qfim_oracle_equivalence():
-    """Pure-state covariance formula vs SLD route over 500 Haar probes."""
+    """Pure-state covariance formula and SLD route against the dense
+    textbook oracle over 500 Haar probes."""
     start = time.time()
     worst = 0.0
     for t in range(500):
@@ -75,10 +76,11 @@ def test_criterion_1_qfim_oracle_equivalence():
         dims = _EQUIVALENCE_LAYOUTS[t % len(_EQUIVALENCE_LAYOUTS)]
         net = _random_network_for_layout(dims, rng)
         psi = haar_state(net.total_dim, net.dims, rng)
-        gens = global_generators(net)
-        fim_pure = qfim_pure(psi, gens, net.partition)
-        fim_sld = qfim_mixed(psi.density(), gens, net.partition)
-        worst = max(worst, float(np.max(np.abs(fim_pure.matrix - fim_sld.matrix))))
+        oracle = oracle_qfim_pure(psi, net)
+        fim_pure = qfim_pure(psi, net)
+        fim_sld = qfim_mixed(psi.density(), net)
+        for fim in (fim_pure, fim_sld):
+            worst = max(worst, float(np.max(np.abs(fim.matrix - oracle))))
     elapsed = time.time() - start
     _check(
         1,
@@ -140,7 +142,7 @@ def test_criterion_5_ghz_closed_forms():
     for d in (2, 3, 4):
         v = np.ones(d) / np.sqrt(d)
         state, net = ghz_probe(v, d, fam)
-        fim = qfim_pure(state, global_generators(net), net.partition)
+        fim = QFIM(oracle_qfim_pure(state, net), net.partition)
         expected = d**2 * np.outer(v, v) / pnorm(v, 1.0) ** 2
         worst_mat = max(worst_mat, float(np.max(np.abs(fim.matrix - expected))))
         rotated = rotate_qfim(fim, orthogonal_completion(v))
@@ -235,8 +237,8 @@ def test_criterion_8_cfim_witnesses():
         psi = haar_state(dim, net.dims, rng)
         effects = _random_povm(dim, int(rng.integers(2, 6)), rng)
         classical = cfim(effects, net, psi)
-        quantum = qfim_pure(psi, global_generators(net), net.partition)
-        gap = float(np.linalg.eigvalsh(quantum.matrix - classical)[0])
+        quantum = oracle_qfim_pure(psi, net)
+        gap = float(np.linalg.eigvalsh(quantum - classical)[0])
         worst_gap = min(worst_gap, gap)
 
     ok = (

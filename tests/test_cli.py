@@ -150,6 +150,22 @@ class TestBoundsSweep:
     def test_mismatched_budget_list_is_config_error(self, tmp_path):
         assert main(["bounds", "sweep", "--d", "2", "3", "--N", "4", "5", "6", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_non_positive_sensor_count_names_the_flag(self, tmp_path, capsys, d):
+        assert main(["bounds", "sweep", "--d", "2", d, "--out", str(tmp_path)]) == 2
+        assert f"error: --d must be an integer >= 1, got {d}" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_sweep.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qfim", "net.json", "state.json"], ["bounds", "sweep"], ["scenario", "gradient"]],
+    ids=["qfim", "bounds", "scenario"],
+)
+def test_repeat_count_is_named_mu(tmp_path, capsys, argv):
+    assert main([*argv, "--mu", "0", "--out", str(tmp_path)]) == 2
+    assert "error: mu must be an integer >= 1, got 0" in capsys.readouterr().err
+
 
 class TestQfimCommand:
     def test_pure_state_report(self, tmp_path, single_qubit_net_file):

@@ -7,11 +7,23 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import layouts, random_hermitian, random_network, seeds, two_qubit_z_network
+from conftest import (
+    LSTSQ_MAX_DIM,
+    dense_generators,
+    full_square_sld_qfim,
+    layouts,
+    oracle_qfim_mixed,
+    oracle_qfim_pure,
+    oracle_slds,
+    random_hermitian,
+    random_network,
+    seeds,
+    two_qubit_z_network,
+)
 from qsnet import (
     QFIM,
     SensorNetwork,
@@ -21,7 +33,6 @@ from qsnet import (
     doubled,
     encode,
     global_generators,
-    inverse_block,
     orthogonal_completion,
     qcrb,
     qfim_mixed,
@@ -30,7 +41,7 @@ from qsnet import (
     sld_operators,
     with_collective_ancilla,
 )
-from qsnet import config, fisher
+from qsnet import fisher
 from qsnet.exceptions import LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, PureState, identity
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
@@ -63,7 +74,7 @@ def _root_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 class TestQfimPure:
     def test_plus_state_unit_information(self):
         net = _single_qubit_net()
-        fim = qfim_pure(_plus_state(), global_generators(net), net.partition)
+        fim = qfim_pure(_plus_state(), net)
         assert fim.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_sld_route_both_regimes(self):
@@ -76,8 +87,8 @@ class TestQfimPure:
         for net in (z_net, nc_net):
             for _ in range(5):
                 psi = haar_state(net.total_dim, net.dims, rng)
-                fim_p = qfim_pure(psi, global_generators(net), net.partition)
-                fim_m = qfim_mixed(psi.density(), global_generators(net), net.partition)
+                fim_p = qfim_pure(psi, net)
+                fim_m = qfim_mixed(psi.density(), net)
                 assert np.max(np.abs(fim_p.matrix - fim_m.matrix)) <= 1e-9
 
     def test_generator_shape_checked(self):
@@ -95,7 +106,7 @@ class TestQfimPure:
         delta = 1e-4
         for net in (z_net, nc_net):
             psi = haar_state(net.total_dim, net.dims, rng)
-            fim = qfim_pure(psi, global_generators(net), net.partition)
+            fim = qfim_pure(psi, net)
             for _ in range(3):
                 direction = rng.standard_normal(net.n_params)
                 direction /= np.linalg.norm(direction)
@@ -110,7 +121,7 @@ class TestQfimMixed:
     def test_maximally_mixed_is_blind(self):
         net = _single_qubit_net()
         rho = DensityOperator(identity(2) / 2, (2,))
-        fim = qfim_mixed(rho, global_generators(net), net.partition)
+        fim = qfim_mixed(rho, net)
         assert_allclose(fim.matrix, [[0.0]], atol=1e-12)
 
     def test_depolarized_plus_against_fidelity_oracle(self):
@@ -121,7 +132,7 @@ class TestQfimMixed:
         for p in (0.25, 0.6, 0.9):
             mixed = p * np.outer([1, 1], [1, 1]) / 2 + (1 - p) * identity(2) / 2
             rho = DensityOperator(mixed, (2,))
-            fim = qfim_mixed(rho, global_generators(net), net.partition)
+            fim = qfim_mixed(rho, net)
             shifted = encode(net, rho, [delta])
             oracle = 8.0 * (1.0 - _root_fidelity(rho.matrix, shifted.matrix)) / delta**2
             assert fim.matrix[0, 0] == pytest.approx(oracle, abs=1e-5)
@@ -133,8 +144,8 @@ class TestQfimMixed:
         net = two_qubit_z_network()
         rng = np.random.default_rng(53)
         rho = random_density(4, (2, 2), rng)
-        gens = global_generators(net)
-        slds = sld_operators(rho, gens)
+        gens = dense_generators(net)
+        slds = sld_operators(rho, net)
         for g, sld in zip(gens, slds):
             drho = -1j * (g @ rho.matrix - rho.matrix @ g)
             residual = drho - (rho.matrix @ sld + sld @ rho.matrix) / 2
@@ -148,8 +159,8 @@ class TestQfimMixed:
         bell_b = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
         mixed = 0.7 * np.outer(bell_a, bell_a) + 0.3 * np.outer(bell_b, bell_b)
         rho = DensityOperator(mixed, (2, 2))
-        gens = global_generators(net)
-        fim, slds = qfim_mixed(rho, gens, net.partition), sld_operators(rho, gens)
+        gens = dense_generators(net)
+        fim, slds = qfim_mixed(rho, net), sld_operators(rho, net)
         # The defining equation still holds: a unitary family never moves
         # weight into the kernel, so the residual vanishes everywhere.
         for g, sld in zip(gens, slds):
@@ -180,7 +191,7 @@ def _max_rel_dev(got: np.ndarray, want: np.ndarray) -> float:
 
 class TestLocalGenerators:
     """A network's generators are contracted on their own sensor's axis; the
-    dense ``global_generators`` form is the oracle."""
+    dense textbook formulas of ``conftest`` are the oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -196,20 +207,47 @@ class TestLocalGenerators:
             net = doubled(net)
         elif shape == "collective":
             net = with_collective_ancilla(net)
-        gens = global_generators(net)
         dim = net.total_dim
         psi = haar_state(dim, net.dims, rng)
         fim = qfim_pure(psi, net)
         assert fim.partition == net.partition
-        assert _max_rel_dev(fim.matrix, qfim_pure(psi, gens, net.partition).matrix) <= 1e-12
+        assert _max_rel_dev(fim.matrix, oracle_qfim_pure(psi, net)) <= 1e-12
         rank = dim if full_rank else int(rng.integers(1, dim)) if dim > 1 else 1
         g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
         fim = qfim_mixed(rho, net)
         assert fim.partition == net.partition
-        assert _max_rel_dev(fim.matrix, qfim_mixed(rho, gens, net.partition).matrix) <= 1e-12
+        assert _max_rel_dev(fim.matrix, oracle_qfim_mixed(rho, net)) <= 1e-12
+        gens = global_generators(net)
         for local, dense in zip(sld_operators(rho, net), sld_operators(rho, gens)):
             assert _max_rel_dev(local, dense) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layouts.filter(lambda dims: prod(dims) <= LSTSQ_MAX_DIM),
+        st.sampled_from(["plain", "doubled", "collective"]),
+        st.booleans(),
+        seeds,
+    )
+    def test_sld_operators_match_least_squares_oracle(self, dims, shape, full_rank, seed):
+        # The doubled and collective shapes square D, so they are drawn only
+        # on layouts that stay within the least-squares oracle's reach.
+        assume(shape == "plain" or prod(dims) ** 2 <= LSTSQ_MAX_DIM)
+        rng = np.random.default_rng(seed)
+        net = random_network(dims, rng)
+        if shape == "doubled":
+            net = doubled(net)
+        elif shape == "collective":
+            net = with_collective_ancilla(net)
+        dim = net.total_dim
+        rank = dim if full_rank else int(rng.integers(1, dim)) if dim > 1 else 1
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
+        slds = sld_operators(rho, net)
+        want = oracle_slds(rho, net)
+        assert len(slds) == len(want) == net.n_params
+        for got, expected in zip(slds, want):
+            assert _max_rel_dev(got, expected) <= 1e-10
 
     def test_mixed_matches_sld_trace_form(self):
         # F_kl = Re Tr[rho L_k L_l] over the operators sld_operators returns.
@@ -250,18 +288,6 @@ class TestLocalGenerators:
             qfim_mixed(_plus_state().density(), [np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
-def _full_square_sld_qfim(rho: DensityOperator, gens) -> np.ndarray:
-    """``sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) Re(h_k,ij conj h_l,ij)`` over
-    every pair clearing the rank cutoff, with dense generators."""
-    p, v = np.linalg.eigh(rho.matrix)
-    cutoff = max(config.RANK_TOL_FACTOR * p[-1], config.RANK_TOL_FLOOR)
-    denom = p[:, None] + p[None, :]
-    live = denom > cutoff
-    weight = np.where(live, 2.0 * (p[:, None] - p[None, :]) ** 2 / np.where(live, denom, 1.0), 0.0)
-    h = [v.conj().T @ g @ v for g in gens]
-    return np.array([[np.sum(weight * np.real(a * b.conj())) for b in h] for a in h])
-
-
 class TestMixedColumnBlocks:
     """``qfim_mixed`` sums the strict upper triangle in blocks of eigenbasis
     columns; a block width that does not divide D runs several blocks and a
@@ -282,10 +308,8 @@ class TestMixedColumnBlocks:
         rank = dim if full_rank else dim // 3
         g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
-        gens = global_generators(net)
         fim = qfim_mixed(rho, net)
-        assert _max_rel_dev(fim.matrix, qfim_mixed(rho, gens, net.partition).matrix) <= 1e-12
-        assert _max_rel_dev(fim.matrix, _full_square_sld_qfim(rho, gens)) <= 1e-12
+        assert _max_rel_dev(fim.matrix, full_square_sld_qfim(rho, net)) <= 1e-12
 
     def test_scratch_stays_below_bound(self):
         # 8 qubits with sigma_z/2 and sigma_x/2 each: D = 256, 16 parameters.
@@ -404,7 +428,6 @@ class TestOrthogonalCompletion:
 class TestBlockInverse:
     def test_hand_case(self):
         fim = QFIM(np.array([[2.0, 1.0], [1.0, 2.0]]), ((0,), (1,)))
-        assert_allclose(inverse_block(fim, 0), [[2.0 / 3.0]], atol=1e-12)
         residuals = block_inverse_residuals(fim)
         assert_allclose(residuals, [1.0 / 6.0, 1.0 / 6.0], atol=1e-12)
 
@@ -415,7 +438,6 @@ class TestBlockInverse:
         fim = QFIM(mat, ((0, 1), (2, 3)))
         residuals = block_inverse_residuals(fim)
         assert np.max(np.abs(residuals)) <= 1e-12
-        assert_allclose(inverse_block(fim, 0), np.linalg.inv(fim.block(0)), atol=1e-12)
 
     def test_random_spd_nonnegative(self):
         for t in range(50):
@@ -429,13 +451,6 @@ class TestBlockInverse:
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         with pytest.raises(np.linalg.LinAlgError):
             block_inverse_residuals(QFIM(np.outer(v, v), ((0,), (1,))))
-
-    def test_singular_inverse_block_warns_and_restricts(self):
-        v = np.array([1.0, 1.0]) / np.sqrt(2)
-        fim = QFIM(2.0 * np.outer(v, v), ((0,), (1,)))
-        with pytest.warns(RuntimeWarning, match="support"):
-            block = inverse_block(fim, 0)
-        assert block[0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestQfimType:
@@ -498,8 +513,8 @@ class TestCfim:
         local = _sigma_y_effects()
         effects = [np.kron(a, b) for a in local for b in local]
         out = cfim(effects, net, plus2)
-        fim = qfim_pure(plus2, global_generators(net), net.partition)
-        assert_allclose(np.diag(out), np.diag(fim.matrix), atol=1e-5)
+        fim = oracle_qfim_pure(plus2, net)
+        assert_allclose(np.diag(out), np.diag(fim), atol=1e-5)
 
     def test_never_exceeds_quantum_information(self):
         rng = np.random.default_rng(63)
@@ -508,8 +523,8 @@ class TestCfim:
             psi = haar_state(4, (2, 2), rng)
             effects = _random_povm(4, 5, rng)
             classical = cfim(effects, net, psi)
-            quantum = qfim_pure(psi, global_generators(net), net.partition)
-            gap = np.linalg.eigvalsh(quantum.matrix - classical)[0]
+            quantum = oracle_qfim_pure(psi, net)
+            gap = np.linalg.eigvalsh(quantum - classical)[0]
             assert gap >= -1e-6
 
     def test_skipped_outcomes_are_reported(self):

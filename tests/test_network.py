@@ -1,4 +1,4 @@
-"""Network model: partition bookkeeping, validation, encoding, resources,
+"""Network model: partition bookkeeping, generators, encoding, resources,
 doubling, strict JSON ingestion."""
 
 import numpy as np
@@ -17,7 +17,6 @@ from qsnet import (
     network_from_json,
     network_to_json,
     resource_count,
-    validate,
     with_collective_ancilla,
 )
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
@@ -64,36 +63,6 @@ class TestStructure:
             SensorNetwork((ancilla,))
 
 
-class TestValidate:
-    def test_two_qubit_z_all_commuting(self):
-        diag = validate(two_qubit_z_network())
-        assert diag.all_commuting
-        assert diag.resource_conserved
-
-    def test_single_sensor_non_commuting(self):
-        sensor = SensorSpec(2, (SIGMA_X / 2, SIGMA_Z / 2), identity(2))
-        diag = validate(SensorNetwork((sensor,)))
-        assert not diag.all_commuting
-        assert diag.commutator_tables[0][0, 1] > 0.1
-
-    def test_number_operators_commute(self):
-        # d truncated modes with number operators: explicit commutators.
-        mode = SensorSpec(4, (_number_op(4),), _number_op(4))
-        net = SensorNetwork((mode,) * 3)
-        diag = validate(net)
-        assert diag.all_commuting
-        gens = global_generators(net)
-        for a in gens:
-            for b in gens:
-                assert np.max(np.abs(commutator(a, b))) <= 1e-12
-
-    def test_non_conserving_resource_reported(self):
-        sensor = SensorSpec(2, (SIGMA_Z / 2,), SIGMA_X)
-        diag = validate(SensorNetwork((sensor, sensor)))
-        assert not diag.resource_conserved
-        assert diag.all_commuting
-
-
 class TestGlobalGenerators:
     def test_embeddings(self):
         net = two_qubit_z_network()
@@ -113,6 +82,14 @@ class TestGlobalGenerators:
         # Same-sensor generators need not commute; cross-sensor ones must.
         assert np.max(np.abs(commutator(gens[0], gens[2]))) <= 1e-12
         assert np.max(np.abs(commutator(gens[1], gens[2]))) <= 1e-12
+
+    def test_number_operators_commute(self):
+        # d truncated modes with number operators: explicit commutators.
+        mode = SensorSpec(4, (_number_op(4),), _number_op(4))
+        gens = global_generators(SensorNetwork((mode,) * 3))
+        for a in gens:
+            for b in gens:
+                assert np.max(np.abs(commutator(a, b))) <= 1e-12
 
 
 class TestEncode:

@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import oracle_qfim_pure
 from qsnet import (
+    QFIM,
     ScenarioConfig,
     SensorNetwork,
     SensorSpec,
     audit_block_inverse,
     audit_local_purification,
     audit_separable_surrogate,
-    global_generators,
     gradient_scenario,
     local_purification_probe,
     optical_phase_scenario,
     purify,
     qcrb,
     qfim_mixed,
-    qfim_pure,
     qubit_ensemble_family,
     truncated_mode_family,
     with_collective_ancilla,
@@ -58,8 +58,8 @@ class TestSensorFamilies:
         for fam in (full, symmetric):
             state = extremal_superposition(fam, n)
             net = SensorNetwork((fam.sensor_for(n),))
-            fim = qfim_pure(state, global_generators(net), net.partition)
-            values.append((fim.matrix[0, 0], resource_count(net, state)))
+            fim = oracle_qfim_pure(state, net)
+            values.append((fim[0, 0], resource_count(net, state)))
         assert values[0][0] == pytest.approx(values[1][0], abs=1e-9)   # QFI n^2
         assert values[0][1] == pytest.approx(values[1][1], abs=1e-9)   # n atoms
         assert values[0][0] == pytest.approx(16.0, abs=1e-9)
@@ -197,12 +197,12 @@ class TestLocalPurificationAudit:
         rho_b = random_density(2, (2,), rng)
         rho = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix), (2, 2))
         anet = with_collective_ancilla(net)
-        fim_global = qfim_pure(purify(rho), global_generators(anet), anet.partition)
+        fim_global = QFIM(oracle_qfim_pure(purify(rho), anet), anet.partition)
         from qsnet import doubled
 
         dnet = doubled(net)
         probe = local_purification_probe(rho, net)
-        fim_local = qfim_pure(probe, global_generators(dnet), dnet.partition)
+        fim_local = QFIM(oracle_qfim_pure(probe, dnet), dnet.partition)
         weights = np.array([0.7, 0.2, 1.3])
         bound_global = qcrb(fim_global, weights, 1).bound
         bound_local = qcrb(fim_local, weights, 1).bound
@@ -211,7 +211,7 @@ class TestLocalPurificationAudit:
     def test_maximally_mixed_probe_is_blind_and_would_regenerate(self):
         net = _noncommuting_network()
         rho = DensityOperator(identity(4) / 4, (2, 2))
-        fim = qfim_mixed(rho, global_generators(net), net.partition)
+        fim = qfim_mixed(rho, net)
         assert np.max(np.abs(fim.matrix)) <= 1e-12
         report = qcrb(fim, np.ones(3), 1)
         assert report.singular and report.support_dim == 0 and report.bound == np.inf

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, layouts, seeds, two_qubit_z_network
+from conftest import bell_state, layouts, oracle_qfim_pure, seeds, two_qubit_z_network
 from qsnet import (
+    QFIM,
     LinearFunctional,
     SensorNetwork,
     SensorSpec,
@@ -18,7 +19,6 @@ from qsnet import (
     extremal_superposition,
     ghz_bound,
     ghz_probe,
-    global_generators,
     joint_eigenbasis,
     local_purification_probe,
     optimal_separable_probe,
@@ -115,11 +115,10 @@ class TestSeparableSurrogate:
         psi = PureState(bell_state(), (2, 2))
         surrogate = separable_surrogate(psi, net)
         assert_allclose(surrogate.amplitudes, np.full(4, 0.5), atol=1e-12)
-        gens = global_generators(net)
-        fim = qfim_pure(psi, gens, net.partition)
-        fim_s = qfim_pure(surrogate, gens, net.partition)
-        assert_allclose(fim.matrix, np.ones((2, 2)), atol=1e-12)
-        assert_allclose(fim_s.matrix, identity(2).real, atol=1e-12)
+        fim = oracle_qfim_pure(psi, net)
+        fim_s = oracle_qfim_pure(surrogate, net)
+        assert_allclose(fim, np.ones((2, 2)), atol=1e-12)
+        assert_allclose(fim_s, identity(2).real, atol=1e-12)
 
     def test_eigenbasis_diagonal_product_fixed_point(self):
         net = two_qubit_z_network()
@@ -156,9 +155,8 @@ class TestSeparableSurrogate:
         net = SensorNetwork((s1, s2))
         psi = haar_state(6, (3, 2), rng)
         surrogate = separable_surrogate(psi, net)
-        gens = global_generators(net)
-        fim = qfim_pure(psi, gens, net.partition)
-        fim_s = qfim_pure(surrogate, gens, net.partition)
+        fim = QFIM(oracle_qfim_pure(psi, net), net.partition)
+        fim_s = QFIM(oracle_qfim_pure(surrogate, net), net.partition)
         for k in range(fim.n_blocks):
             assert np.max(np.abs(fim.block(k) - fim_s.block(k))) <= 1e-9
 
@@ -182,14 +180,13 @@ class TestSeparableSurrogate:
         s3 = SensorSpec(3, ((g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2), identity(3))
         qubit = SensorSpec(2, (SIGMA_Z / 2,), identity(2))
         net = SensorNetwork((s3, qubit, qubit))
-        gens = global_generators(net)
         for _ in range(5):
             psi = haar_state(net.total_dim, net.dims, rng)
-            fim = qfim_pure(psi, gens, net.partition)
+            fim = QFIM(oracle_qfim_pure(psi, net), net.partition)
             if np.linalg.eigvalsh(fim.matrix)[0] < 1e-2:
                 continue
             surrogate = separable_surrogate(psi, net)
-            fim_s = qfim_pure(surrogate, gens, net.partition)
+            fim_s = QFIM(oracle_qfim_pure(surrogate, net), net.partition)
             for _ in range(3):
                 weights = rng.uniform(0.0, 1.0, net.n_params)
                 bound = qcrb(fim, weights, 1).bound
@@ -263,8 +260,8 @@ class TestLocalPurificationProbe:
         from qsnet import with_collective_ancilla
 
         anet = with_collective_ancilla(net)
-        fim_global = qfim_pure(anc, global_generators(anet), anet.partition)
-        fim_local = qfim_pure(probe, global_generators(dnet), dnet.partition)
+        fim_global = QFIM(oracle_qfim_pure(anc, anet), anet.partition)
+        fim_local = QFIM(oracle_qfim_pure(probe, dnet), dnet.partition)
         for k in range(fim_global.n_blocks):
             assert np.max(np.abs(fim_global.block(k) - fim_local.block(k))) <= 1e-9
 
@@ -284,16 +281,16 @@ class TestExtremalSuperposition:
         state = extremal_superposition(fam, 1)
         assert_allclose(np.abs(state.amplitudes), np.full(2, 1 / np.sqrt(2)), atol=1e-12)
         net = SensorNetwork((fam.sensor_for(1),))
-        fim = qfim_pure(state, global_generators(net), net.partition)
-        assert fim.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        fim = oracle_qfim_pure(state, net)
+        assert fim[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_collective_spin_ghz_information(self):
         fam = qubit_ensemble_family()
         for n in (2, 3):
             state = extremal_superposition(fam, n)
             net = SensorNetwork((fam.sensor_for(n),))
-            fim = qfim_pure(state, global_generators(net), net.partition)
-            assert fim.matrix[0, 0] == pytest.approx(float(n * n), abs=1e-10)
+            fim = oracle_qfim_pure(state, net)
+            assert fim[0, 0] == pytest.approx(float(n * n), abs=1e-10)
 
     def test_kappa_recovery(self):
         for fam in (qubit_ensemble_family(), truncated_mode_family()):
@@ -334,16 +331,16 @@ class TestGhzProbe:
         for d in (2, 3):
             v = np.ones(d) / np.sqrt(d)
             state, net = ghz_probe(v, d, fam)
-            fim = qfim_pure(state, global_generators(net), net.partition)
+            fim = oracle_qfim_pure(state, net)
             expected = fam.kappa**2 * d**2 * np.outer(v, v) / pnorm(v, 1.0) ** 2
-            assert np.max(np.abs(fim.matrix - expected)) <= 1e-9
+            assert np.max(np.abs(fim - expected)) <= 1e-9
 
     def test_rank_one_with_direction_v(self):
         fam = qubit_ensemble_family()
         v = np.array([3.0, 4.0]) / 5.0
         state, net = ghz_probe(v, 7, fam)  # tilde v = 7 * (3, 4) / 7 = (3, 4)
-        fim = qfim_pure(state, global_generators(net), net.partition)
-        w, vecs = np.linalg.eigh(fim.matrix)
+        fim = oracle_qfim_pure(state, net)
+        w, vecs = np.linalg.eigh(fim)
         assert w[-2] <= 1e-9
         top = vecs[:, -1]
         assert abs(abs(np.dot(top, v)) - 1.0) <= 1e-9
@@ -353,8 +350,8 @@ class TestGhzProbe:
         v = np.array([1.0, 0.0])
         state, net = ghz_probe(v, 3, fam)
         assert net.dims == (8, 1)
-        fim = qfim_pure(state, global_generators(net), net.partition)
-        assert_allclose(fim.matrix, np.diag([9.0, 0.0]), atol=1e-10)
+        fim = oracle_qfim_pure(state, net)
+        assert_allclose(fim, np.diag([9.0, 0.0]), atol=1e-10)
 
     def test_non_integral_allocation_rejected(self):
         fam = qubit_ensemble_family()
@@ -396,7 +393,7 @@ class TestOptimalSeparableProbe:
         fam = qubit_ensemble_family()
         v = np.ones(2) / np.sqrt(2)
         state, net, _ = optimal_separable_probe(v, 4, fam)
-        fim = qfim_pure(state, global_generators(net), net.partition)
+        fim = QFIM(oracle_qfim_pure(state, net), net.partition)
         rotated = rotate_qfim(fim, orthogonal_completion(v))
         achieved = qcrb(rotated, [1.0, 0.0], 1).bound
         analytic = separable_bound(LinearFunctional(v, fam.kappa, 4, 1))
