@@ -305,9 +305,10 @@ def _check_weights(weights, d: int) -> np.ndarray:
 class BoundReport:
     """Scalar Cramer-Rao bound for one (information matrix, weights, mu).
 
-    For a singular matrix the bound covers only the parameters inside the
-    support; ``undetermined`` lists the parameter indices left out, whose
-    ``diag_inverse`` entries are ``inf``.
+    For a singular matrix ``undetermined`` lists the parameter indices
+    outside the support, whose ``diag_inverse`` entries are ``inf``. The
+    bound is ``inf`` if any of them carries a positive weight; otherwise it
+    sums the determined parameters.
     """
 
     bound: float
@@ -334,7 +335,10 @@ def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     proj_defect = np.sqrt(np.clip(1.0 - np.sum(np.abs(vs) ** 2, axis=1), 0.0, None))
     inside = proj_defect <= 1e-9 if singular else np.ones(fim.d, dtype=bool)
     diag = np.where(inside, np.real(np.diag(inv_supp)), np.inf)
-    bound = float(np.sum(w_diag[inside] * diag[inside]) / mu)
+    if np.any(w_diag[~inside] > 0.0):
+        bound = np.inf
+    else:
+        bound = float(np.sum(w_diag[inside] * diag[inside]) / mu)
     undetermined = tuple(int(k) for k in np.nonzero(~inside)[0])
     return BoundReport(bound, tuple(float(x) for x in diag), singular, support_dim, undetermined)
 

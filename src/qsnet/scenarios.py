@@ -66,10 +66,6 @@ __all__ = [
 # bound tolerances lose meaning once the inverse blows up.
 _COND_GUARD = 1e-2
 
-# Per-sensor qubit count above which collective-spin probes switch from the
-# full 2**n product space to the (n+1)-dimensional symmetric sector.
-_FULL_REP_MAX = 8
-
 # Smallest admissible value of each integer field of ScenarioConfig.
 _INT_MINIMUM = dict(seed=0, trials=1, n_particles=0, n_modes=1, mode_cutoff=0, mu=1, max_matrix_dim=2)
 
@@ -184,29 +180,23 @@ def _finish(name, cfg, violation, structure, regenerated, records) -> AuditResul
 # --- sensor families ---------------------------------------------------------
 
 
-def qubit_ensemble_family(full_rep_max: int = _FULL_REP_MAX) -> SensorFamily:
-    """Collective-spin sensors of ``n`` qubits.
+def qubit_ensemble_family() -> SensorFamily:
+    """Collective-spin sensors of ``n`` qubits in their symmetric sector.
 
-    The single generator is ``J_z = (1/2) sum_j sigma_z_j`` (spectral width
-    ``n``, so ``kappa = 1``); the resource operator counts atoms, ``n``
-    times the identity. Up to ``full_rep_max`` qubits the sensor lives in
-    the full ``2**n`` product space, where ``J_z`` is diagonal with entry
-    ``n/2 - popcount(i)`` on basis state ``i``; above that it uses the
-    ``(n+1)``-dimensional symmetric sector, with entry ``n/2 - m`` on the
-    state of ``m`` flipped qubits, which carries the same ``J_z`` spectrum
-    and all the probes built here.
+    ``sensor_for(n)`` is the ``(n+1)``-dimensional span of the Dicke
+    states, basis state ``m`` holding ``m`` flipped qubits. The generator
+    ``J_z = (1/2) sum_j sigma_z_j`` restricted there is ``diag(n/2 - m)``
+    (spectral width ``n``, so ``kappa = 1``); the resource operator counts
+    atoms, ``n`` times the identity. The sector is invariant under ``J_z``
+    and holds both of its extremal eigenvectors, so every probe built here
+    has the same Fisher information as in the full ``2**n`` space.
     """
 
     def build(n: int) -> SensorSpec:
         n = check_int(n, "particle count", 0)
-        full = n <= full_rep_max
-        dim = 2**n if full else n + 1
-        check_dim(dim)
-        flipped = np.arange(dim)
-        if full:
-            flipped = ((flipped[:, None] >> np.arange(n)) & 1).sum(axis=1)
-        jz = np.diag(n / 2.0 - flipped).astype(complex)
-        return SensorSpec(dim, (jz,), float(n) * identity(dim))
+        check_dim(n + 1)
+        jz = np.diag(n / 2.0 - np.arange(n + 1)).astype(complex)
+        return SensorSpec(n + 1, (jz,), float(n) * identity(n + 1))
 
     return SensorFamily(kappa=1.0, sensor_for=build)
 

@@ -11,8 +11,7 @@ functional, and the integer-allocation optimal separable probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, prod
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -256,96 +255,37 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, Sen
     return PureState(branch, net.dims), net
 
 
-def _allocation_cost(v: np.ndarray, w: np.ndarray) -> float:
-    """Variance objective sum_k (v_k / w_k)^2 over weighted sensors."""
-    cost = 0.0
-    for vk, wk in zip(v, w):
-        if vk <= 0.0:
-            continue
-        if wk == 0:
-            return np.inf
-        cost += (vk / wk) ** 2
-    return cost
-
-
-def _compositions(total: int, parts: int):
-    for cuts in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        w = []
-        for c in cuts:
-            w.append(c - prev - 1)
-            prev = c
-        w.append(total + parts - 2 - prev)
-        yield np.array(w, dtype=int)
-
-
-def _greedy_allocation(v: np.ndarray, total: int) -> np.ndarray:
-    frac = v ** (2.0 / 3.0)
-    frac = frac / np.sum(frac)
-    w = np.floor(total * frac).astype(int)
-    while int(w.sum()) < total:
-        best_k, best_gain = 0, -np.inf
-        for k in range(v.size):
-            if v[k] <= 0.0:
-                continue
-            trial = w.copy()
-            trial[k] += 1
-            gain = _allocation_cost(v, w) - _allocation_cost(v, trial)
-            if gain > best_gain:
-                best_k, best_gain = k, gain
-        w[best_k] += 1
-    # Pairwise transfers until no single-particle move improves the cost.
-    improved = True
-    while improved:
-        improved = False
-        base = _allocation_cost(v, w)
-        for src in range(v.size):
-            if w[src] == 0:
-                continue
-            for dst in range(v.size):
-                if dst == src:
-                    continue
-                trial = w.copy()
-                trial[src] -= 1
-                trial[dst] += 1
-                if _allocation_cost(v, trial) < base - 1e-15:
-                    w = trial
-                    base = _allocation_cost(v, w)
-                    improved = True
-    return w
-
-
 def optimal_separable_probe(
     v,
     n_particles: int,
     family: SensorFamily,
-    exhaustive_limit: int = 10**6,
 ) -> tuple[PureState, SensorNetwork, np.ndarray]:
     """Best product of extremal superpositions for estimating ``v . phi``.
 
     Minimizes ``sum_k v_k^2 / w_k^2`` over integer allocations with
-    ``sum w_k = N``: exhaustively when the composition count stays within
-    ``exhaustive_limit``, otherwise greedy rounding of the continuous
-    optimum followed by single-particle transfers. Sensors with ``w_k = 0``
-    contribute trivial factors.
+    ``sum w_k = N``. Every sensor with ``v_k > 0`` gets one particle; each
+    remaining particle goes to the sensor whose cost drops most,
+    ``v_k^2 / w_k^2 - v_k^2 / (w_k + 1)^2``. The cost is separable and
+    convex in each ``w_k``, so this marginal greedy allocation is exact
+    (Fox 1966; Ibaraki & Katoh, Resource Allocation Problems, 1988). Drops
+    within 1e-12 relative of the largest count as tied, and ties go to the
+    highest index, which returns the lexicographically first minimizer.
+    Sensors with ``v_k = 0`` get no particles and contribute trivial
+    factors.
     """
     vec = unit_direction(v)
     n_particles = config.check_int(n_particles, "particle budget")
-    d = vec.size
-    if n_particles < int(np.count_nonzero(vec > 0.0)):
+    w = (vec > 0.0).astype(int)
+    if n_particles < int(w.sum()):
         raise ValueError("budget too small: some weighted sensor would get no particles")
-    if comb(n_particles + d - 1, d - 1) <= exhaustive_limit:
-        best_w, best_cost = None, np.inf
-        for w in _compositions(n_particles, d):
-            cost = _allocation_cost(vec, w)
-            if cost < best_cost - 1e-15:
-                best_w, best_cost = w, cost
-    else:
-        best_w = _greedy_allocation(vec, n_particles)
-    sensors = [family.sensor_for(int(c)) for c in best_w]
+    sq = vec**2
+    for _ in range(n_particles - int(w.sum())):
+        drop = np.where(w > 0, sq / np.maximum(w, 1) ** 2 - sq / (w + 1) ** 2, -np.inf)
+        w[np.nonzero(drop >= drop.max() * (1.0 - 1e-12))[0][-1]] += 1
+    sensors = [family.sensor_for(int(c)) for c in w]
     net = SensorNetwork(tuple(sensors))
-    factors = [extremal_superposition(family, int(c)).amplitudes for c in best_w]
-    return PureState(kron_all(factors), net.dims), net, best_w
+    factors = [extremal_superposition(family, int(c)).amplitudes for c in w]
+    return PureState(kron_all(factors), net.dims), net, w
 
 
 def product_defect(psi: PureState, groups=None) -> float:

@@ -117,6 +117,14 @@ class TestScenario:
         assert float(row["ratio"]) == pytest.approx(2.0, abs=1e-9)
         assert "ratio=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_gradient_past_eight_qubits_per_site(self, tmp_path, n):
+        # Each site holds n/2 qubits in the (n/2 + 1)-dimensional symmetric sector.
+        assert main(["scenario", "gradient", "--N", str(n), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "scenario_gradient.json").read_text())
+        assert doc["passed"] is True
+        assert doc["ratio"] == pytest.approx(2.0, abs=1e-9)
+
     def test_gradient_odd_budget_is_config_error(self, tmp_path):
         assert main(["scenario", "gradient", "--N", "3", "--out", str(tmp_path)]) == 2
 

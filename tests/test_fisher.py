@@ -346,6 +346,13 @@ class TestQcrb:
         assert rep.support_dim == 1
         # Neither bare parameter lies inside the rank-one support.
         assert rep.undetermined == (0, 1)
+        assert rep.bound == np.inf
+
+    @pytest.mark.parametrize("weights, bound", [([0.0, 1.0], np.inf), ([1.0, 1.0], np.inf), ([1.0, 0.0], 0.5)])
+    def test_weight_outside_support_makes_bound_infinite(self, weights, bound):
+        rep = qcrb(QFIM(np.diag([2.0, 0.0])), weights, 1)
+        assert rep.singular and rep.undetermined == (1,)
+        assert rep.bound == bound
 
     def test_zero_matrix_fully_undetermined(self):
         rep = qcrb(QFIM(np.zeros((2, 2))), [1.0, 1.0], 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import oracle_qfim_pure
+from conftest import dense_generators, oracle_qfim_pure
 from qsnet import (
     QFIM,
     ScenarioConfig,
@@ -27,18 +27,35 @@ from qsnet import (
     with_collective_ancilla,
 )
 from qsnet.exceptions import DimensionLimitError, FormatError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, embed_local, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
 from qsnet.reporting import dumps
 from qsnet.sampling import haar_state, haar_unitary, random_density, trial_rng
+
+
+def _dicke_isometry(n: int) -> np.ndarray:
+    """``2**n x (n+1)`` matrix whose column ``m`` is the normalized Dicke
+    state with ``m`` qubits flipped (bit 1, the ``-1`` eigenvector of
+    ``sigma_z``)."""
+    flipped = np.array([bin(i).count("1") for i in range(2**n)])
+    s = (flipped[:, None] == np.arange(n + 1)).astype(float)
+    return s / np.sqrt(s.sum(axis=0))
+
+
+def _full_qubit_sensor(n: int) -> SensorSpec:
+    """``n`` qubits on the full ``2**n`` space: ``(1/2) sum_j sigma_z_j``
+    summed from ``np.kron`` embeddings, resource ``n`` times the identity."""
+    qubit = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
+    jz = sum(dense_generators(SensorNetwork((qubit,) * n)))
+    return SensorSpec(2**n, (jz,), float(n) * np.eye(2**n))
 
 
 class TestSensorFamilies:
     def test_qubit_ensemble_shapes(self):
         fam = qubit_ensemble_family()
         s2 = fam.sensor_for(2)
-        assert s2.dim == 4
-        assert_allclose(np.sort(np.linalg.eigvalsh(np.asarray(s2.generators[0]))), [-1, 0, 0, 1], atol=1e-12)
-        assert_allclose(s2.resource_op, 2.0 * identity(4), atol=0)
+        assert s2.dim == 3
+        assert_allclose(np.sort(np.linalg.eigvalsh(np.asarray(s2.generators[0]))), [-1, 0, 1], atol=1e-12)
+        assert_allclose(s2.resource_op, 2.0 * identity(3), atol=0)
 
     def test_mode_family_shapes(self):
         fam = truncated_mode_family()
@@ -47,17 +64,19 @@ class TestSensorFamilies:
         assert_allclose(s3.generators[0], np.diag([0.0, 1.0, 2.0, 3.0]), atol=0)
 
     def test_representation_equivalence_at_four_qubits(self):
-        # The full 2^n product space and the symmetric sector must agree on
-        # everything the toolkit extracts from extremal probes.
+        # The symmetric sector must agree with the full 2^n product space on
+        # everything the toolkit extracts from extremal probes; the sector
+        # probe is carried into the full space by the Dicke isometry.
         from qsnet import extremal_superposition, resource_count
 
-        full = qubit_ensemble_family(full_rep_max=8)
-        symmetric = qubit_ensemble_family(full_rep_max=0)
         n = 4
+        fam = qubit_ensemble_family()
+        sector_state = extremal_superposition(fam, n)
+        sector_net = SensorNetwork((fam.sensor_for(n),))
+        full_net = SensorNetwork((_full_qubit_sensor(n),))
+        full_state = PureState(_dicke_isometry(n) @ sector_state.amplitudes, full_net.dims)
         values = []
-        for fam in (full, symmetric):
-            state = extremal_superposition(fam, n)
-            net = SensorNetwork((fam.sensor_for(n),))
+        for state, net in ((full_state, full_net), (sector_state, sector_net)):
             fim = oracle_qfim_pure(state, net)
             values.append((fim[0, 0], resource_count(net, state)))
         assert values[0][0] == pytest.approx(values[1][0], abs=1e-9)   # QFI n^2
@@ -79,9 +98,14 @@ class TestSensorFamilies:
 class TestQubitEnsembleGenerator:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_embedded_sum(self, n):
-        jz = qubit_ensemble_family().sensor_for(n).generators[0]
-        oracle = sum(embed_local(SIGMA_Z / 2, j, (2,) * n) for j in range(n))
-        assert np.array_equal(jz, oracle)
+        # Dicke-isometry oracle: S^dag (sum_j sigma_z_j / 2) S is the sector
+        # J_z, and S^dag (n I) S = n I.
+        sensor = qubit_ensemble_family().sensor_for(n)
+        full = _full_qubit_sensor(n)
+        s = _dicke_isometry(n)
+        assert_allclose(s.T @ full.generators[0] @ s, sensor.generators[0], atol=1e-12)
+        assert_allclose(s.T @ full.resource_op @ s, sensor.resource_op, atol=1e-12)
+        assert_allclose(sensor.resource_op, n * identity(n + 1), atol=0)
 
     def test_builds_without_embedding(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -90,7 +114,7 @@ class TestQubitEnsembleGenerator:
         for name, module in list(sys.modules.items()):
             if name.startswith("qsnet") and hasattr(module, "embed_local"):
                 monkeypatch.setattr(module, "embed_local", forbidden)
-        assert qubit_ensemble_family().sensor_for(8).dim == 256
+        assert qubit_ensemble_family().sensor_for(8).dim == 9
 
 
 class TestConfig:

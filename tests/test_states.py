@@ -5,7 +5,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -349,7 +349,7 @@ class TestGhzProbe:
         fam = qubit_ensemble_family()
         v = np.array([1.0, 0.0])
         state, net = ghz_probe(v, 3, fam)
-        assert net.dims == (8, 1)
+        assert net.dims == (4, 1)
         fim = oracle_qfim_pure(state, net)
         assert_allclose(fim, np.diag([9.0, 0.0]), atol=1e-10)
 
@@ -364,6 +364,30 @@ class TestGhzProbe:
         v = np.ones(2) / np.sqrt(2)
         state, net = ghz_probe(v, 4, fam)
         assert resource_count(net, state) == pytest.approx(4.0, abs=1e-12)
+
+
+def _variance_cost(v, w) -> float:
+    return sum((vk / wk) ** 2 if wk else np.inf for vk, wk in zip(v, w) if vk > 0.0)
+
+
+def _splits(total: int, parts: int):
+    """All ``parts``-tuples of nonnegative integers summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _splits(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _first_minimizer(v, total: int) -> np.ndarray:
+    """Lexicographically first allocation minimizing ``sum v_k^2 / w_k^2``,
+    by enumeration; costs within 1e-12 relative count as tied."""
+    candidates = list(_splits(total, len(v)))
+    costs = np.array([_variance_cost(v, w) for w in candidates])
+    first = int(np.nonzero(costs <= costs.min() * (1.0 + 1e-12))[0][0])
+    return np.array(candidates[first])
 
 
 class TestOptimalSeparableProbe:
@@ -385,7 +409,7 @@ class TestOptimalSeparableProbe:
         fam = qubit_ensemble_family()
         _, net, allocation = optimal_separable_probe(np.array([1.0, 0.0]), 5, fam)
         assert_allclose(allocation, [5, 0])
-        assert net.dims == (32, 1)
+        assert net.dims == (6, 1)
 
     def test_achieved_bound_matches_analytic_at_integral_optimum(self):
         from qsnet import LinearFunctional, orthogonal_completion, qcrb, rotate_qfim, separable_bound
@@ -406,11 +430,38 @@ class TestOptimalSeparableProbe:
         for _ in range(5):
             raw = rng.uniform(0.1, 1.0, 3)
             v = raw / np.linalg.norm(raw)
-            _, _, w_ex = optimal_separable_probe(v, 6, fam)
-            _, _, w_gr = optimal_separable_probe(v, 6, fam, exhaustive_limit=1)
-            cost_ex = sum((vk / wk) ** 2 for vk, wk in zip(v, w_ex) if vk > 0)
-            cost_gr = sum((vk / wk) ** 2 for vk, wk in zip(v, w_gr) if vk > 0)
-            assert cost_gr == pytest.approx(cost_ex, rel=1e-12)
+            _, _, w = optimal_separable_probe(v, 6, fam)
+            w_ex = _first_minimizer(v, 6)
+            assert _variance_cost(v, w) == pytest.approx(_variance_cost(v, w_ex), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(st.integers(0, 3).map(float), st.floats(0.05, 1.0)), min_size=1, max_size=6
+        ),
+        extra=st.integers(0, 12),
+    )
+    @example(entries=[1.0, 0.9999999999999999], extra=1)  # a tie up to one ulp
+    def test_matches_lexicographically_first_minimizer(self, entries, extra):
+        # Zeros and ties are frequent among the integer entries; the tie rule
+        # must pick the same allocation as the brute-force enumeration.
+        raw = np.array(entries)
+        assume(np.any(raw > 0.0))
+        v = raw / np.linalg.norm(raw)
+        n = min(12, int(np.count_nonzero(v > 0.0)) + extra)
+        _, net, w = optimal_separable_probe(v, n, qubit_ensemble_family())
+        assert np.array_equal(w, _first_minimizer(v, n))
+        assert net.dims == tuple(int(c) + 1 for c in w)
+
+    def test_twelve_weighted_sensors_each_get_one(self):
+        # Twelve particles over twelve weighted sensors leave no choice.
+        rng = np.random.default_rng(3)
+        v = rng.uniform(0.2, 1.0, 12)
+        v /= np.linalg.norm(v)
+        state, net, w = optimal_separable_probe(v, 12, qubit_ensemble_family())
+        assert_allclose(w, np.ones(12))
+        variance = qcrb(rotate_qfim(qfim_pure(state, net), orthogonal_completion(v)), np.eye(12)[0]).bound
+        assert variance == pytest.approx(np.sum(v**2 / w**2), rel=1e-9)
 
     def test_budget_smaller_than_support_rejected(self):
         fam = qubit_ensemble_family()
@@ -442,13 +493,13 @@ class TestProductDefectGroups:
 
 
 class TestPaperComparison:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_separable_and_ghz_probes_reach_their_bounds(self, d):
+    # Ids name d alone where N = 2d.
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 6), (4, 8), (5, 20)], ids=["2", "3", "4", "5-20"])
+    def test_separable_and_ghz_probes_reach_their_bounds(self, d, n):
         # Separable probes reach ||v||_{2/3}^2 / N^2 and the GHZ-like probe
         # ||v||_1^2 / N^2, read off the probes' own Fisher information.
         fam = qubit_ensemble_family()
         v = np.ones(d) / np.sqrt(d)
-        n = 2 * d
         selector = np.zeros(d)
         selector[0] = 1.0
         functional = LinearFunctional(v, fam.kappa, n, 1)
@@ -459,3 +510,8 @@ class TestPaperComparison:
         ghz = qcrb(rotate_qfim(qfim_pure(ghz_state, ghz_net), orthogonal_completion(v)), selector, 1)
         assert ghz.bound == pytest.approx(ghz_bound(functional), abs=1e-9)
         assert sep.bound / ghz.bound == pytest.approx(d, rel=1e-9)
+        # Uniform v: N/d particles per sensor, d^2/N^2 and d/N^2 (0.0625 and
+        # 0.0125 at d = 5, N = 20).
+        assert sep_net.dims == ghz_net.dims == (n // d + 1,) * d
+        assert sep.bound == pytest.approx(d**2 / n**2, rel=1e-9)
+        assert ghz.bound == pytest.approx(d / n**2, rel=1e-9)
