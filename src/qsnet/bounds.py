@@ -53,23 +53,27 @@ def pnorm(v, p: float) -> float:
     return top * float(np.sum((keep / top) ** p)) ** (1.0 / p)
 
 
+def unit_vector(v, name: str) -> np.ndarray:
+    """``v`` flattened as floats; raises unless it is finite with unit
+    2-norm (within 1e-9)."""
+    vec = np.asarray(v, dtype=float).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"{name} must have unit 2-norm, got {norm!r}")
+    return vec
+
+
 def unit_direction(v) -> np.ndarray:
     """Validate a nonnegative, unit 2-norm coefficient vector.
 
     Returns it flattened as floats, with roundoff negatives clipped to 0.
     """
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if vec.size == 0:
-        raise ValueError("empty coefficient vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("coefficient vector contains non-finite entries")
+    vec = unit_vector(v, "coefficient vector")
     if np.any(vec < -1e-12):
         raise ValueError("coefficient vector must be nonnegative")
-    vec = np.clip(vec, 0.0, None)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"coefficient vector must have unit 2-norm, got {norm!r}")
-    return vec
+    return np.clip(vec, 0.0, None)
 
 
 @dataclass(frozen=True)

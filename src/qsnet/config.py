@@ -19,7 +19,6 @@ RANK_TOL_FACTOR = 1e-10   # times the largest eigenvalue: support cutoff
 RANK_TOL_FLOOR = 1e-14    # absolute floor so all-roundoff matrices read as rank 0
 
 # Classical Fisher information from outcome probabilities.
-CFIM_STEP = 1e-5          # central-difference step in parameter space
 CFIM_PROB_FLOOR = 1e-12   # outcomes below this probability are skipped
 
 DEFAULT_MAX_DIM = 4096
@@ -28,7 +27,9 @@ DEFAULT_MAX_DIM = 4096
 def check_int(value, name: str, minimum: int = 1) -> int:
     """``value`` as an ``int``; anything but an integer (numpy integers
     included, booleans not) of at least ``minimum`` raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+    # An exact int skips the Integral check, an ABC lookup that dominates hot callers.
+    plain = type(value) is int
+    if not plain and (isinstance(value, bool) or not isinstance(value, Integral)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
+from .bounds import unit_vector
 from .exceptions import LayoutError
 from .hilbert import DensityOperator, PureState, State, apply_local, require_hermitian
 from .network import SensorNetwork, encode
@@ -41,10 +42,6 @@ __all__ = [
     "block_inverse_residuals",
     "cfim",
 ]
-
-
-def _full_partition(d: int) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(d)),)
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,10 @@ class QFIM:
         lo = float(spectrum[0][0])
         if lo < -1e-9 * scale:
             raise ValueError(f"information matrix has eigenvalue {lo:.3e} < 0")
-        partition = tuple(tuple(int(i) for i in blk) for blk in self.partition)
-        if not partition:
-            partition = _full_partition(mat.shape[0])
+        partition = tuple(
+            tuple(config.check_int(i, "partition index", 0) for i in blk) for blk in self.partition
+        )
+        partition = partition or (tuple(range(mat.shape[0])),)
         flat = [i for blk in partition for i in blk]
         if flat != list(range(mat.shape[0])):
             raise ValueError(f"partition {partition} does not tile 0..{mat.shape[0] - 1}")
@@ -134,8 +132,7 @@ def _local_generators(source, state: State, partition=()):
     if isinstance(source, SensorNetwork):
         if partition:
             raise ValueError("the partition of a network's parameters comes from the network")
-        if state.layout != source.dims:
-            raise LayoutError(f"state layout {state.layout} does not match network {source.dims}")
+        source.require_layout(state)
         gens = [(site, g) for site, s in enumerate(source.sensors) for g in s.generators]
         return source.dims, gens, source.partition
     gens = []
@@ -328,9 +325,6 @@ def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     vs, inv_supp = _support_inverse(fim)
     support_dim = vs.shape[1]
     singular = support_dim < fim.d
-    if support_dim == 0:
-        diag = tuple(np.inf for _ in range(fim.d))
-        return BoundReport(np.inf, diag, True, 0, tuple(range(fim.d)))
     # A parameter direction is determined only if e_k lies in the support.
     proj_defect = np.sqrt(np.clip(1.0 - np.sum(np.abs(vs) ** 2, axis=1), 0.0, None))
     inside = proj_defect <= 1e-9 if singular else np.ones(fim.d, dtype=bool)
@@ -367,16 +361,9 @@ def orthogonal_completion(v) -> np.ndarray:
     index order, skipping nearly dependent candidates; the result is
     deterministic.
     """
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if not np.isfinite(vec).all():
-        raise ValueError("vector v contains non-finite entries")
+    vec = unit_vector(v, "vector v")
     d = vec.size
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
-        raise ValueError("cannot complete the zero vector")
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"first row must be a unit vector, norm {norm!r}")
-    rows = [vec / norm]
+    rows = [vec / np.linalg.norm(vec)]
     for i in range(d):
         if len(rows) == d:
             break
@@ -393,13 +380,6 @@ def orthogonal_completion(v) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _inv_spd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((mat + mat.T) / 2)
-    if float(w[0]) <= 0.0:
-        raise np.linalg.LinAlgError("block is not positive definite")
-    return (v / w) @ v.T
-
-
 def block_inverse_residuals(fim: QFIM) -> np.ndarray:
     """Per-block smallest eigenvalue of ``[F^-1]_[kk] - [F_[kk]]^-1``.
 
@@ -407,15 +387,15 @@ def block_inverse_residuals(fim: QFIM) -> np.ndarray:
     zero exactly when block ``k`` decouples from the rest (its off-diagonal
     blocks vanish). Raises on singular input.
     """
-    eigvals, eigvecs = fim.spectrum
-    if eigvals[0] <= _rank_cutoff(eigvals):
+    support, full_inv = _support_inverse(fim)
+    if support.shape[1] < fim.d:
         raise np.linalg.LinAlgError("information matrix is singular")
-    full_inv = (eigvecs / eigvals) @ eigvecs.T
+    # A block's eigenvalues clear the full matrix's cutoff: its support inverse is exact.
     residuals = np.empty(fim.n_blocks)
     for k in range(fim.n_blocks):
         idx = np.asarray(fim.partition[k])
         outer = full_inv[np.ix_(idx, idx)]
-        inner = _inv_spd(fim.block(k))
+        inner = _support_inverse(QFIM(fim.block(k)))[1]
         diff = outer - inner
         residuals[k] = float(np.linalg.eigvalsh((diff + diff.T) / 2)[0])
     return residuals
@@ -429,13 +409,15 @@ def cfim(
 ) -> np.ndarray:
     """Classical Fisher information matrix of a POVM's outcome statistics.
 
-    Outcome probabilities are ``p(m | phi) = Tr[E_m rho_phi]`` under the
-    network encoding; derivatives use central differences of size
-    ``config.CFIM_STEP`` around ``phi0`` (default: the fiducial point).
+    Outcome probabilities are ``p_m = Tr[E_m rho]`` for the probe encoded at
+    ``phi0`` (default: the fiducial point). Their derivatives are analytic,
+    ``d_k p_m = Tr[E_m (-i)[H_k, rho]]``, with each generator contracted on
+    its own sensor's axis. Away from the fiducial point this holds only if
+    each sensor's generators commute; otherwise
+    :class:`~qsnet.exceptions.NoncommutingGeneratorsError` is raised.
     Outcomes with probability below the configured floor are skipped, with
     a ``RuntimeWarning`` giving their number.
     """
-    d = net.n_params
     dim = net.total_dim
     ops = []
     total = np.zeros((dim, dim), dtype=complex)
@@ -450,24 +432,20 @@ def cfim(
         total += eff
     if float(np.max(np.abs(total - np.eye(dim)))) > 1e-9:
         raise ValueError("POVM effects do not sum to the identity")
-    base = np.zeros(d) if phi0 is None else np.asarray(phi0, dtype=float).reshape(-1)
-    if base.size != d:
-        raise LayoutError(f"expected {d} parameters, got {base.size}")
-
-    def probabilities(phi: np.ndarray) -> np.ndarray:
-        evolved = encode(net, probe, phi)
-        if isinstance(evolved, PureState):
-            amps = evolved.amplitudes
-            return np.array([float(np.real(np.vdot(amps, e @ amps))) for e in ops])
-        return np.array([float(np.real(np.trace(e @ evolved.matrix))) for e in ops])
-
-    step = config.CFIM_STEP
-    p0 = probabilities(base)
-    dp = np.empty((d, len(ops)))
-    for k in range(d):
-        shift = np.zeros(d)
-        shift[k] = step
-        dp[k] = (probabilities(base + shift) - probabilities(base - shift)) / (2.0 * step)
+    phi = np.zeros(net.n_params) if phi0 is None else phi0
+    state = encode(net, probe, phi)
+    if np.any(np.asarray(phi, dtype=float) != 0.0):
+        for sensor in net.sensors:
+            sensor.require_commuting()
+    layout, gens, _ = _local_generators(net, state)
+    rho = (state.density() if isinstance(state, PureState) else state).matrix
+    rows = rho.reshape(layout + (dim,))
+    applied = np.stack([apply_local(h, site, rows).reshape(-1) for site, h in gens])
+    # Tr[E_m X] = <E_m, X> for Hermitian E_m, so p_m = Re <E_m, rho> and
+    # d_k p_m = -i Tr[E_m [H_k, rho]] = 2 Im Tr[E_m H_k rho].
+    effects_conj = np.stack(ops).reshape(len(ops), -1).conj()
+    p0 = np.real(effects_conj @ rho.reshape(-1))
+    dp = 2.0 * np.imag(applied @ effects_conj.T)
     kept = p0 >= config.CFIM_PROB_FLOOR
     skipped = len(ops) - int(np.count_nonzero(kept))
     if skipped:

@@ -68,6 +68,24 @@ def check_dim(dim: int) -> None:
         raise DimensionLimitError(f"dimension {dim} exceeds the cap {cap} (QSN_MAX_DIM)")
 
 
+def layout_ints(values, name: str, minimum: int = 0) -> tuple[int, ...]:
+    """Subsystem dimensions or indices as ``int``s through
+    :func:`config.check_int`; anything else raises :class:`LayoutError`."""
+    try:
+        return tuple([config.check_int(v, name, minimum) for v in values])
+    except ValueError as exc:
+        raise LayoutError(str(exc)) from None
+
+
+def _check_layout(layout, dim: int) -> tuple[int, ...]:
+    """A state's ``layout`` as ``int``s whose product is ``dim``, within the cap."""
+    dims = layout_ints(layout, "layout entry", 1)
+    if prod(dims) != dim:
+        raise LayoutError(f"layout {dims} implies dim {prod(dims)}, the state has dim {dim}")
+    check_dim(dim)
+    return dims
+
+
 SIGMA_X = _frozen([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = _frozen([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = _frozen([[1.0, 0.0], [0.0, -1.0]])
@@ -172,14 +190,7 @@ class PureState:
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1)
-        layout = tuple(int(d) for d in self.layout)
-        if any(d < 1 for d in layout):
-            raise LayoutError(f"layout entries must be positive, got {layout}")
-        if prod(layout) != amps.size:
-            raise LayoutError(
-                f"layout {layout} implies dim {prod(layout)}, vector has {amps.size}"
-            )
-        check_dim(amps.size)
+        layout = _check_layout(self.layout, amps.size)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1")
@@ -209,14 +220,7 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = require_hermitian(self.matrix, name="density operator")
-        layout = tuple(int(d) for d in self.layout)
-        if any(d < 1 for d in layout):
-            raise LayoutError(f"layout entries must be positive, got {layout}")
-        if prod(layout) != mat.shape[0]:
-            raise LayoutError(
-                f"layout {layout} implies dim {prod(layout)}, matrix is {mat.shape[0]}"
-            )
-        check_dim(mat.shape[0])
+        layout = _check_layout(self.layout, mat.shape[0])
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > config.TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
@@ -245,30 +249,24 @@ class DensityOperator:
 State = PureState | DensityOperator
 
 
-def _resolve_subsets(layout: tuple[int, ...], discard: Iterable[int]):
-    n = len(layout)
-    dropped = sorted({int(i) for i in discard})
+def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
+    """Reduced density operator after discarding the listed subsystems."""
+    dims = state.layout
+    n = len(dims)
+    dropped = sorted(set(layout_ints(discard, "subsystem index")))
     for i in dropped:
-        if not 0 <= i < n:
+        if i >= n:
             raise LayoutError(f"subsystem index {i} outside layout of length {n}")
     kept = [i for i in range(n) if i not in dropped]
     if not kept:
         raise LayoutError("tracing out every subsystem leaves a scalar, not a state")
-    return kept, dropped
-
-
-def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
-    """Reduced density operator after discarding the listed subsystems."""
-    kept, dropped = _resolve_subsets(state.layout, discard)
-    dims = state.layout
     keep_dim = prod(dims[i] for i in kept)
-    drop_dim = prod(dims[i] for i in dropped) if dropped else 1
+    drop_dim = prod(dims[i] for i in dropped)
     if isinstance(state, PureState):
         tensor = state.amplitudes.reshape(dims)
         mat = tensor.transpose(kept + dropped).reshape(keep_dim, drop_dim)
         reduced = mat @ mat.conj().T
     else:
-        n = len(dims)
         perm = kept + dropped
         tensor = state.matrix.reshape(dims + dims)
         tensor = tensor.transpose(perm + [n + p for p in perm])

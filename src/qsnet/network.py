@@ -15,17 +15,19 @@ even when a sensor's generators do not commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 import numpy as np
 
 from . import config
-from .exceptions import DimensionLimitError, FormatError, LayoutError
+from .exceptions import DimensionLimitError, FormatError, LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
     PureState,
     State,
     apply_local,
     check_dim,
+    commutator,
     embed_local,
     expm_i,
     matrix_from_json,
@@ -87,6 +89,16 @@ class SensorSpec:
     def is_ancilla(self) -> bool:
         return not self.generators
 
+    def require_commuting(self) -> None:
+        """Raise :class:`NoncommutingGeneratorsError` unless the generators
+        commute mutually within ``config.COMMUTE_TOL``."""
+        for (i, a), (j, b) in combinations(enumerate(self.generators), 2):
+            defect = float(np.max(np.abs(commutator(a, b))))
+            if defect > config.COMMUTE_TOL:
+                raise NoncommutingGeneratorsError(
+                    f"generators {i} and {j} do not commute (defect {defect:.3e})"
+                )
+
 
 @dataclass(frozen=True)
 class SensorNetwork:
@@ -135,6 +147,12 @@ class SensorNetwork:
             offset += s.n_params
         raise AssertionError("unreachable")
 
+    def require_layout(self, state: State) -> None:
+        """Raise :class:`LayoutError` unless ``state`` lives on this
+        network's sensor dimensions."""
+        if state.layout != self.dims:
+            raise LayoutError(f"state layout {state.layout} does not match network {self.dims}")
+
 
 def global_generator(net: SensorNetwork, k: int) -> np.ndarray:
     """Generator of parameter ``k`` embedded into the full network space."""
@@ -163,8 +181,7 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
     operator. Parameter-free sensors are left untouched.
     """
     values = _check_phi(net, phi)
-    if state.layout != net.dims:
-        raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
+    net.require_layout(state)
     unitaries = []
     offset = 0
     for site, s in enumerate(net.sensors):
@@ -193,8 +210,7 @@ def resource_count(net: SensorNetwork, state: State) -> float:
     Each ``R_k`` is contracted on its own axis of the state, which is
     ``Tr[(R_k x I) rho]``; no marginal is traced out or decomposed.
     """
-    if state.layout != net.dims:
-        raise LayoutError(f"state layout {state.layout} does not match network {net.dims}")
+    net.require_layout(state)
     if isinstance(state, PureState):
         tensor = state.amplitudes.reshape(net.dims)
         terms = (np.vdot(tensor, apply_local(s.resource_op, k, tensor)) for k, s in enumerate(net.sensors))

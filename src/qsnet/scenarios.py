@@ -35,7 +35,7 @@ from .network import (
     with_collective_ancilla,
 )
 from .reporting import sha256_of_arrays
-from .sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
+from .sampling import _ginibre, haar_state, haar_unitary, random_density, random_spd, trial_rng
 from .states import (
     SensorFamily,
     _extremal_pair,
@@ -222,8 +222,15 @@ def truncated_mode_family() -> SensorFamily:
 
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _ginibre(dim, rng)
     return (g + g.conj().T) / (2.0 * np.sqrt(dim))
+
+
+def _with_spectrum(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian operator with eigenvector columns ``basis`` and eigenvalues
+    ``values``, symmetrized against roundoff."""
+    op = (basis * values) @ basis.conj().T
+    return (op + op.conj().T) / 2
 
 
 def _shared_basis_sensor(dim: int, n_gens: int, rng: np.random.Generator) -> SensorSpec:
@@ -231,13 +238,8 @@ def _shared_basis_sensor(dim: int, n_gens: int, rng: np.random.Generator) -> Sen
     eigenbasis, so the generators commute exactly and resources are
     conserved and eigenbasis-diagonal."""
     basis = haar_unitary(dim, rng)
-    gens = []
-    for _ in range(n_gens):
-        g = (basis * rng.uniform(-1.0, 1.0, dim)) @ basis.conj().T
-        gens.append((g + g.conj().T) / 2)
-    res = (basis * rng.uniform(0.0, 2.0, dim)) @ basis.conj().T
-    res = (res + res.conj().T) / 2
-    return SensorSpec(dim, tuple(gens), res)
+    gens = tuple(_with_spectrum(basis, rng.uniform(-1.0, 1.0, dim)) for _ in range(n_gens))
+    return SensorSpec(dim, gens, _with_spectrum(basis, rng.uniform(0.0, 2.0, dim)))
 
 
 def _random_commuting_network(rng: np.random.Generator) -> SensorNetwork:
@@ -270,8 +272,7 @@ def _random_mixed_regime_network(rng: np.random.Generator) -> SensorNetwork:
         else:
             gens = (_random_hermitian(dim, rng),)
         basis = haar_unitary(dim, rng)
-        res = (basis * rng.uniform(0.0, 2.0, dim)) @ basis.conj().T
-        sensors.append(SensorSpec(dim, gens, (res + res.conj().T) / 2))
+        sensors.append(SensorSpec(dim, gens, _with_spectrum(basis, rng.uniform(0.0, 2.0, dim))))
     return SensorNetwork(tuple(sensors))
 
 
@@ -284,14 +285,11 @@ def _network_hash(net: SensorNetwork, *extra) -> str:
     return sha256_of_arrays(*arrays)
 
 
-def _block_structure_defect(fim: QFIM) -> float:
-    """Largest magnitude outside the diagonal blocks."""
-    mask = np.ones((fim.d, fim.d), dtype=bool)
-    for blk in fim.partition:
-        idx = np.asarray(blk)
-        mask[np.ix_(idx, idx)] = False
-    off = np.abs(fim.matrix[mask])
-    return float(off.max()) if off.size else 0.0
+def _block_defect(reference: QFIM, fim: QFIM) -> float:
+    """Largest deviation of ``fim`` from the diagonal blocks of ``reference``
+    (and from zero outside them)."""
+    target = _zero_off_blocks(reference.matrix, reference.partition)
+    return float(np.max(np.abs(fim.matrix - target)))
 
 
 def _too_singular(fim: QFIM) -> bool:
@@ -340,10 +338,7 @@ def _surrogate_trial(net: SensorNetwork, psi: PureState, weights: np.ndarray, **
         return None
     surrogate = separable_surrogate(psi, net)
     fim_s = qfim_pure(surrogate, net)
-    block_defect = max(
-        float(np.max(np.abs(fim.block(k) - fim_s.block(k)))) for k in range(fim.n_blocks)
-    )
-    block_defect = max(block_defect, _block_structure_defect(fim_s))
+    block_defect = _block_defect(fim, fim_s)
     bound_orig = qcrb(fim, weights, 1).bound
     bound_surr = qcrb(fim_s, weights, 1).bound
     res_orig = resource_count(net, psi)
@@ -407,11 +402,7 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
         dnet = doubled(net)
         probe = local_purification_probe(rho, net)
         fim_local = qfim_pure(probe, dnet)
-        block_defect = max(
-            float(np.max(np.abs(fim_global.block(k) - fim_local.block(k))))
-            for k in range(fim_global.n_blocks)
-        )
-        block_defect = max(block_defect, _block_structure_defect(fim_local))
+        block_defect = _block_defect(fim_global, fim_local)
         weights = rng.uniform(0.0, 1.0, net.n_params)
         bound_global = qcrb(fim_global, weights, 1).bound
         bound_local = qcrb(fim_local, weights, 1).bound

@@ -22,8 +22,8 @@ from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
     PureState,
-    commutator,
     kron_all,
+    layout_ints,
     sensor_marginal,
 )
 from .network import SensorNetwork, SensorSpec
@@ -124,14 +124,7 @@ def joint_eigenbasis(sensor: SensorSpec) -> JointEigenbasis:
     mats = list(sensor.generators)
     if not mats:
         return JointEigenbasis(np.eye(sensor.dim, dtype=complex), np.empty((sensor.dim, 0)))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            defect = float(np.max(np.abs(commutator(mats[i], mats[j]))))
-            if defect > config.COMMUTE_TOL:
-                raise NoncommutingGeneratorsError(
-                    f"generators {i} and {j} do not commute (defect {defect:.3e}); "
-                    "this sensor needs the local-ancilla purification route"
-                )
+    sensor.require_commuting()
     vectors, labels = _simultaneous_eigenbasis(mats)
     return JointEigenbasis(vectors, labels)
 
@@ -145,8 +138,7 @@ def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
     for commuting generators the relative phases cannot affect the Fisher
     matrix.
     """
-    if psi.layout != net.dims:
-        raise LayoutError(f"state layout {psi.layout} does not match network {net.dims}")
+    net.require_layout(psi)
     factors = []
     for site, sensor in enumerate(net.sensors):
         basis = joint_eigenbasis(sensor)
@@ -179,8 +171,7 @@ def local_purification_probe(rho: DensityOperator, net: SensorNetwork) -> PureSt
     :func:`qsnet.network.doubled`. Its Fisher matrix is block-diagonal with
     the same diagonal blocks as any global purification of the probe.
     """
-    if rho.layout != net.dims:
-        raise LayoutError(f"state layout {rho.layout} does not match network {net.dims}")
+    net.require_layout(rho)
     factors = []
     layout = []
     for site, sensor in enumerate(net.sensors):
@@ -299,7 +290,7 @@ def product_defect(psi: PureState, groups=None) -> float:
     n = len(dims)
     if groups is None:
         groups = [(i,) for i in range(n)]
-    groups = [tuple(int(i) for i in g) for g in groups]
+    groups = [layout_ints(g, "subsystem index") for g in groups]
     if any(not g for g in groups):
         raise LayoutError(f"groups {groups} contain an empty group")
     if sorted(i for g in groups for i in g) != list(range(n)):

@@ -3,8 +3,8 @@ Fisher-information code.
 
 The oracle builds every generator on the full network space with
 ``np.kron`` and evaluates the textbook formulas on those matrices. It reads
-only the rank-cutoff constants from ``qsnet.config`` and shares no code
-with ``qsnet.fisher``.
+only the rank-cutoff constants and the classical probability floor from
+``qsnet.config`` and shares no code with ``qsnet.fisher``.
 """
 
 from math import prod
@@ -131,3 +131,35 @@ def full_square_sld_qfim(rho, net: SensorNetwork) -> np.ndarray:
     weight = np.where(live, 2.0 * (p[:, None] - p[None, :]) ** 2 / np.where(live, denom, 1.0), 0.0)
     h = [v.conj().T @ g @ v for g in dense_generators(net)]
     return np.array([[np.sum(weight * np.real(a * b.conj())) for b in h] for a in h])
+
+
+# Central-difference step of the classical-information oracle.
+CFIM_ORACLE_STEP = 1e-5
+
+
+def oracle_cfim(effects, net: SensorNetwork, probe, phi0) -> np.ndarray:
+    """Classical Fisher information of the POVM ``effects`` on ``probe``
+    encoded at ``phi0``: central differences of
+    ``p_m(phi) = Tr[E_m U rho U^dag]``, with ``U = exp(-i sum_j phi_j H_j)``
+    over the dense generators, built by its own ``eigh``. Outcomes below
+    ``config.CFIM_PROB_FLOOR`` at ``phi0`` are skipped."""
+    gens = dense_generators(net)
+    if hasattr(probe, "matrix"):
+        rho = probe.matrix
+    else:
+        rho = np.outer(probe.amplitudes, probe.amplitudes.conj())
+
+    def probabilities(phi):
+        w, v = np.linalg.eigh(sum(x * g for x, g in zip(phi, gens)))
+        u = (v * np.exp(-1j * w)) @ v.conj().T
+        evolved = u @ rho @ u.conj().T
+        return np.array([np.real(np.trace(e @ evolved)) for e in effects])
+
+    phi0 = np.asarray(phi0, dtype=float)
+    h = CFIM_ORACLE_STEP
+    p0 = probabilities(phi0)
+    dp = np.array(
+        [(probabilities(phi0 + h * e) - probabilities(phi0 - h * e)) / (2 * h) for e in np.eye(len(gens))]
+    )
+    kept = p0 >= config.CFIM_PROB_FLOOR
+    return (dp[:, kept] / p0[kept]) @ dp[:, kept].T

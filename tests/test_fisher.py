@@ -16,6 +16,7 @@ from conftest import (
     dense_generators,
     full_square_sld_qfim,
     layouts,
+    oracle_cfim,
     oracle_qfim_mixed,
     oracle_qfim_pure,
     oracle_slds,
@@ -42,9 +43,9 @@ from qsnet import (
     with_collective_ancilla,
 )
 from qsnet import fisher
-from qsnet.exceptions import LayoutError
+from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, PureState, identity
-from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
+from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
 
 
 def _plus_state() -> PureState:
@@ -473,6 +474,13 @@ class TestQfimType:
         with pytest.raises(ValueError):
             QFIM(np.eye(3), ((0, 1),))
 
+    @pytest.mark.parametrize("bad", [0.0, 0.5, True])
+    def test_partition_indices_are_integers(self, bad):
+        # A float is rejected, never truncated; numpy integers are accepted.
+        with pytest.raises(ValueError, match="integer"):
+            QFIM(np.eye(2), ((bad,), (1,)))
+        assert QFIM(np.eye(2), ((np.int64(0),), (1,))).partition == ((0,), (1,))
+
     def test_empty_rejected_by_name(self):
         with pytest.raises(ValueError, match="information matrix is empty"):
             QFIM(np.zeros((0, 0)))
@@ -553,6 +561,62 @@ class TestCfim:
         net = _single_qubit_net()
         with pytest.raises(ValueError):
             cfim([np.diag([1.0, 0.0])], net, _plus_state())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).filter(
+            lambda dims: prod(dims) <= 16
+        ),
+        st.booleans(),
+        st.sampled_from(["fiducial", "commuting", "random"]),
+        seeds,
+    )
+    def test_matches_central_difference_oracle(self, dims, mixed, regime, seed):
+        # "fiducial": random (generally non-commuting) generators at phi0 = 0;
+        # "commuting": each sensor's generators share an eigenbasis, phi0 away
+        # from 0; "random": random generators away from 0, which must raise
+        # unless every sensor's generators happen to commute.
+        rng = np.random.default_rng(seed)
+        net = _commuting_network(dims, rng) if regime == "commuting" else random_network(dims, rng)
+        dim = net.total_dim
+        probe = random_density(dim, net.dims, rng) if mixed else haar_state(dim, net.dims, rng)
+        effects = _random_povm(dim, int(rng.integers(2, 6)), rng)
+        phi0 = np.zeros(net.n_params) if regime == "fiducial" else rng.uniform(-1.0, 1.0, net.n_params)
+        commuting = all(
+            np.max(np.abs(a @ b - b @ a)) <= 1e-9
+            for s in net.sensors
+            for i, a in enumerate(s.generators)
+            for b in s.generators[i + 1 :]
+        )
+        if regime == "random" and not commuting:
+            with pytest.raises(NoncommutingGeneratorsError):
+                cfim(effects, net, probe, phi0=phi0)
+            return
+        got = cfim(effects, net, probe, phi0=None if regime == "fiducial" else phi0)
+        want = oracle_cfim(effects, net, probe, phi0)
+        assert_allclose(got, want, rtol=1e-6, atol=1e-6 * max(1.0, float(np.max(np.abs(want)))))
+
+    def test_off_fiducial_point_needs_commuting_generators(self):
+        sensor = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))
+        net = SensorNetwork((sensor,))
+        with pytest.raises(NoncommutingGeneratorsError):
+            cfim(_sigma_y_effects(), net, _plus_state(), phi0=[0.3, 0.0])
+        at_zero = cfim(_sigma_y_effects(), net, _plus_state(), phi0=[0.0, 0.0])
+        want = oracle_cfim(_sigma_y_effects(), net, _plus_state(), [0.0, 0.0])
+        assert_allclose(at_zero, want, atol=1e-6)
+
+
+def _commuting_network(dims, rng: np.random.Generator) -> SensorNetwork:
+    """Sensors whose zero to two generators share one Haar-random
+    eigenbasis, the first sensor carrying at least one."""
+    sensors = []
+    for k, d in enumerate(dims):
+        basis = haar_unitary(d, rng)
+        n_gens = int(rng.integers(1 if k == 0 else 0, 3))
+        raw = [(basis * rng.uniform(-1.0, 1.0, d)) @ basis.conj().T for _ in range(n_gens)]
+        gens = tuple((g + g.conj().T) / 2 for g in raw)
+        sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
+    return SensorNetwork(tuple(sensors))
 
 
 def _random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.ndarray]:

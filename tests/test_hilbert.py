@@ -1,9 +1,12 @@
 """Linear-algebra substrate: tensor products, embeddings, partial traces,
 eigendecomposition, matrix exponentials, state carriers, JSON wire format."""
 
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -108,7 +111,46 @@ class TestEmbedLocal:
             embed_local(SIGMA_Z, 0, (2, 3, 2))
 
 
+@st.composite
+def _layout_and_discard(draw):
+    """A layout of 2 to 4 subsystems and a non-empty proper subset of them."""
+    dims = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4))
+    discard = draw(st.sets(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims) - 1))
+    return dims, sorted(discard)
+
+
+def _kron_partial_trace(rho: np.ndarray, dims, discard) -> np.ndarray:
+    """``sum_j K_j rho K_j^dag`` over the basis states ``j`` of the discarded
+    subsystems, with ``K_j`` the ``np.kron`` of identities on the kept
+    subsystems and the rows ``<j_s|`` on the discarded ones."""
+    out = 0.0
+    for j in product(*(range(dims[s]) for s in discard)):
+        pick = dict(zip(discard, j))
+        factors = [np.eye(d)[[pick[s]]] if s in pick else np.eye(d) for s, d in enumerate(dims)]
+        k = reduce(np.kron, factors)
+        out = out + k @ rho @ k.conj().T
+    return out
+
+
 class TestPartialTrace:
+    @settings(max_examples=80, deadline=None)
+    @given(_layout_and_discard(), st.booleans(), seeds)
+    @example(([2, 3, 2, 2], [0, 2]), True, 1)
+    @example(([3, 2, 2, 3], [1, 3]), False, 2)
+    def test_matches_kron_basis_oracle(self, case, mixed, seed):
+        dims, discard = case
+        rng = np.random.default_rng(seed)
+        dim = int(np.prod(dims))
+        if mixed:
+            state = random_density(dim, dims, rng)
+            rho = state.matrix
+        else:
+            state = haar_state(dim, dims, rng)
+            rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        reduced = partial_trace(state, discard)
+        assert reduced.layout == tuple(d for s, d in enumerate(dims) if s not in discard)
+        assert_allclose(reduced.matrix, _kron_partial_trace(rho, dims, discard), atol=1e-12)
+
     def test_bell_marginal_is_maximally_mixed(self):
         bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
         assert_allclose(partial_trace(bell, {1}).matrix, identity(2) / 2, atol=1e-12)
@@ -215,6 +257,33 @@ class TestStateCarriers:
         psi = PureState(np.array([1.0, 0.0]), (2,))
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+class TestIntegerIndices:
+    """Layout entries and subsystem indices are integers: a float is
+    rejected, never truncated, and numpy integers are accepted."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda layout: PureState(np.ones(4) / 2, layout),
+            lambda layout: DensityOperator(np.eye(4) / 4, layout),
+        ],
+        ids=["pure", "density"],
+    )
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True])
+    def test_layout_entries(self, build, bad):
+        with pytest.raises(LayoutError, match="integer"):
+            build((bad, 2))
+        layout = build((np.int64(2), np.int32(2))).layout
+        assert layout == (2, 2) and all(type(d) is int for d in layout)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
+    def test_partial_trace_discard_indices(self, bad):
+        psi = PureState(np.ones(4) / 2, (2, 2))
+        with pytest.raises(LayoutError, match="integer"):
+            partial_trace(psi, [bad])
+        assert partial_trace(psi, [np.int64(1)]).layout == (2,)
 
 
 def _object_array_decode(items, ndim, where):

@@ -491,6 +491,13 @@ class TestProductDefectGroups:
         with pytest.raises(LayoutError, match="empty group"):
             product_defect(psi, groups=[(), (0, 1)])
 
+    @pytest.mark.parametrize("bad", [0.9, 0.0, False])
+    def test_float_index_rejected_not_truncated(self, bad):
+        psi = PureState(bell_state(), (2, 2))
+        with pytest.raises(LayoutError, match="integer"):
+            product_defect(psi, groups=[(bad,), (1,)])
+        assert product_defect(psi, groups=[(np.int64(0),), (1,)]) > 0.5
+
 
 class TestPaperComparison:
     # Ids name d alone where N = 2d.
