@@ -36,8 +36,6 @@ from .fisher import (
 from .hilbert import (
     DensityOperator,
     PureState,
-    embed_local,
-    eigh,
     expm_i,
     partial_trace,
     sensor_marginal,
@@ -47,8 +45,6 @@ from .network import (
     SensorSpec,
     doubled,
     encode,
-    global_generator,
-    global_generators,
     network_from_json,
     network_to_json,
     resource_count,
@@ -69,7 +65,6 @@ from .scenarios import (
     truncated_mode_family,
 )
 from .states import (
-    JointEigenbasis,
     SensorFamily,
     extremal_superposition,
     ghz_probe,
@@ -86,24 +81,19 @@ __all__ = [
     # hilbert
     "PureState",
     "DensityOperator",
-    "embed_local",
     "partial_trace",
     "sensor_marginal",
-    "eigh",
     "expm_i",
     # network
     "SensorSpec",
     "SensorNetwork",
     "encode",
-    "global_generator",
-    "global_generators",
     "resource_count",
     "doubled",
     "with_collective_ancilla",
     "network_to_json",
     "network_from_json",
     # states
-    "JointEigenbasis",
     "SensorFamily",
     "joint_eigenbasis",
     "separable_surrogate",

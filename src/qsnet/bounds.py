@@ -104,14 +104,19 @@ class LinearFunctional:
     def d(self) -> int:
         return self.v.size
 
-    def ghz_allocation(self) -> np.ndarray | None:
-        """Integer per-sensor particle counts ``N v / ||v||_1``, or ``None``
-        when the split is not integral (no GHZ probe of this toolkit then
-        certifies the closed-form bound)."""
+    def ghz_allocation(self) -> np.ndarray:
+        """Integer per-sensor particle counts ``N v / ||v||_1``.
+
+        Raises ``ValueError`` naming the first sensor whose count is more
+        than 1e-9 from an integer: no GHZ probe of this toolkit then
+        certifies the closed-form bound.
+        """
         tilde = self.n_particles * self.v / pnorm(self.v, 1.0)
         counts = np.rint(tilde)
-        if np.max(np.abs(tilde - counts)) > 1e-9:
-            return None
+        off = np.flatnonzero(np.abs(tilde - counts) > 1e-9)
+        if off.size:
+            k = int(off[0])
+            raise ValueError(f"allocation N*v/||v||_1 is not integral at sensor {k}: {float(tilde[k])!r}")
         return counts.astype(int)
 
     def _denominator(self) -> float:
@@ -177,6 +182,11 @@ class BoundComparison:
 def compare(f: LinearFunctional) -> BoundComparison:
     sep = separable_bound(f)
     ghz = ghz_bound(f)
+    try:
+        f.ghz_allocation()
+        constructible = True
+    except ValueError:
+        constructible = False
     return BoundComparison(
         d=f.d,
         n_particles=f.n_particles,
@@ -185,5 +195,5 @@ def compare(f: LinearFunctional) -> BoundComparison:
         separable=sep,
         ghz=ghz,
         ratio=sep / ghz,
-        ghz_constructible=f.ghz_allocation() is not None,
+        ghz_constructible=constructible,
     )

@@ -162,6 +162,8 @@ def _run_bounds(args) -> int:
     started = _now()
     for d in args.d:
         config.check_int(d, "--d")
+    for n in args.N or ():
+        config.check_int(n, "--N")
     if args.N is None:
         budgets = list(args.d)
     elif len(args.N) == 1:

@@ -99,9 +99,6 @@ class QFIM:
         idx = np.asarray(self.partition[k])
         return self.matrix[np.ix_(idx, idx)]
 
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum[0]
-
 
 def _rank_cutoff(eigenvalues: np.ndarray) -> float:
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0

@@ -37,7 +37,6 @@ __all__ = [
     "commutator",
     "kron_all",
     "embed_local",
-    "eigh",
     "expm_i",
     "partial_trace",
     "sensor_marginal",
@@ -160,23 +159,11 @@ def apply_local(op: np.ndarray, site: int, tensor: np.ndarray) -> np.ndarray:
     return out.transpose([*range(1, site + 1), 0, *range(site + 1, tensor.ndim)])
 
 
-def eigh(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns eigenvalues in ascending order and orthonormal eigenvector
-    columns. Degenerate eigenspaces come back in an arbitrary (but
-    deterministic for fixed input) orthonormal basis.
-    """
-    a = require_hermitian(op)
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def expm_i(op, angle: float = 1.0) -> np.ndarray:
     """Unitary ``exp(-i * angle * op)`` for Hermitian ``op``, via eigh."""
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    w, v = eigh(op)
+    w, v = np.linalg.eigh(require_hermitian(op))
     phases = np.exp(-1j * angle * w)
     return (v * phases) @ v.conj().T
 
@@ -238,12 +225,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum[0]
 
 
 State = PureState | DensityOperator

@@ -39,7 +39,6 @@ from .reporting import read_json
 __all__ = [
     "SensorSpec",
     "SensorNetwork",
-    "global_generator",
     "global_generators",
     "encode",
     "resource_count",
@@ -85,9 +84,6 @@ class SensorSpec:
     @property
     def n_params(self) -> int:
         return len(self.generators)
-
-    def is_ancilla(self) -> bool:
-        return not self.generators
 
     def require_commuting(self) -> None:
         """Raise :class:`NoncommutingGeneratorsError` unless the generators
@@ -136,17 +132,6 @@ class SensorNetwork:
                 start += s.n_params
         return tuple(blocks)
 
-    def sensor_of_param(self, k: int) -> tuple[int, int]:
-        """Map a global parameter index to (sensor index, local index)."""
-        if not 0 <= k < self.n_params:
-            raise IndexError(f"parameter index {k} outside 0..{self.n_params - 1}")
-        offset = 0
-        for site, s in enumerate(self.sensors):
-            if k < offset + s.n_params:
-                return site, k - offset
-            offset += s.n_params
-        raise AssertionError("unreachable")
-
     def require_layout(self, state: State) -> None:
         """Raise :class:`LayoutError` unless ``state`` lives on this
         network's sensor dimensions."""
@@ -154,14 +139,10 @@ class SensorNetwork:
             raise LayoutError(f"state layout {state.layout} does not match network {self.dims}")
 
 
-def global_generator(net: SensorNetwork, k: int) -> np.ndarray:
-    """Generator of parameter ``k`` embedded into the full network space."""
-    site, local = net.sensor_of_param(k)
-    return embed_local(net.sensors[site].generators[local], site, net.dims)
-
-
 def global_generators(net: SensorNetwork) -> list[np.ndarray]:
-    return [global_generator(net, k) for k in range(net.n_params)]
+    """Every parameter's generator embedded into the full network space,
+    in global parameter order."""
+    return [embed_local(g, site, net.dims) for site, s in enumerate(net.sensors) for g in s.generators]
 
 
 def _check_phi(net: SensorNetwork, phi) -> np.ndarray:

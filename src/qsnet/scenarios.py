@@ -39,6 +39,7 @@ from .sampling import _ginibre, haar_state, haar_unitary, random_density, random
 from .states import (
     SensorFamily,
     _extremal_pair,
+    extremal_superposition,
     local_purification_probe,
     optimal_separable_probe,
     product_defect,
@@ -67,7 +68,7 @@ __all__ = [
 _COND_GUARD = 1e-2
 
 # Smallest admissible value of each integer field of ScenarioConfig.
-_INT_MINIMUM = dict(seed=0, trials=1, n_particles=0, n_modes=1, mode_cutoff=0, mu=1, max_matrix_dim=2)
+_INT_MINIMUM = dict(seed=0, trials=1, n_particles=0, n_modes=1, mode_cutoff=1, mu=1, max_matrix_dim=2)
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def _block_defect(reference: QFIM, fim: QFIM) -> float:
 
 
 def _too_singular(fim: QFIM) -> bool:
-    w = fim.eigenvalues()
+    w = fim.spectrum[0]
     return bool(w[0] < _COND_GUARD * max(1.0, float(w[-1])))
 
 
@@ -632,8 +633,7 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     family = truncated_mode_family()
     net = SensorNetwork((family.sensor_for(cfg.mode_cutoff),) * cfg.n_modes)
 
-    factor = np.zeros(cfg.mode_cutoff + 1, dtype=complex)
-    factor[0] = factor[-1] = 1.0 / np.sqrt(2.0)
+    factor = extremal_superposition(family, cfg.mode_cutoff).amplitudes
     designed_probe = PureState(kron_all([factor] * cfg.n_modes), net.dims)
     fim_designed = qfim_pure(designed_probe, net)
     per_mode_qfi = tuple(float(x) for x in np.diag(fim_designed.matrix))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .bounds import unit_direction
+from .bounds import LinearFunctional, unit_direction
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
@@ -29,7 +29,6 @@ from .hilbert import (
 from .network import SensorNetwork, SensorSpec
 
 __all__ = [
-    "JointEigenbasis",
     "SensorFamily",
     "joint_eigenbasis",
     "separable_surrogate",
@@ -44,22 +43,6 @@ __all__ = [
 # Fixed seed for the random mixing coefficients used by the simultaneous
 # diagonalization; audits must reproduce bit-identically.
 _MIX_SEED = 0x51B0
-
-
-@dataclass(frozen=True)
-class JointEigenbasis:
-    """Simultaneous eigenbasis of one sensor's commuting generators.
-
-    ``vectors`` holds orthonormal columns; ``labels[i, j]`` is the eigenvalue
-    of generator ``j`` on column ``i``.
-    """
-
-    vectors: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -111,22 +94,23 @@ def _simultaneous_eigenbasis(mats: list[np.ndarray]) -> tuple[np.ndarray, np.nda
             raise NoncommutingGeneratorsError(
                 f"generator {j} is not diagonal in the joint basis (defect {defect:.3e})"
             )
-    return vectors, labels
+    return labels, vectors
 
 
-def joint_eigenbasis(sensor: SensorSpec) -> JointEigenbasis:
-    """Joint eigenbasis of all of a sensor's generators.
+def joint_eigenbasis(sensor: SensorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Joint eigenbasis ``(labels, vectors)`` of all of a sensor's generators.
 
-    Requires them to commute mutually within ``config.COMMUTE_TOL``;
-    otherwise raises :class:`NoncommutingGeneratorsError`, which signals the
-    caller to switch to the local-ancilla purification route.
+    ``vectors`` holds orthonormal columns; ``labels[i, j]`` is the eigenvalue
+    of generator ``j`` on column ``i``. Requires the generators to commute
+    mutually within ``config.COMMUTE_TOL``; otherwise raises
+    :class:`NoncommutingGeneratorsError`, which signals the caller to switch
+    to the local-ancilla purification route.
     """
     mats = list(sensor.generators)
     if not mats:
-        return JointEigenbasis(np.eye(sensor.dim, dtype=complex), np.empty((sensor.dim, 0)))
+        return np.empty((sensor.dim, 0)), np.eye(sensor.dim, dtype=complex)
     sensor.require_commuting()
-    vectors, labels = _simultaneous_eigenbasis(mats)
-    return JointEigenbasis(vectors, labels)
+    return _simultaneous_eigenbasis(mats)
 
 
 def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
@@ -141,11 +125,11 @@ def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
     net.require_layout(psi)
     factors = []
     for site, sensor in enumerate(net.sensors):
-        basis = joint_eigenbasis(sensor)
+        _, vectors = joint_eigenbasis(sensor)
         rho = sensor_marginal(psi, site).matrix
-        probs = np.real(np.einsum("ij,jk,ki->i", basis.vectors.conj().T, rho, basis.vectors))
+        probs = np.real(np.einsum("ij,jk,ki->i", vectors.conj().T, rho, vectors))
         probs = np.clip(probs, 0.0, None)
-        factors.append(basis.vectors @ np.sqrt(probs))
+        factors.append(vectors @ np.sqrt(probs))
     return PureState(kron_all(factors), net.dims)
 
 
@@ -225,15 +209,7 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, Sen
     and all-minimal extremal branches. Returns the probe together with the
     network it lives on, since sensor dimensions depend on the allocation.
     """
-    vec = unit_direction(v)
-    n_particles = config.check_int(n_particles, "particle budget")
-    tilde = n_particles * vec / np.sum(vec)
-    counts = np.rint(tilde).astype(int)
-    for k, (target, got) in enumerate(zip(tilde, counts)):
-        if abs(target - got) > 1e-9:
-            raise ValueError(
-                f"allocation N*v/||v||_1 is not integral at sensor {k}: {target!r}"
-            )
+    counts = LinearFunctional(v, family.kappa, n_particles).ghz_allocation()
     sensors = [family.sensor_for(int(c)) for c in counts]
     net = SensorNetwork(tuple(sensors))
     los, his = [], []

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qsnet import SensorNetwork, SensorSpec, config
-from qsnet.hilbert import SIGMA_Z, kron_all
+from qsnet.hilbert import SIGMA_Y, SIGMA_Z, kron_all
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
 # dimension 1 to 4.
@@ -163,3 +163,22 @@ def oracle_cfim(effects, net: SensorNetwork, probe, phi0) -> np.ndarray:
     )
     kept = p0 >= config.CFIM_PROB_FLOOR
     return (dp[:, kept] / p0[kept]) @ dp[:, kept].T
+
+
+def sigma_y_effects() -> list[np.ndarray]:
+    """Projective measurement onto the sigma_y eigenbasis of one qubit."""
+    w, v = np.linalg.eigh(np.asarray(SIGMA_Y))
+    return [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
+
+
+def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random full-rank POVM: Ginibre positives normalized by the inverse
+    square root of their sum."""
+    raw = []
+    for _ in range(n_effects):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        raw.append(g @ g.conj().T)
+    total = sum(raw)
+    w, v = np.linalg.eigh(total)
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return [inv_root @ a @ inv_root for a in raw]

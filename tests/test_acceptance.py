@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import oracle_qfim_pure, random_hermitian
+from conftest import oracle_qfim_pure, random_hermitian, random_povm, sigma_y_effects
 from qsnet import (
     QFIM,
     LinearFunctional,
@@ -31,7 +31,7 @@ from qsnet import (
     qubit_ensemble_family,
     rotate_qfim,
 )
-from qsnet.hilbert import SIGMA_Y, SIGMA_Z, PureState
+from qsnet.hilbert import SIGMA_Z, PureState
 from qsnet.reporting import dumps
 from qsnet.sampling import haar_state, trial_rng
 
@@ -199,29 +199,13 @@ def test_criterion_7_norm_chain():
     )
 
 
-def _sigma_y_effects():
-    w, v = np.linalg.eigh(np.asarray(SIGMA_Y))
-    return [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
-
-
-def _random_povm(dim, n_effects, rng):
-    raw = []
-    for _ in range(n_effects):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(g @ g.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return [inv_root @ a @ inv_root for a in raw]
-
-
 def test_criterion_8_cfim_witnesses():
     """Classical information witnesses on qubit networks."""
     qubit = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
     net1 = SensorNetwork((qubit,))
     plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2), (2,))
 
-    transverse = cfim(_sigma_y_effects(), net1, plus)
+    transverse = cfim(sigma_y_effects(), net1, plus)
     aligned = cfim(
         [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)], net1, plus
     )
@@ -235,7 +219,7 @@ def test_criterion_8_cfim_witnesses():
         else:
             net, dim = net2, 4
         psi = haar_state(dim, net.dims, rng)
-        effects = _random_povm(dim, int(rng.integers(2, 6)), rng)
+        effects = random_povm(dim, int(rng.integers(2, 6)), rng)
         classical = cfim(effects, net, psi)
         quantum = oracle_qfim_pure(psi, net)
         gap = float(np.linalg.eigvalsh(quantum - classical)[0])

@@ -102,10 +102,30 @@ class TestClosedFormBounds:
         assert list(integral.ghz_allocation()) == [1, 1]
         assert compare(integral).ghz_constructible
         lopsided = LinearFunctional(np.array([2.0, 1.0]) / np.sqrt(5.0), 1.0, 2, 1)
-        assert lopsided.ghz_allocation() is None
+        with pytest.raises(ValueError, match="sensor 0"):
+            lopsided.ghz_allocation()
         assert not compare(lopsided).ghz_constructible
         # The analytic value is still reported.
         assert ghz_bound(lopsided) > 0.0
+
+    @pytest.mark.parametrize(
+        "v, n, constructible",
+        [
+            ([0.44721359576828607, 0.8944271908657518], 6, False),
+            ([0.29814239716597474, 0.5962847939675532, 0.7453559924594415], 11, True),
+        ],
+    )
+    def test_ghz_probe_builds_exactly_when_constructible(self, v, n, constructible):
+        # Allocations within rounding of the 1e-9 integrality edge: the
+        # comparison flag and the probe constructor follow one rule.
+        fam = qubit_ensemble_family()
+        assert compare(LinearFunctional(v, fam.kappa, n)).ghz_constructible is constructible
+        if constructible:
+            _, net = ghz_probe(v, n, fam)
+            assert sum(d - 1 for d in net.dims) == n
+        else:
+            with pytest.raises(ValueError, match="not integral"):
+                ghz_probe(v, n, fam)
 
 
 class TestFunctionalValidation:

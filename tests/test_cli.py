@@ -128,6 +128,13 @@ class TestScenario:
     def test_gradient_odd_budget_is_config_error(self, tmp_path):
         assert main(["scenario", "gradient", "--N", "3", "--out", str(tmp_path)]) == 2
 
+    def test_optical_zero_cutoff_names_the_field(self, tmp_path, capsys):
+        # A one-level mode has a zero generator: no trial could pass the
+        # conditioning guard, so the cutoff is refused as configuration.
+        assert main(["scenario", "optical", "--cutoff", "0", "--out", str(tmp_path)]) == 2
+        assert "error: mode_cutoff must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_optical.json").exists()
+
     def test_optical_json(self, tmp_path):
         code = main(
             ["scenario", "optical", "--trials", "4", "--seed", "11", "--out", str(tmp_path)]
@@ -162,6 +169,12 @@ class TestBoundsSweep:
     def test_non_positive_sensor_count_names_the_flag(self, tmp_path, capsys, d):
         assert main(["bounds", "sweep", "--d", "2", d, "--out", str(tmp_path)]) == 2
         assert f"error: --d must be an integer >= 1, got {d}" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_sweep.json").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_non_positive_budget_names_the_flag(self, tmp_path, capsys, n):
+        assert main(["bounds", "sweep", "--d", "2", "--N", n, "--out", str(tmp_path)]) == 2
+        assert f"error: --N must be an integer >= 1, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "bounds_sweep.json").exists()
 
 
@@ -231,10 +244,10 @@ class TestQfimCommand:
 
 class TestLocalGenerators:
     def test_hot_paths_build_no_full_space_generator(self, tmp_path, monkeypatch):
-        def forbidden(net, k):
+        def forbidden(op, site, layout):
             raise AssertionError("full-space generator built")
 
-        monkeypatch.setattr("qsnet.network.global_generator", forbidden)
+        monkeypatch.setattr("qsnet.network.embed_local", forbidden)
         assert main(["audit", "t2", "--trials", "3", "--seed", "7", "--out", str(tmp_path)]) == 0
         rng = np.random.default_rng(9)
         sensor = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))

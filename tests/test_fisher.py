@@ -22,7 +22,9 @@ from conftest import (
     oracle_slds,
     random_hermitian,
     random_network,
+    random_povm,
     seeds,
+    sigma_y_effects,
     two_qubit_z_network,
 )
 from qsnet import (
@@ -33,7 +35,6 @@ from qsnet import (
     cfim,
     doubled,
     encode,
-    global_generators,
     orthogonal_completion,
     qcrb,
     qfim_mixed,
@@ -44,7 +45,8 @@ from qsnet import (
 )
 from qsnet import fisher
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
-from qsnet.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, PureState, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
+from qsnet.network import global_generators
 from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
 
 
@@ -486,17 +488,12 @@ class TestQfimType:
             QFIM(np.zeros((0, 0)))
 
 
-def _sigma_y_effects() -> list[np.ndarray]:
-    w, v = np.linalg.eigh(np.asarray(SIGMA_Y))
-    return [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
-
-
 class TestCfim:
     def test_transverse_measurement_saturates(self):
         # Analytic outcome law: p(+/-|phi) = (1 +/- sin phi)/2, whose
         # classical information is 1 at every phase.
         net = _single_qubit_net()
-        effects = _sigma_y_effects()
+        effects = sigma_y_effects()
         phi = 0.3
         evolved = encode(net, _plus_state(), [phi])
         probs = sorted(
@@ -517,7 +514,7 @@ class TestCfim:
         # p(+/-|phi) = (1 +/- sin phi)/2 gives unit information everywhere,
         # so the base point must not matter for this measurement.
         net = _single_qubit_net()
-        effects = _sigma_y_effects()
+        effects = sigma_y_effects()
         for phi0 in (-0.9, 0.4, 1.2):
             out = cfim(effects, net, _plus_state(), phi0=[phi0])
             assert out[0, 0] == pytest.approx(1.0, abs=1e-5)
@@ -525,7 +522,7 @@ class TestCfim:
     def test_local_measurements_on_product_probe_match_quantum_diagonal(self):
         net = two_qubit_z_network()
         plus2 = PureState(np.ones(4) / 2.0, (2, 2))
-        local = _sigma_y_effects()
+        local = sigma_y_effects()
         effects = [np.kron(a, b) for a in local for b in local]
         out = cfim(effects, net, plus2)
         fim = oracle_qfim_pure(plus2, net)
@@ -536,7 +533,7 @@ class TestCfim:
         net = two_qubit_z_network()
         for _ in range(10):
             psi = haar_state(4, (2, 2), rng)
-            effects = _random_povm(4, 5, rng)
+            effects = random_povm(4, 5, rng)
             classical = cfim(effects, net, psi)
             quantum = oracle_qfim_pure(psi, net)
             gap = np.linalg.eigvalsh(quantum - classical)[0]
@@ -580,7 +577,7 @@ class TestCfim:
         net = _commuting_network(dims, rng) if regime == "commuting" else random_network(dims, rng)
         dim = net.total_dim
         probe = random_density(dim, net.dims, rng) if mixed else haar_state(dim, net.dims, rng)
-        effects = _random_povm(dim, int(rng.integers(2, 6)), rng)
+        effects = random_povm(dim, int(rng.integers(2, 6)), rng)
         phi0 = np.zeros(net.n_params) if regime == "fiducial" else rng.uniform(-1.0, 1.0, net.n_params)
         commuting = all(
             np.max(np.abs(a @ b - b @ a)) <= 1e-9
@@ -600,9 +597,9 @@ class TestCfim:
         sensor = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))
         net = SensorNetwork((sensor,))
         with pytest.raises(NoncommutingGeneratorsError):
-            cfim(_sigma_y_effects(), net, _plus_state(), phi0=[0.3, 0.0])
-        at_zero = cfim(_sigma_y_effects(), net, _plus_state(), phi0=[0.0, 0.0])
-        want = oracle_cfim(_sigma_y_effects(), net, _plus_state(), [0.0, 0.0])
+            cfim(sigma_y_effects(), net, _plus_state(), phi0=[0.3, 0.0])
+        at_zero = cfim(sigma_y_effects(), net, _plus_state(), phi0=[0.0, 0.0])
+        want = oracle_cfim(sigma_y_effects(), net, _plus_state(), [0.0, 0.0])
         assert_allclose(at_zero, want, atol=1e-6)
 
 
@@ -617,17 +614,6 @@ def _commuting_network(dims, rng: np.random.Generator) -> SensorNetwork:
         gens = tuple((g + g.conj().T) / 2 for g in raw)
         sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
     return SensorNetwork(tuple(sensors))
-
-
-def _random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.ndarray]:
-    raw = []
-    for _ in range(n_effects):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(g @ g.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return [inv_root @ a @ inv_root for a in raw]
 
 
 class TestInputChecks:
@@ -661,4 +647,3 @@ class TestSpectrum:
             fim.spectrum = (w, v)
         assert_allclose((v * w) @ v.T, fim.matrix, atol=1e-12)
         assert_allclose(w, np.linalg.eigvalsh(fim.matrix), atol=1e-12)
-        assert fim.eigenvalues() is w

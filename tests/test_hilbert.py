@@ -1,5 +1,5 @@
 """Linear-algebra substrate: tensor products, embeddings, partial traces,
-eigendecomposition, matrix exponentials, state carriers, JSON wire format."""
+matrix exponentials, state carriers, JSON wire format."""
 
 from functools import reduce
 from itertools import product
@@ -15,13 +15,11 @@ from qsnet import config
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import (
     kron_all,
-    SIGMA_X,
     SIGMA_Z,
     DensityOperator,
     PureState,
     apply_local,
     commutator,
-    eigh,
     embed_local,
     expm_i,
     identity,
@@ -167,8 +165,8 @@ class TestPartialTrace:
         # Oracle: both marginals of a bipartite pure state share eigenvalues.
         rng = np.random.default_rng(5)
         psi = haar_state(4, (2, 2), rng)
-        w_a = np.sort(sensor_marginal(psi, 0).eigenvalues())
-        w_b = np.sort(sensor_marginal(psi, 1).eigenvalues())
+        w_a = np.sort(sensor_marginal(psi, 0).spectrum[0])
+        w_b = np.sort(sensor_marginal(psi, 1).spectrum[0])
         assert_allclose(w_a, w_b, atol=1e-12)
 
     def test_trace_preserved(self):
@@ -182,31 +180,6 @@ class TestPartialTrace:
         bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
         with pytest.raises(LayoutError):
             partial_trace(bell, {0, 1})
-
-
-class TestEigh:
-    def test_sigma_z(self):
-        w, _ = eigh(SIGMA_Z)
-        assert_allclose(w, [-1.0, 1.0], atol=1e-15)
-
-    def test_sigma_x_eigenvectors_up_to_phase(self):
-        w, v = eigh(SIGMA_X)
-        assert_allclose(w, [-1.0, 1.0], atol=1e-15)
-        minus = np.array([1.0, -1.0]) / np.sqrt(2)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert abs(np.vdot(minus, v[:, 0])) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(plus, v[:, 1])) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(13)
-        a = random_hermitian(9, rng)
-        w, v = eigh(a)
-        assert np.max(np.abs((v * w) @ v.conj().T - a)) <= 1e-10
-        assert np.max(np.abs(v.conj().T @ v - identity(9))) <= 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestExpmI:
@@ -230,6 +203,10 @@ class TestExpmI:
     def test_non_finite_angle_rejected(self, angle):
         with pytest.raises(ValueError, match="angle must be finite"):
             expm_i(np.eye(2), angle)
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError):
+            expm_i(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestStateCarriers:
@@ -479,7 +456,6 @@ class TestSpectrum:
             rho.spectrum = (p, v)
         assert_allclose((v * p) @ v.conj().T, rho.matrix, atol=1e-12)
         assert_allclose(p, np.linalg.eigvalsh(rho.matrix), atol=1e-12)
-        assert rho.eigenvalues() is p
 
 
 class TestNonFiniteEntries:

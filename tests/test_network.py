@@ -12,8 +12,6 @@ from qsnet import (
     SensorSpec,
     doubled,
     encode,
-    global_generator,
-    global_generators,
     network_from_json,
     network_to_json,
     resource_count,
@@ -30,6 +28,7 @@ from qsnet.hilbert import (
     identity,
     kron_all,
 )
+from qsnet.network import global_generators
 from qsnet.sampling import haar_state, random_density
 
 
@@ -46,8 +45,6 @@ class TestStructure:
         assert net.partition == ((0, 1), (2,))
         assert net.n_params == 3
         assert net.dims == (3, 2)
-        assert net.sensor_of_param(1) == (0, 1)
-        assert net.sensor_of_param(2) == (1, 0)
 
     def test_generator_size_enforced(self):
         with pytest.raises(LayoutError):
@@ -65,13 +62,9 @@ class TestStructure:
 
 class TestGlobalGenerators:
     def test_embeddings(self):
-        net = two_qubit_z_network()
-        assert_allclose(global_generator(net, 0), np.kron(SIGMA_Z / 2, identity(2)), atol=0)
-        assert_allclose(global_generator(net, 1), np.kron(identity(2), SIGMA_Z / 2), atol=0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            global_generator(two_qubit_z_network(), 2)
+        g0, g1 = global_generators(two_qubit_z_network())
+        assert_allclose(g0, np.kron(SIGMA_Z / 2, identity(2)), atol=0)
+        assert_allclose(g1, np.kron(identity(2), SIGMA_Z / 2), atol=0)
 
     def test_cross_sensor_generators_commute(self):
         rng = np.random.default_rng(21)
@@ -115,7 +108,8 @@ class TestEncode:
         rho = random_density(4, (2, 2), rng)
         out = encode(net, rho, [0.3, -1.2])
         assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
-        assert abs(out.purity() - rho.purity()) <= 1e-10
+        purity_out = np.trace(out.matrix @ out.matrix).real
+        assert abs(purity_out - np.trace(rho.matrix @ rho.matrix).real) <= 1e-10
 
     def test_layout_mismatch(self):
         net = two_qubit_z_network()
@@ -217,7 +211,7 @@ class TestDoubling:
         assert dnet.dims == (2, 2, 2, 2)
         assert dnet.partition == net.partition
         assert dnet.n_params == net.n_params
-        assert dnet.sensors[1].is_ancilla() and dnet.sensors[3].is_ancilla()
+        assert not dnet.sensors[1].generators and not dnet.sensors[3].generators
         assert_allclose(dnet.sensors[1].resource_op, net.sensors[0].resource_op, atol=0)
 
     def test_collective_ancilla_structure(self):
@@ -225,7 +219,7 @@ class TestDoubling:
         anet = with_collective_ancilla(net)
         assert anet.dims == (2, 2, 4)
         assert anet.partition == net.partition
-        assert anet.sensors[-1].is_ancilla()
+        assert not anet.sensors[-1].generators
 
 
 class TestJsonIngestion:

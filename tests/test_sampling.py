@@ -15,5 +15,5 @@ def test_random_density_is_partial_trace_of_haar_state():
 def test_random_density_beyond_square_root_of_cap():
     # The joint state would have 128 * 128 > 4096 levels; only rho counts.
     rho = random_density(128, (128,), np.random.default_rng(0))
-    assert rho.eigenvalues()[0] > 0.0
+    assert rho.spectrum[0][0] > 0.0
     assert np.linalg.matrix_rank(rho.matrix, hermitian=True) == 128
