@@ -1,8 +1,8 @@
 """Closed-form variance bounds for estimating one linear functional.
 
-For a unit-norm nonnegative coefficient vector ``v``, generators of equal
+For a unit-norm signed coefficient vector ``v``, generators of equal
 per-particle spectral width ``kappa``, a budget of ``N`` particles and
-``mu`` repeats:
+``mu`` repeats (bounds and particle allocations depend on ``|v|`` only):
 
 * best sensor-separable probes obey
   ``Var >= ||v||_{2/3}^2 / (mu kappa^2 N^2)``, which itself dominates the
@@ -65,24 +65,14 @@ def unit_vector(v, name: str) -> np.ndarray:
     return vec
 
 
-def unit_direction(v) -> np.ndarray:
-    """Validate a nonnegative, unit 2-norm coefficient vector.
-
-    Returns it flattened as floats, with roundoff negatives clipped to 0.
-    """
-    vec = unit_vector(v, "coefficient vector")
-    if np.any(vec < -1e-12):
-        raise ValueError("coefficient vector must be nonnegative")
-    return np.clip(vec, 0.0, None)
-
-
 @dataclass(frozen=True)
 class LinearFunctional:
     """Estimation target ``theta = v . phi`` with its resource accounting.
 
-    ``v`` is nonnegative with unit 2-norm; ``kappa`` is the per-particle
-    spectral width of the (identical) sensor generators; ``n_particles`` is
-    the particle budget and ``repeats`` the number of experiment repeats.
+    ``v`` is signed with unit 2-norm; the bounds and the GHZ allocation
+    depend on ``|v|`` only. ``kappa`` is the per-particle spectral width of
+    the (identical) sensor generators; ``n_particles`` is the particle
+    budget and ``repeats`` the number of experiment repeats.
     """
 
     v: np.ndarray
@@ -91,7 +81,7 @@ class LinearFunctional:
     repeats: int = 1
 
     def __post_init__(self):
-        vec = unit_direction(self.v)
+        vec = unit_vector(self.v, "coefficient vector")
         if not (np.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
         vec.setflags(write=False)
@@ -105,18 +95,18 @@ class LinearFunctional:
         return self.v.size
 
     def ghz_allocation(self) -> np.ndarray:
-        """Integer per-sensor particle counts ``N v / ||v||_1``.
+        """Integer per-sensor particle counts ``N |v| / ||v||_1``.
 
         Raises ``ValueError`` naming the first sensor whose count is more
         than 1e-9 from an integer: no GHZ probe of this toolkit then
         certifies the closed-form bound.
         """
-        tilde = self.n_particles * self.v / pnorm(self.v, 1.0)
+        tilde = self.n_particles * np.abs(self.v) / pnorm(self.v, 1.0)
         counts = np.rint(tilde)
         off = np.flatnonzero(np.abs(tilde - counts) > 1e-9)
         if off.size:
             k = int(off[0])
-            raise ValueError(f"allocation N*v/||v||_1 is not integral at sensor {k}: {float(tilde[k])!r}")
+            raise ValueError(f"allocation N*|v|/||v||_1 is not integral at sensor {k}: {float(tilde[k])!r}")
         return counts.astype(int)
 
     def _denominator(self) -> float:
@@ -139,7 +129,7 @@ def enhancement_ratio(f: LinearFunctional) -> float:
     Lies in ``[1, d]``; equals 1 only for single-sensor functionals and
     peaks at ``d`` for the uniform one.
     """
-    return (pnorm(f.v, 2.0 / 3.0) / pnorm(f.v, 1.0)) ** 2
+    return separable_bound(f) / ghz_bound(f)
 
 
 @dataclass(frozen=True)
@@ -180,8 +170,6 @@ class BoundComparison:
 
 
 def compare(f: LinearFunctional) -> BoundComparison:
-    sep = separable_bound(f)
-    ghz = ghz_bound(f)
     try:
         f.ghz_allocation()
         constructible = True
@@ -192,8 +180,8 @@ def compare(f: LinearFunctional) -> BoundComparison:
         n_particles=f.n_particles,
         kappa=f.kappa,
         repeats=f.repeats,
-        separable=sep,
-        ghz=ghz,
-        ratio=sep / ghz,
+        separable=separable_bound(f),
+        ghz=ghz_bound(f),
+        ratio=enhancement_ratio(f),
         ghz_constructible=constructible,
     )

@@ -105,13 +105,14 @@ def _rank_cutoff(eigenvalues: np.ndarray) -> float:
     return max(config.RANK_TOL_FACTOR * top, config.RANK_TOL_FLOOR)
 
 
-def _support_inverse(fim: QFIM) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of an information matrix restricted to its support.
+def _support_inverse(spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of a symmetric matrix restricted to its support.
 
-    Returns the eigenvectors whose eigenvalues clear the rank cutoff, as
-    columns ``V``, and ``V diag(1/w) V^T`` over those eigenvalues ``w``.
+    Takes the matrix's ascending ``(eigenvalues, eigenvectors)`` and returns
+    the eigenvectors whose eigenvalues clear the rank cutoff, as columns
+    ``V``, and ``V diag(1/w) V^T`` over those eigenvalues ``w``.
     """
-    eigvals, eigvecs = fim.spectrum
+    eigvals, eigvecs = spectrum
     support = eigvals > _rank_cutoff(eigvals)
     vs = eigvecs[:, support]
     return vs, (vs / eigvals[support]) @ vs.T
@@ -319,7 +320,7 @@ def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     """Weighted scalar Cramer-Rao bound ``sum_k W_kk [F^-1]_kk / mu``."""
     mu = config.check_int(mu, "mu")
     w_diag = _check_weights(weights, fim.d)
-    vs, inv_supp = _support_inverse(fim)
+    vs, inv_supp = _support_inverse(fim.spectrum)
     support_dim = vs.shape[1]
     singular = support_dim < fim.d
     # A parameter direction is determined only if e_k lies in the support.
@@ -384,7 +385,7 @@ def block_inverse_residuals(fim: QFIM) -> np.ndarray:
     zero exactly when block ``k`` decouples from the rest (its off-diagonal
     blocks vanish). Raises on singular input.
     """
-    support, full_inv = _support_inverse(fim)
+    support, full_inv = _support_inverse(fim.spectrum)
     if support.shape[1] < fim.d:
         raise np.linalg.LinAlgError("information matrix is singular")
     # A block's eigenvalues clear the full matrix's cutoff: its support inverse is exact.
@@ -392,7 +393,7 @@ def block_inverse_residuals(fim: QFIM) -> np.ndarray:
     for k in range(fim.n_blocks):
         idx = np.asarray(fim.partition[k])
         outer = full_inv[np.ix_(idx, idx)]
-        inner = _support_inverse(QFIM(fim.block(k)))[1]
+        inner = _support_inverse(np.linalg.eigh(fim.block(k)))[1]
         diff = outer - inner
         residuals[k] = float(np.linalg.eigvalsh((diff + diff.T) / 2)[0])
     return residuals

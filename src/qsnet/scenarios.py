@@ -38,8 +38,8 @@ from .reporting import sha256_of_arrays
 from .sampling import _ginibre, haar_state, haar_unitary, random_density, random_spd, trial_rng
 from .states import (
     SensorFamily,
-    _extremal_pair,
     extremal_superposition,
+    ghz_probe,
     local_purification_probe,
     optimal_separable_probe,
     product_defect,
@@ -68,7 +68,7 @@ __all__ = [
 _COND_GUARD = 1e-2
 
 # Smallest admissible value of each integer field of ScenarioConfig.
-_INT_MINIMUM = dict(seed=0, trials=1, n_particles=0, n_modes=1, mode_cutoff=1, mu=1, max_matrix_dim=2)
+_INT_MINIMUM = dict(seed=0, trials=1, n_particles=1, n_modes=1, mode_cutoff=1, mu=1, max_matrix_dim=2)
 
 
 @dataclass(frozen=True)
@@ -514,36 +514,30 @@ class GradientReport:
 def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     """Estimate the difference of two site fields with ``N`` qubits.
 
-    The sensor-entangled probe superposes the two anti-aligned collective
-    extremes and halves the variance of the best separable strategy (one
-    local GHZ-like state per site). Its rotated information matrix is
-    insensitive to the sum parameter, so for the both-parameters task the
-    separable probe wins instead.
+    The sensor-entangled probe is :func:`qsnet.states.ghz_probe` for the
+    signed functional ``v = (-1, 1)/sqrt(2)``: it superposes the two
+    anti-aligned collective extremes and halves the variance of the best
+    separable strategy (one local GHZ-like state per site). Its rotated
+    information matrix is insensitive to the sum parameter, so for the
+    both-parameters task the separable probe wins instead.
     """
     n = cfg.n_particles
     if n < 2 or n % 2:
         raise ValueError("gradient scenario needs an even particle count >= 2")
     family = qubit_ensemble_family()
-    half = n // 2
-    sensor = family.sensor_for(half)
-    net = SensorNetwork((sensor, sensor))
-    lo, hi = _extremal_pair(sensor)
-    vec = np.kron(lo, hi) + np.kron(hi, lo)
-    psi = PureState(vec / np.linalg.norm(vec), net.dims)
+    functional = LinearFunctional(np.array([-1.0, 1.0]) / np.sqrt(2.0), family.kappa, n, cfg.mu)
+    psi, net = ghz_probe(functional.v, n, family)
     fim = qfim_pure(psi, net)
 
-    difference = np.array([-1.0, 1.0]) / np.sqrt(2.0)
-    rotation = np.vstack([difference, np.array([1.0, 1.0]) / np.sqrt(2.0)])
+    rotation = np.vstack([functional.v, np.array([1.0, 1.0]) / np.sqrt(2.0)])
     fim_rotated = rotate_qfim(fim, rotation)
     report_ent = qcrb(fim_rotated, [1.0, 0.0], cfg.mu)
     sum_sensitivity = abs(float(fim_rotated.matrix[1, 1]))
 
-    magnitudes = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    sep_state, sep_net, allocation = optimal_separable_probe(magnitudes, n, family)
+    sep_state, sep_net, allocation = optimal_separable_probe(functional.v, n, family)
     fim_sep = qfim_pure(sep_state, sep_net)
     report_sep = qcrb(rotate_qfim(fim_sep, rotation), [1.0, 0.0], cfg.mu)
 
-    functional = LinearFunctional(magnitudes, family.kappa, n, cfg.mu)
     closed_ent = ghz_bound(functional)
     closed_sep = separable_bound(functional)
     closed_ratio = enhancement_ratio(functional)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .bounds import LinearFunctional, unit_direction
+from .bounds import LinearFunctional, unit_vector
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
@@ -204,17 +204,22 @@ def extremal_superposition(family: SensorFamily, n: int) -> PureState:
 def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, SensorNetwork]:
     """Sensor-entangled GHZ-like probe for the linear functional ``v . phi``.
 
-    Distributes ``tilde_v_k = N v_k / ||v||_1`` particles to sensor ``k``
-    (every ``tilde_v_k`` must be an integer) and superposes the all-maximal
-    and all-minimal extremal branches. Returns the probe together with the
-    network it lives on, since sensor dimensions depend on the allocation.
+    ``v`` may be signed. Distributes ``tilde_v_k = N |v_k| / ||v||_1``
+    particles to sensor ``k`` (every ``tilde_v_k`` must be an integer) and
+    superposes two branches: every sensor at its maximal extremal
+    eigenvector, and every sensor at its minimal one. A sensor with
+    ``v_k < 0`` swaps the two, so the branches' phase difference follows
+    ``v . phi``. Returns the probe together with the network it lives on,
+    since sensor dimensions depend on the allocation.
     """
-    counts = LinearFunctional(v, family.kappa, n_particles).ghz_allocation()
-    sensors = [family.sensor_for(int(c)) for c in counts]
+    f = LinearFunctional(v, family.kappa, n_particles)
+    sensors = [family.sensor_for(int(c)) for c in f.ghz_allocation()]
     net = SensorNetwork(tuple(sensors))
     los, his = [], []
-    for sensor in sensors:
+    for sensor, vk in zip(sensors, f.v):
         lo, hi = _extremal_pair(sensor)
+        if vk < 0.0:
+            lo, hi = hi, lo
         los.append(lo)
         his.append(hi)
     branch = kron_all(his) + kron_all(los)
@@ -229,9 +234,10 @@ def optimal_separable_probe(
 ) -> tuple[PureState, SensorNetwork, np.ndarray]:
     """Best product of extremal superpositions for estimating ``v . phi``.
 
-    Minimizes ``sum_k v_k^2 / w_k^2`` over integer allocations with
-    ``sum w_k = N``. Every sensor with ``v_k > 0`` gets one particle; each
-    remaining particle goes to the sensor whose cost drops most,
+    ``v`` may be signed; the allocation depends on ``|v|`` only. Minimizes
+    ``sum_k v_k^2 / w_k^2`` over integer allocations with ``sum w_k = N``.
+    Every sensor with ``v_k != 0`` gets one particle; each remaining
+    particle goes to the sensor whose cost drops most,
     ``v_k^2 / w_k^2 - v_k^2 / (w_k + 1)^2``. The cost is separable and
     convex in each ``w_k``, so this marginal greedy allocation is exact
     (Fox 1966; Ibaraki & Katoh, Resource Allocation Problems, 1988). Drops
@@ -240,7 +246,7 @@ def optimal_separable_probe(
     Sensors with ``v_k = 0`` get no particles and contribute trivial
     factors.
     """
-    vec = unit_direction(v)
+    vec = np.abs(unit_vector(v, "coefficient vector"))
     n_particles = config.check_int(n_particles, "particle budget")
     w = (vec > 0.0).astype(int)
     if n_particles < int(w.sum()):

@@ -7,6 +7,7 @@ only the rank-cutoff constants and the classical probability floor from
 ``qsnet.config`` and shares no code with ``qsnet.fisher``.
 """
 
+import itertools
 from math import prod
 
 import numpy as np
@@ -25,6 +26,11 @@ def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two matrices or two vectors: the two-factor
     case of ``kron_all``, which checks the dimension cap and finiteness."""
     return kron_all([a, b])
+
+
+def sign_patterns(d: int) -> list[np.ndarray]:
+    """Every sign vector of length ``d`` with at least one negative entry."""
+    return [np.array(s) for s in itertools.product((1.0, -1.0), repeat=d) if min(s) < 0.0]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

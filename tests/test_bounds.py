@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_qfim_pure
+from conftest import oracle_qfim_pure, sign_patterns
 from qsnet import (
     QFIM,
     LinearFunctional,
@@ -19,7 +19,7 @@ from qsnet import (
     rotate_qfim,
     separable_bound,
 )
-from qsnet.bounds import unit_direction
+from qsnet.bounds import unit_vector
 from qsnet.scenarios import qubit_ensemble_family
 
 
@@ -133,9 +133,9 @@ class TestFunctionalValidation:
         with pytest.raises(ValueError):
             LinearFunctional(np.array([1.0, 1.0]), 1.0, 2, 1)
 
-    def test_nonnegative_enforced(self):
-        with pytest.raises(ValueError):
-            LinearFunctional(np.array([-0.6, 0.8]), 1.0, 2, 1)
+    def test_signed_entries_accepted(self):
+        f = LinearFunctional(np.array([-0.6, 0.8]), 1.0, 2, 1)
+        assert f.v.tolist() == [-0.6, 0.8]
 
     def test_positive_kappa_and_counts(self):
         v = np.array([1.0, 0.0])
@@ -150,6 +150,24 @@ class TestFunctionalValidation:
     def test_non_finite_kappa_rejected(self, kappa):
         with pytest.raises(ValueError):
             LinearFunctional(np.array([1.0, 0.0]), kappa, 2, 1)
+
+
+class TestSignedFunctional:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bounds_and_allocation_depend_on_magnitudes(self, d):
+        # Integer magnitudes (1, 2, 3, 1, 2) keep the GHZ allocation integral
+        # at N = their sum; mu = 3 and kappa = 0.5 exercise the denominator.
+        counts = np.array([1.0, 2.0, 3.0, 1.0, 2.0][:d])
+        magnitudes = counts / np.linalg.norm(counts)
+        n = int(counts.sum())
+        unsigned = LinearFunctional(magnitudes, 0.5, n, 3)
+        for signs in sign_patterns(d):
+            signed = LinearFunctional(signs * magnitudes, 0.5, n, 3)
+            assert separable_bound(signed) == separable_bound(unsigned)
+            assert ghz_bound(signed) == ghz_bound(unsigned)
+            assert enhancement_ratio(signed) == enhancement_ratio(unsigned)
+            assert np.array_equal(signed.ghz_allocation(), counts.astype(int))
+            assert compare(signed) == compare(unsigned)
 
 
 class TestNormChain:
@@ -195,9 +213,9 @@ class TestNormChain:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_unit_direction_rejects(self, bad):
+    def test_unit_vector_rejects(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            unit_direction([bad, 1.0])
+            unit_vector([bad, 1.0], "coefficient vector")
         with pytest.raises(ValueError, match="non-finite"):
             separable_bound(LinearFunctional([bad, 1.0], 1.0, 2))
 

@@ -135,6 +135,13 @@ class TestScenario:
         assert "error: mode_cutoff must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "scenario_optical.json").exists()
 
+    def test_optical_zero_budget_names_the_field(self, tmp_path, capsys):
+        # No probe can be allocated zero particles; the budget is refused
+        # as configuration before any probe is built.
+        assert main(["scenario", "optical", "--N", "0", "--out", str(tmp_path)]) == 2
+        assert "error: n_particles must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_optical.json").exists()
+
     def test_optical_json(self, tmp_path):
         code = main(
             ["scenario", "optical", "--trials", "4", "--seed", "11", "--out", str(tmp_path)]

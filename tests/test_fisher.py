@@ -462,6 +462,21 @@ class TestBlockInverse:
         with pytest.raises(np.linalg.LinAlgError):
             block_inverse_residuals(QFIM(np.outer(v, v), ((0,), (1,))))
 
+    def test_builds_no_information_matrix(self, monkeypatch):
+        # Each block's support inverse comes from its own eigh; wrapping a
+        # block as a QFIM would re-run every carrier check per block.
+        fim = QFIM(random_spd(6, trial_rng(62, 0)), ((0, 1), (2,), (3, 4, 5)))
+        real = QFIM.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.d)
+            real(self)
+
+        monkeypatch.setattr(QFIM, "__post_init__", counted)
+        assert block_inverse_residuals(fim).min() >= -1e-9
+        assert built == []
+
 
 class TestQfimType:
     def test_asymmetric_rejected(self):

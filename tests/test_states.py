@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, layouts, oracle_qfim_pure, seeds, two_qubit_z_network
+from conftest import bell_state, layouts, oracle_qfim_pure, seeds, sign_patterns, two_qubit_z_network
 from qsnet import (
     QFIM,
     LinearFunctional,
@@ -326,6 +326,33 @@ class TestGhzProbe:
         assert net.dims == (2, 2)
         assert_allclose(state.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-12)
 
+    def test_two_qubit_gradient_swaps_the_negative_sensor(self):
+        fam = qubit_ensemble_family()
+        v = np.array([-1.0, 1.0]) / np.sqrt(2)
+        state, net = ghz_probe(v, 2, fam)
+        assert net.dims == (2, 2)
+        assert_allclose(state.amplitudes, np.array([0, 1, 1, 0]) / np.sqrt(2), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_signed_v_reaches_ghz_bound_along_v(self, d):
+        # Magnitudes (1, 2, 1, 2, 1) put that many qubits on each sensor at
+        # N = their sum; the variance of v . phi is read off the support of
+        # the rank-one matrix, and the dense oracle checks the rank.
+        fam = qubit_ensemble_family()
+        counts = np.array([1.0, 2.0, 1.0, 2.0, 1.0][:d])
+        n = int(counts.sum())
+        selector = np.eye(d)[0]
+        for signs in sign_patterns(d):
+            v = signs * counts / np.linalg.norm(counts)
+            state, net = ghz_probe(v, n, fam)
+            assert net.dims == tuple(int(c) + 1 for c in counts)
+            rotated = rotate_qfim(qfim_pure(state, net), orthogonal_completion(v))
+            variance = qcrb(rotated, selector, 3).bound
+            assert variance == pytest.approx(pnorm(v, 1.0) ** 2 / (3 * fam.kappa**2 * n**2), abs=1e-9)
+            w, vecs = np.linalg.eigh(oracle_qfim_pure(state, net))
+            assert w[-2] <= 1e-9
+            assert abs(abs(np.dot(vecs[:, -1], v)) - 1.0) <= 1e-9
+
     def test_information_matrix_matches_closed_form(self):
         fam = qubit_ensemble_family()
         for d in (2, 3):
@@ -462,6 +489,18 @@ class TestOptimalSeparableProbe:
         assert_allclose(w, np.ones(12))
         variance = qcrb(rotate_qfim(qfim_pure(state, net), orthogonal_completion(v)), np.eye(12)[0]).bound
         assert variance == pytest.approx(np.sum(v**2 / w**2), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_signed_v_allocates_on_magnitudes(self, d):
+        fam = qubit_ensemble_family()
+        raw = np.array([0.3, 1.0, 0.6, 0.8][:d])
+        magnitudes = raw / np.linalg.norm(raw)
+        state, net, w = optimal_separable_probe(magnitudes, 7, fam)
+        for signs in sign_patterns(d):
+            signed_state, signed_net, signed_w = optimal_separable_probe(signs * magnitudes, 7, fam)
+            assert np.array_equal(signed_w, w)
+            assert signed_net.dims == net.dims
+            assert np.array_equal(signed_state.amplitudes, state.amplitudes)
 
     def test_budget_smaller_than_support_rejected(self):
         fam = qubit_ensemble_family()
