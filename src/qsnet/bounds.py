@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_int
+from .config import check_int, check_positive
 
 __all__ = [
     "LinearFunctional",
@@ -82,11 +82,9 @@ class LinearFunctional:
 
     def __post_init__(self):
         vec = unit_vector(self.v, "coefficient vector")
-        if not (np.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
         vec.setflags(write=False)
         object.__setattr__(self, "v", vec)
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", check_positive(self.kappa, "kappa"))
         object.__setattr__(self, "n_particles", check_int(self.n_particles, "particle budget"))
         object.__setattr__(self, "repeats", check_int(self.repeats, "mu"))
 

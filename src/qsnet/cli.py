@@ -41,7 +41,7 @@ from .exceptions import FormatError
 from .bounds import LinearFunctional, compare
 from .fisher import block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
 from .hilbert import DensityOperator, PureState, matrix_from_json, vector_from_json
-from .network import load_network
+from .network import network_from_json
 from .reporting import read_json, write_csv, write_json
 from .scenarios import (
     ScenarioConfig,
@@ -53,24 +53,17 @@ from .scenarios import (
     scenario_config_from_json,
 )
 
-# (runner, default seed, default trials) per kind.
+# (runner, default seed, default trials, the ScenarioConfig fields it reads)
+# per kind; setting a field the kind does not read is an error.
+_AUDIT_READS = {"seed", "trials", "tol"}
 _AUDITS = {
-    "t1": (audit_separable_surrogate, 42, 200),
-    "t2": (audit_local_purification, 7, 200),
-    "prop1": (audit_block_inverse, 3, 1000),
+    "t1": (audit_separable_surrogate, 42, 200, _AUDIT_READS),
+    "t2": (audit_local_purification, 7, 200, _AUDIT_READS),
+    "prop1": (audit_block_inverse, 3, 1000, _AUDIT_READS | {"max_matrix_dim"}),
 }
 _SCENARIOS = {
-    "gradient": (gradient_scenario, 0, 1),
-    "optical": (optical_phase_scenario, 11, 50),
-}
-# The ScenarioConfig fields each kind reads; setting any other is an error.
-_AUDIT_READS = {"seed", "trials", "tol"}
-_READS = {
-    "t1": _AUDIT_READS,
-    "t2": _AUDIT_READS,
-    "prop1": _AUDIT_READS | {"max_matrix_dim"},
-    "gradient": {"n_particles", "mu", "tol"},
-    "optical": {f.name for f in fields(ScenarioConfig)} - {"max_matrix_dim"},
+    "gradient": (gradient_scenario, 0, 1, {"n_particles", "mu", "tol"}),
+    "optical": (optical_phase_scenario, 11, 50, {f.name for f in fields(ScenarioConfig)} - {"max_matrix_dim"}),
 }
 
 
@@ -78,12 +71,12 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _config(args, seed: int, trials: int) -> ScenarioConfig:
+def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
     """The kind's defaults, then the fields ``--config`` sets, then flags."""
     cfg = ScenarioConfig(seed=seed, trials=trials)
     flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
     flags = {k: v for k, v in flags.items() if v is not None}
-    unread = set(flags) - _READS[args.kind]
+    unread = set(flags) - reads
     if args.config:
         doc = read_json(args.config)
         try:
@@ -92,7 +85,7 @@ def _config(args, seed: int, trials: int) -> ScenarioConfig:
             raise FormatError(f"{args.config}: {exc}") from exc
         if name is not None and name != args.kind:
             raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
-        unread |= set(doc) - {"scenario"} - _READS[args.kind]
+        unread |= set(doc) - {"scenario"} - reads
     if unread:
         raise FormatError(f"{args.command} {args.kind} does not read {sorted(unread)}")
     return replace(cfg, **flags)
@@ -122,8 +115,8 @@ def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) 
 
 
 def _run_audit(args) -> int:
-    runner, seed, trials = _AUDITS[args.kind]
-    cfg = _config(args, seed, trials)
+    runner, *defaults = _AUDITS[args.kind]
+    cfg = _config(args, *defaults)
     started = _now()
     result = runner(cfg)
     status = "PASS" if result.passed else "FAIL"
@@ -138,8 +131,8 @@ def _run_audit(args) -> int:
 
 
 def _run_scenario(args) -> int:
-    runner, seed, trials = _SCENARIOS[args.kind]
-    cfg = _config(args, seed, trials)
+    runner, *defaults = _SCENARIOS[args.kind]
+    cfg = _config(args, *defaults)
     started = _now()
     report = runner(cfg)
     status = "PASS" if report.passed else "FAIL"
@@ -221,7 +214,7 @@ def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperat
 def _run_qfim(args) -> int:
     started = _now()
     config.check_int(args.mu, "mu")
-    net = load_network(args.network)
+    net = network_from_json(read_json(args.network))
     state = _load_state(args.state, net.dims)
     if isinstance(state, PureState):
         fim = qfim_pure(state, net)

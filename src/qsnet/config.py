@@ -1,8 +1,9 @@
-"""Numerical tolerances, size limits and the integer check shared across
-the package."""
+"""Numerical tolerances, size limits and the integer and positive-number
+checks shared across the package."""
 
+import math
 import os
-from numbers import Integral
+from numbers import Integral, Real
 
 # Invariant tolerances for the core carriers.
 HERMITICITY_TOL = 1e-12   # relative to the largest entry magnitude
@@ -32,6 +33,19 @@ def check_int(value, name: str, minimum: int = 1) -> int:
     if not plain and (isinstance(value, bool) or not isinstance(value, Integral)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_positive(value, name: str) -> float:
+    """``value`` as a ``float``; anything but a finite positive real number
+    (numpy scalars included, booleans not) raises ``ValueError``."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range, such as 10**400
+            number = math.inf
+        if 0.0 < number < math.inf:
+            return number
+    raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def max_dim() -> int:

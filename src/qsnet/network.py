@@ -34,7 +34,6 @@ from .hilbert import (
     matrix_to_json,
     require_hermitian,
 )
-from .reporting import read_json
 
 __all__ = [
     "SensorSpec",
@@ -46,8 +45,17 @@ __all__ = [
     "with_collective_ancilla",
     "network_to_json",
     "network_from_json",
-    "load_network",
 ]
+
+
+def _local_operator(op, dim: int, name: str) -> np.ndarray:
+    """A read-only copy of the Hermitian ``dim x dim`` operator ``op``."""
+    mat = require_hermitian(op, name=name)
+    if mat.shape != (dim, dim):
+        raise LayoutError(f"{name} has shape {mat.shape}, sensor dim {dim}")
+    mat = mat.copy()
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -64,21 +72,10 @@ class SensorSpec:
 
     def __post_init__(self):
         dim = config.check_int(self.dim, "sensor dimension")
-        gens = []
-        for i, g in enumerate(self.generators):
-            mat = require_hermitian(g, name=f"generator {i}")
-            if mat.shape != (dim, dim):
-                raise LayoutError(f"generator {i} has shape {mat.shape}, sensor dim {dim}")
-            mat = mat.copy()
-            mat.setflags(write=False)
-            gens.append(mat)
-        res = require_hermitian(self.resource_op, name="resource operator")
-        if res.shape != (dim, dim):
-            raise LayoutError(f"resource operator has shape {res.shape}, sensor dim {dim}")
-        res = res.copy()
-        res.setflags(write=False)
+        gens = tuple(_local_operator(g, dim, f"generator {i}") for i, g in enumerate(self.generators))
+        res = _local_operator(self.resource_op, dim, "resource operator")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "resource_op", res)
 
     @property
@@ -261,17 +258,14 @@ def network_from_json(obj) -> SensorNetwork:
         raise FormatError("network document must be a JSON object")
     _require_keys(obj, {"sensors"}, "network")
     raw_sensors = obj["sensors"]
-    if not isinstance(raw_sensors, list) or not raw_sensors:
-        raise FormatError("network.sensors must be a non-empty list")
+    if not isinstance(raw_sensors, list):
+        raise FormatError("network.sensors must be a list")
     sensors = []
     for i, raw in enumerate(raw_sensors):
         where = f"sensors[{i}]"
         if not isinstance(raw, dict):
             raise FormatError(f"{where}: expected an object")
         _require_keys(raw, {"dim", "generators", "resource"}, where)
-        dim = raw["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise FormatError(f"{where}.dim: expected a positive integer, got {dim!r}")
         raw_gens = raw["generators"]
         if not isinstance(raw_gens, list):
             raise FormatError(f"{where}.generators: expected a list of matrices")
@@ -281,7 +275,7 @@ def network_from_json(obj) -> SensorNetwork:
         ]
         resource = matrix_from_json(raw["resource"], where=f"{where}.resource")
         try:
-            sensors.append(SensorSpec(dim, tuple(gens), resource))
+            sensors.append(SensorSpec(raw["dim"], tuple(gens), resource))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     try:
@@ -290,7 +284,3 @@ def network_from_json(obj) -> SensorNetwork:
         raise
     except ValueError as exc:
         raise FormatError(f"network: {exc}") from exc
-
-
-def load_network(path) -> SensorNetwork:
-    return network_from_json(read_json(path))

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .bounds import LinearFunctional, enhancement_ratio, ghz_bound, separable_bound
-from .config import check_int
+from .config import check_int, check_positive
 from .exceptions import FormatError
 from .fisher import (
     QFIM,
@@ -87,8 +87,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, minimum in _INT_MINIMUM.items():
             object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
+        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
 
     @property
     def structure_tol(self) -> float:
@@ -100,40 +99,30 @@ class ScenarioConfig:
 def scenario_config_from_json(
     obj, base: ScenarioConfig = ScenarioConfig()
 ) -> tuple[str | None, ScenarioConfig]:
-    """Override the fields of ``base`` that a JSON document sets, rejecting
-    unknown fields; fields the document omits keep their ``base`` values.
+    """Override the fields of ``base`` that a JSON document sets; fields the
+    document omits keep their ``base`` values.
 
-    The optional ``"scenario"`` entry names the audit or experiment the
-    config is meant for; it is returned alongside the config so callers can
+    Only what JSON adds is checked here: the document must be an object,
+    its optional ``"scenario"`` entry a string, and every other key a
+    :class:`ScenarioConfig` field. The values are checked by
+    :class:`ScenarioConfig` itself; a value it refuses raises
+    :class:`FormatError` with the same message as in the Python API.
+
+    The ``"scenario"`` entry names the audit or experiment the config is
+    meant for; it is returned alongside the config so callers can
     cross-check it against what they are about to run.
     """
     if not isinstance(obj, dict):
         raise FormatError("scenario config must be a JSON object")
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(obj) - known - {"scenario"})
+    settings = dict(obj)
+    name = settings.pop("scenario", None)
+    unknown = sorted(set(settings) - {f.name for f in fields(ScenarioConfig)})
     if unknown:
         raise FormatError(f"scenario config: unknown fields {unknown}")
-    name = obj.get("scenario")
     if name is not None and not isinstance(name, str):
         raise FormatError("scenario config: 'scenario' must be a string")
-    kwargs = {}
-    for field in fields(ScenarioConfig):
-        if field.name not in obj:
-            continue
-        value = obj[field.name]
-        if field.name == "tol":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError("scenario config: 'tol' must be a number")
-            try:
-                kwargs[field.name] = float(value)
-            except OverflowError as exc:
-                raise FormatError("scenario config: 'tol' is too large for a float") from exc
-        else:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise FormatError(f"scenario config: '{field.name}' must be an integer")
-            kwargs[field.name] = value
     try:
-        return name, replace(base, **kwargs)
+        return name, replace(base, **settings)
     except ValueError as exc:
         raise FormatError(f"scenario config: {exc}") from exc
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .bounds import LinearFunctional, unit_vector
+from .bounds import LinearFunctional
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
@@ -246,8 +246,8 @@ def optimal_separable_probe(
     Sensors with ``v_k = 0`` get no particles and contribute trivial
     factors.
     """
-    vec = np.abs(unit_vector(v, "coefficient vector"))
-    n_particles = config.check_int(n_particles, "particle budget")
+    f = LinearFunctional(v, family.kappa, n_particles)
+    vec, n_particles = np.abs(f.v), f.n_particles
     w = (vec > 0.0).astype(int)
     if n_particles < int(w.sum()):
         raise ValueError("budget too small: some weighted sensor would get no particles")

@@ -11,6 +11,7 @@ import itertools
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from qsnet import SensorNetwork, SensorSpec, config
@@ -20,6 +21,22 @@ from qsnet.hilbert import SIGMA_Y, SIGMA_Z, kron_all
 # dimension 1 to 4.
 layouts = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# Inputs that a finite-positive-number field (``config.check_positive``)
+# refuses, covering non-finite, ill-typed, oversized and non-positive values.
+NOT_FINITE_POSITIVE = [
+    pytest.param(value, id=name)
+    for name, value in [
+        ("inf", np.inf),
+        ("nan", np.nan),
+        ("bool", True),
+        ("str", "1e-9"),
+        ("huge_int", 10**400),
+        ("None", None),
+        ("zero", 0.0),
+        ("negative", -1.0),
+    ]
+]
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_qfim_pure, sign_patterns
+from conftest import NOT_FINITE_POSITIVE, oracle_qfim_pure, sign_patterns
 from qsnet import (
     QFIM,
     LinearFunctional,
@@ -146,10 +146,14 @@ class TestFunctionalValidation:
         with pytest.raises(ValueError):
             LinearFunctional(v, 1.0, 2, 0)
 
-    @pytest.mark.parametrize("kappa", [np.inf, np.nan])
+    @pytest.mark.parametrize("kappa", NOT_FINITE_POSITIVE)
     def test_non_finite_kappa_rejected(self, kappa):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kappa"):
             LinearFunctional(np.array([1.0, 0.0]), kappa, 2, 1)
+
+    @pytest.mark.parametrize("kappa", [np.float64(1e-8), 1])
+    def test_real_kappa_stored_as_float(self, kappa):
+        assert type(LinearFunctional(np.array([1.0, 0.0]), kappa, 2, 1).kappa) is float
 
 
 class TestSignedFunctional:

@@ -274,7 +274,7 @@ class TestInternalFault:
         def broken(cfg):
             raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
 
-        monkeypatch.setitem(cli._AUDITS, "t1", (broken, 42, 200))
+        monkeypatch.setitem(cli._AUDITS, "t1", (broken, *cli._AUDITS["t1"][1:]))
         assert main(["audit", "t1", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err
@@ -457,7 +457,8 @@ class TestJsonInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 18446744073709551616}', encoding="utf-8")
         assert main(["audit", "t1", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert f"{cfg}: scenario config: 'seed' must be an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}: scenario config: seed must be an integer >= 0, got 1.8446744073709552e+19" in err
 
 
 class TestCollectorPause:

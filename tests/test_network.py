@@ -253,11 +253,16 @@ class TestJsonIngestion:
         with pytest.raises(FormatError):
             network_from_json(doc)
 
-    def test_bad_dim_rejected(self):
+    @pytest.mark.parametrize("dim", [0, True, 2.0, "2"], ids=["zero", "bool", "float", "str"])
+    def test_bad_dim_rejected(self, dim):
         doc = network_to_json(two_qubit_z_network())
-        doc["sensors"][0]["dim"] = True
-        with pytest.raises(FormatError):
+        doc["sensors"][0]["dim"] = dim
+        with pytest.raises(FormatError, match=r"sensors\[0\]: sensor dimension"):
             network_from_json(doc)
+
+    def test_empty_sensor_list_rejected(self):
+        with pytest.raises(FormatError, match="at least one sensor"):
+            network_from_json({"sensors": []})
 
 
 class TestDimensionCap:

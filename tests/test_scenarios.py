@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import dense_generators, oracle_qfim_pure
+from conftest import NOT_FINITE_POSITIVE, dense_generators, oracle_qfim_pure
 from qsnet import (
     QFIM,
     ScenarioConfig,
@@ -139,10 +139,14 @@ class TestConfig:
         assert (cfg.seed, cfg.trials) == (4, 3)
         assert type(cfg.seed) is int and type(cfg.trials) is int
 
-    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    @pytest.mark.parametrize("tol", NOT_FINITE_POSITIVE)
     def test_non_finite_tol_rejected(self, tol):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tol"):
             ScenarioConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.float64(1e-8), 1])
+    def test_real_tol_stored_as_float(self, tol):
+        assert type(ScenarioConfig(tol=tol).tol) is float
 
     def test_json_tol_too_large_for_float(self):
         from qsnet import scenario_config_from_json
