@@ -71,6 +71,14 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _built(path: str, build, *args):
+    """``build(*args)`` with ``path`` in front of any ``ValueError`` it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
     """The kind's defaults, then the fields ``--config`` sets, then flags."""
     cfg = ScenarioConfig(seed=seed, trials=trials)
@@ -79,10 +87,7 @@ def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
     unread = set(flags) - reads
     if args.config:
         doc = read_json(args.config)
-        try:
-            name, cfg = scenario_config_from_json(doc, cfg)
-        except FormatError as exc:
-            raise FormatError(f"{args.config}: {exc}") from exc
+        name, cfg = _built(args.config, scenario_config_from_json, doc, cfg)
         if name is not None and name != args.kind:
             raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
         unread |= set(doc) - {"scenario"} - reads
@@ -183,9 +188,9 @@ def _run_bounds(args) -> int:
     return 0
 
 
-def _state_entries(doc, path: str) -> np.ndarray:
+def _state_entries(doc) -> np.ndarray:
     if not isinstance(doc, list) or not doc:
-        raise FormatError(f"{path}: expected a vector or matrix of [re, im] pairs")
+        raise FormatError("expected a vector or matrix of [re, im] pairs")
     first = doc[0]
     if isinstance(first, list) and first and isinstance(first[0], list):
         return matrix_from_json(doc, where="state")
@@ -202,19 +207,17 @@ def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperat
     enabled = gc.isenabled()
     gc.disable()
     try:
-        entries = _state_entries(read_json(path), path)
+        entries = _built(path, _state_entries, read_json(path))
     finally:
         if enabled:
             gc.enable()
-    if entries.ndim == 2:
-        return DensityOperator(entries, layout)
-    return PureState(entries, layout)
+    return _built(path, DensityOperator if entries.ndim == 2 else PureState, entries, layout)
 
 
 def _run_qfim(args) -> int:
     started = _now()
     config.check_int(args.mu, "mu")
-    net = network_from_json(read_json(args.network))
+    net = _built(args.network, network_from_json, read_json(args.network))
     state = _load_state(args.state, net.dims)
     if isinstance(state, PureState):
         fim = qfim_pure(state, net)

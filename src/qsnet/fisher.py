@@ -436,7 +436,10 @@ def cfim(
         for sensor in net.sensors:
             sensor.require_commuting()
     layout, gens, _ = _local_generators(net, state)
-    rho = (state.density() if isinstance(state, PureState) else state).matrix
+    if isinstance(state, PureState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
     rows = rho.reshape(layout + (dim,))
     applied = np.stack([apply_local(h, site, rows).reshape(-1) for site, h in gens])
     # Tr[E_m X] = <E_m, X> for Hermitian E_m, so p_m = Re <E_m, rho> and

@@ -22,6 +22,7 @@ from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
     PureState,
+    apply_local,
     kron_all,
     layout_ints,
     sensor_marginal,
@@ -40,36 +41,25 @@ __all__ = [
     "product_defect",
 ]
 
-# Fixed seed for the random mixing coefficients used by the simultaneous
-# diagonalization; audits must reproduce bit-identically.
-_MIX_SEED = 0x51B0
 
-
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group indices of ascending ``values`` whose gaps stay within ``tol``."""
-    if values.size == 0:
-        return []
+def _cluster(values: np.ndarray) -> list[np.ndarray]:
+    """Group indices of ascending ``values`` whose gaps stay within 1e-6 * max(1, |values|)."""
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(values))))
     breaks = np.nonzero(np.diff(values) > tol)[0]
     return [np.asarray(g) for g in np.split(np.arange(values.size), breaks + 1)]
 
 
 def _simultaneous_eigenbasis(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    dim = mats[0].shape[0]
-    rng = np.random.default_rng(_MIX_SEED)
-    coeffs = rng.standard_normal(len(mats))
-    combo = sum(c * m for c, m in zip(coeffs, mats))
-    combo = (combo + combo.conj().T) / 2
-    w, vectors = np.linalg.eigh(combo)
+    w, vectors = np.linalg.eigh(mats[0])
     # Clustering must be generous: eigenvectors attached to eigenvalues a
     # gap g apart mix by ~eps/g, so splitting anything closer than 1e-6
     # would freeze vectors too dirty for the 1e-9 residual contract.
     # Merged clusters are harmless, the refinement below cleans them.
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    blocks = _cluster(w, 1e-6 * scale)
-    # Refine each degenerate block against every generator in turn; blocks
-    # stay invariant under the remaining generators because they are unions
-    # of joint eigenspaces.
-    for mat in mats:
+    blocks = _cluster(w)
+    # Refine each degenerate block against the remaining generators in
+    # turn; blocks stay invariant under them because they are unions of
+    # joint eigenspaces.
+    for mat in mats[1:]:
         refined = []
         for idx in blocks:
             if idx.size == 1:
@@ -80,10 +70,9 @@ def _simultaneous_eigenbasis(mats: list[np.ndarray]) -> tuple[np.ndarray, np.nda
             compressed = (compressed + compressed.conj().T) / 2
             mu, u = np.linalg.eigh(compressed)
             vectors[:, idx] = sub @ u
-            mscale = max(1.0, float(np.max(np.abs(mu))))
-            refined.extend(idx[g] for g in _cluster(mu, 1e-6 * mscale))
+            refined.extend(idx[g] for g in _cluster(mu))
         blocks = refined
-    labels = np.empty((dim, len(mats)))
+    labels = np.empty((w.size, len(mats)))
     for j, mat in enumerate(mats):
         transformed = vectors.conj().T @ mat @ vectors
         labels[:, j] = np.real(np.diag(transformed))
@@ -101,7 +90,9 @@ def joint_eigenbasis(sensor: SensorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Joint eigenbasis ``(labels, vectors)`` of all of a sensor's generators.
 
     ``vectors`` holds orthonormal columns; ``labels[i, j]`` is the eigenvalue
-    of generator ``j`` on column ``i``. Requires the generators to commute
+    of generator ``j`` on column ``i``. It is the first generator's ``eigh``
+    with each degenerate cluster refined by the other generators in turn,
+    deterministic without a seed. Requires the generators to commute
     mutually within ``config.COMMUTE_TOL``; otherwise raises
     :class:`NoncommutingGeneratorsError`, which signals the caller to switch
     to the local-ancilla purification route.
@@ -118,18 +109,18 @@ def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
 
     Sensor ``k`` of the output carries amplitude ``sqrt(p_i)`` on joint
     eigenvector ``i``, where ``p_i`` is that eigenvector's probability in the
-    probe's reduced state on sensor ``k``. Amplitudes are real nonnegative;
-    for commuting generators the relative phases cannot affect the Fisher
-    matrix.
+    probe's reduced state on sensor ``k``: the squared norm of row ``i`` of
+    ``(V_k^dagger x I) psi`` with sensor ``k``'s axis first, so no reduced
+    state is formed. Amplitudes are real nonnegative; for commuting
+    generators the relative phases cannot affect the Fisher matrix.
     """
     net.require_layout(psi)
+    tensor = psi.amplitudes.reshape(net.dims)
     factors = []
     for site, sensor in enumerate(net.sensors):
         _, vectors = joint_eigenbasis(sensor)
-        rho = sensor_marginal(psi, site).matrix
-        probs = np.real(np.einsum("ij,jk,ki->i", vectors.conj().T, rho, vectors))
-        probs = np.clip(probs, 0.0, None)
-        factors.append(vectors @ np.sqrt(probs))
+        rows = np.moveaxis(apply_local(vectors.conj().T, site, tensor), site, 0)
+        factors.append(vectors @ np.linalg.norm(rows.reshape(sensor.dim, -1), axis=1))
     return PureState(kron_all(factors), net.dims)
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qsnet import SensorNetwork, SensorSpec, config
 from qsnet.hilbert import SIGMA_Y, SIGMA_Z, kron_all
+from qsnet.sampling import haar_unitary
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
 # dimension 1 to 4.
@@ -63,6 +64,19 @@ def random_network(dims, rng: np.random.Generator) -> SensorNetwork:
     for k, d in enumerate(dims):
         n_gens = int(rng.integers(1 if k == 0 else 0, 3))
         gens = tuple(random_hermitian(d, rng) for _ in range(n_gens))
+        sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
+    return SensorNetwork(tuple(sensors))
+
+
+def commuting_network(dims, rng: np.random.Generator) -> SensorNetwork:
+    """Sensors whose zero to two generators share one Haar-random
+    eigenbasis, the first sensor carrying at least one."""
+    sensors = []
+    for k, d in enumerate(dims):
+        basis = haar_unitary(d, rng)
+        n_gens = int(rng.integers(1 if k == 0 else 0, 3))
+        raw = [(basis * rng.uniform(-1.0, 1.0, d)) @ basis.conj().T for _ in range(n_gens)]
+        gens = tuple((g + g.conj().T) / 2 for g in raw)
         sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
     return SensorNetwork(tuple(sensors))
 

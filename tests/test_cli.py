@@ -452,6 +452,32 @@ class TestJsonInput:
         assert main(["qfim", str(single_qubit_net_file), str(bad), "--out", str(tmp_path)]) == 2
         assert f"{bad}: invalid JSON at {where}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["network", "state"])
+    def test_build_error_names_the_file(self, tmp_path, single_qubit_net_file, capsys, bad):
+        # A document that parses but does not build gets the file name in
+        # front, as a --config error does.
+        net, state = single_qubit_net_file, tmp_path / "state.json"
+        if bad == "network":
+            doc = json.loads(net.read_text(encoding="utf-8"))
+            doc["sensors"][0]["dim"] = 0
+            net = tmp_path / "dim0.json"
+            _write(net, doc)
+            _write(state, vector_to_json([1.0, 0.0]))
+            want = f"error: {net}: sensors[0]: sensor dimension must be an integer >= 1, got 0\n"
+        else:
+            _write(state, [[1, 0], [0]])
+            want = f"error: {state}: state: expected a non-empty, non-ragged vector of [re, im] pairs\n"
+        assert main(["qfim", str(net), str(state), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == want
+
+    def test_parse_error_names_the_file_once(self, tmp_path, single_qubit_net_file, capsys):
+        bad = tmp_path / "state.json"
+        bad.write_text("[[1, 0],", encoding="utf-8")
+        assert main(["qfim", str(single_qubit_net_file), str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON at line 1 column ")
+        assert err.count(str(bad)) == 1
+
     def test_seed_beyond_64_bits_is_not_an_integer(self, tmp_path, capsys):
         # Integers past 2**64 - 1 parse as floats, which no integer field takes.
         cfg = tmp_path / "cfg.json"

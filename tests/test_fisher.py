@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (
     LSTSQ_MAX_DIM,
+    commuting_network,
     dense_generators,
     full_square_sld_qfim,
     layouts,
@@ -47,7 +48,7 @@ from qsnet import fisher
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
 from qsnet.network import global_generators
-from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
+from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
 
 def _plus_state() -> PureState:
@@ -504,6 +505,26 @@ class TestQfimType:
 
 
 class TestCfim:
+    def test_pure_probe_builds_no_density_operator(self, monkeypatch):
+        # A pure probe's rho is the outer product of its amplitudes; wrapping
+        # it as a DensityOperator would validate it with a D x D eigh.
+        rng = np.random.default_rng(63)
+        net = two_qubit_z_network()
+        probe = haar_state(4, (2, 2), rng)
+        effects = random_povm(4, 3, rng)
+        want = cfim(effects, net, probe.density())
+        real = DensityOperator.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.layout)
+            real(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+        got = cfim(effects, net, probe)
+        assert built == []
+        assert got.tobytes() == want.tobytes()
+
     def test_transverse_measurement_saturates(self):
         # Analytic outcome law: p(+/-|phi) = (1 +/- sin phi)/2, whose
         # classical information is 1 at every phase.
@@ -589,7 +610,7 @@ class TestCfim:
         # from 0; "random": random generators away from 0, which must raise
         # unless every sensor's generators happen to commute.
         rng = np.random.default_rng(seed)
-        net = _commuting_network(dims, rng) if regime == "commuting" else random_network(dims, rng)
+        net = commuting_network(dims, rng) if regime == "commuting" else random_network(dims, rng)
         dim = net.total_dim
         probe = random_density(dim, net.dims, rng) if mixed else haar_state(dim, net.dims, rng)
         effects = random_povm(dim, int(rng.integers(2, 6)), rng)
@@ -616,19 +637,6 @@ class TestCfim:
         at_zero = cfim(sigma_y_effects(), net, _plus_state(), phi0=[0.0, 0.0])
         want = oracle_cfim(sigma_y_effects(), net, _plus_state(), [0.0, 0.0])
         assert_allclose(at_zero, want, atol=1e-6)
-
-
-def _commuting_network(dims, rng: np.random.Generator) -> SensorNetwork:
-    """Sensors whose zero to two generators share one Haar-random
-    eigenbasis, the first sensor carrying at least one."""
-    sensors = []
-    for k, d in enumerate(dims):
-        basis = haar_unitary(d, rng)
-        n_gens = int(rng.integers(1 if k == 0 else 0, 3))
-        raw = [(basis * rng.uniform(-1.0, 1.0, d)) @ basis.conj().T for _ in range(n_gens)]
-        gens = tuple((g + g.conj().T) / 2 for g in raw)
-        sensors.append(SensorSpec(d, gens, random_hermitian(d, rng)))
-    return SensorNetwork(tuple(sensors))
 
 
 class TestInputChecks:

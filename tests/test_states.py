@@ -9,7 +9,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, layouts, oracle_qfim_pure, seeds, sign_patterns, two_qubit_z_network
+from conftest import (
+    bell_state,
+    commuting_network,
+    layouts,
+    oracle_qfim_pure,
+    seeds,
+    sign_patterns,
+    two_qubit_z_network,
+)
 from qsnet import (
     QFIM,
     LinearFunctional,
@@ -79,19 +87,16 @@ class TestJointEigenbasis:
         with pytest.raises(NoncommutingGeneratorsError):
             joint_eigenbasis(sensor)
 
-    def test_accidental_mixing_collision_survives(self):
-        # Engineer two commuting generators whose internal random-coefficient
-        # combination nearly collides on a pair of distinct joint
-        # eigenspaces; the refinement pass must still deliver a clean basis.
-        from qsnet.states import _MIX_SEED
-
-        coeffs = np.random.default_rng(_MIX_SEED).standard_normal(2)
+    def test_near_degenerate_first_generator_split_by_second(self):
+        # The basis starts from the first generator's eigh. Two of its
+        # eigenvalues 5e-8 apart (inside the 1e-6 cluster tolerance) leave
+        # their eigenvectors mixed at roundoff over the gap; the second
+        # generator separates them, and the refinement must deliver a basis
+        # that is clean for both.
         rng = np.random.default_rng(81)
         shared = haar_unitary(3, rng)
-        lam = np.array([1.0, 0.0, -1.0])
-        # Pick mu so that coeffs . (lam_0, mu_0) equals coeffs . (lam_1, mu_1)
-        # up to an offset inside the old danger zone.
-        mu = np.array([0.2, 0.2 + coeffs[0] * (lam[0] - lam[1]) / coeffs[1] + 5e-8, 0.7])
+        lam = np.array([1.0, 1.0 + 5e-8, -1.0])
+        mu = np.array([0.2, 0.7, -0.3])
         gens = []
         for spectrum in (lam, mu):
             g = (shared * spectrum) @ shared.conj().T
@@ -166,6 +171,38 @@ class TestSeparableSurrogate:
         rng = np.random.default_rng(39)
         with pytest.raises(NoncommutingGeneratorsError):
             separable_surrogate(haar_state(4, (2, 2), rng), net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts.filter(lambda dims: prod(dims) <= 64), seeds)
+    def test_populations_match_marginal_oracle(self, dims, seed):
+        # Oracle: the diagonal of the probe's reduced state on each sensor
+        # in that sensor's joint eigenbasis, through sensor_marginal.
+        rng = np.random.default_rng(seed)
+        net = commuting_network(dims, rng)
+        psi = haar_state(net.total_dim, net.dims, rng)
+        surrogate = separable_surrogate(psi, net)
+        for site, sensor in enumerate(net.sensors):
+            _, vectors = joint_eigenbasis(sensor)
+            want = np.diag(vectors.conj().T @ sensor_marginal(psi, site).matrix @ vectors)
+            got = np.diag(vectors.conj().T @ sensor_marginal(surrogate, site).matrix @ vectors)
+            assert_allclose(got, want.real, rtol=0, atol=1e-12)
+
+    def test_builds_no_density_operator(self, monkeypatch):
+        # The populations come from the probe's amplitudes; a reduced
+        # DensityOperator per sensor would run its validating eigh unread.
+        rng = np.random.default_rng(41)
+        net = commuting_network((3, 2, 4), rng)
+        psi = haar_state(net.total_dim, net.dims, rng)
+        real = DensityOperator.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.layout)
+            real(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+        separable_surrogate(psi, net)
+        assert built == []
 
     def test_weighted_bound_never_worse(self):
         # Three sensors, one carrying two commuting generators: the
