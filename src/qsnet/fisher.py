@@ -159,7 +159,7 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
     means = np.real(applied @ amps.conj())
     gram = applied.conj() @ applied.T
     mat = 4.0 * (np.real(gram) - np.outer(means, means))
-    return QFIM((mat + mat.T) / 2, partition)
+    return QFIM(mat, partition)
 
 
 # Columns of the probe's eigenbasis handled per step of the mixed-state sum:
@@ -245,7 +245,7 @@ def qfim_mixed(
         mat += x @ x.T
     if near:
         _warn_near_cutoff()
-    return QFIM((mat + mat.T) / 2, partition)
+    return QFIM(mat, partition)
 
 
 def sld_operators(
@@ -353,29 +353,20 @@ def rotate_qfim(fim: QFIM, m) -> QFIM:
 
 
 def orthogonal_completion(v) -> np.ndarray:
-    """Orthogonal matrix whose first row is the given unit vector.
+    """Orthogonal matrix whose first row is ``v / |v|``.
 
-    The remaining rows come from Gram-Schmidt over the standard basis in
-    index order, skipping nearly dependent candidates; the result is
-    deterministic.
+    It is the Householder reflection that takes ``e_0`` to ``v``, signed so
+    that row 0 is ``v``: ``-s (I - u u^T / (1 + |v_0|))`` with
+    ``u = v + s e_0`` and ``s = sign(v_0)`` (``+1`` at 0), so that
+    ``u_0 = v_0 + s`` never cancels. ``v`` is normalized first, so a norm off by roundoff still
+    gives a rotation that :func:`rotate_qfim` accepts.
     """
     vec = unit_vector(v, "vector v")
-    d = vec.size
-    rows = [vec / np.linalg.norm(vec)]
-    for i in range(d):
-        if len(rows) == d:
-            break
-        cand = np.zeros(d)
-        cand[i] = 1.0
-        for _ in range(2):
-            for r in rows:
-                cand = cand - np.dot(r, cand) * r
-        length = float(np.linalg.norm(cand))
-        if length > 1e-8:
-            rows.append(cand / length)
-    if len(rows) != d:
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.vstack(rows)
+    vec = vec / np.linalg.norm(vec)
+    s = 1.0 if vec[0] >= 0.0 else -1.0
+    u = vec.copy()
+    u[0] += s
+    return s * (np.outer(u, u) / (1.0 + abs(vec[0])) - np.eye(vec.size))
 
 
 def block_inverse_residuals(fim: QFIM) -> np.ndarray:

@@ -54,24 +54,21 @@ def _simultaneous_eigenbasis(mats: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     # Clustering must be generous: eigenvectors attached to eigenvalues a
     # gap g apart mix by ~eps/g, so splitting anything closer than 1e-6
     # would freeze vectors too dirty for the 1e-9 residual contract.
-    # Merged clusters are harmless, the refinement below cleans them.
-    blocks = _cluster(w)
-    # Refine each degenerate block against the remaining generators in
-    # turn; blocks stay invariant under them because they are unions of
-    # joint eigenspaces.
-    for mat in mats[1:]:
-        refined = []
-        for idx in blocks:
-            if idx.size == 1:
-                refined.append(idx)
-                continue
-            sub = vectors[:, idx]
-            compressed = sub.conj().T @ mat @ sub
-            compressed = (compressed + compressed.conj().T) / 2
-            mu, u = np.linalg.eigh(compressed)
-            vectors[:, idx] = sub @ u
-            refined.extend(idx[g] for g in _cluster(mu))
-        blocks = refined
+    # Each cluster is a union of joint eigenspaces, invariant under every
+    # generator. It is turned by the eigh of the generator farthest from
+    # scalar on it (squared Frobenius norm of the traceless part), so a
+    # generator scalar there cannot scramble a pair another one holds.
+    work = [idx for idx in _cluster(w) if idx.size > 1]
+    while work:
+        idx = work.pop()
+        sub = vectors[:, idx]
+        blocks = [sub.conj().T @ mat @ sub for mat in mats]
+        spread = [np.vdot(c, c).real - abs(np.trace(c)) ** 2 / idx.size for c in blocks]
+        c = blocks[int(np.argmax(spread))]
+        mu, u = np.linalg.eigh((c + c.conj().T) / 2)
+        vectors[:, idx] = sub @ u
+        # A cluster that does not split is final.
+        work.extend(idx[g] for g in _cluster(mu) if 1 < g.size < idx.size)
     labels = np.empty((w.size, len(mats)))
     for j, mat in enumerate(mats):
         transformed = vectors.conj().T @ mat @ vectors
@@ -90,12 +87,16 @@ def joint_eigenbasis(sensor: SensorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Joint eigenbasis ``(labels, vectors)`` of all of a sensor's generators.
 
     ``vectors`` holds orthonormal columns; ``labels[i, j]`` is the eigenvalue
-    of generator ``j`` on column ``i``. It is the first generator's ``eigh``
-    with each degenerate cluster refined by the other generators in turn,
-    deterministic without a seed. Requires the generators to commute
-    mutually within ``config.COMMUTE_TOL``; otherwise raises
-    :class:`NoncommutingGeneratorsError`, which signals the caller to switch
-    to the local-ancilla purification route.
+    of generator ``j`` on column ``i``. It is the first generator's ``eigh``;
+    each cluster of eigenvalues within 1e-6 relative is turned by the
+    ``eigh`` of the generator farthest from scalar on it and split where
+    that generator's eigenvalues split, until no cluster splits. So a
+    generator that is scalar on a cluster cannot scramble a pair another
+    generator holds, whatever the generator order; the basis is
+    deterministic without a seed. Requires
+    the generators to commute mutually within ``config.COMMUTE_TOL``;
+    otherwise raises :class:`NoncommutingGeneratorsError`, which signals the
+    caller to switch to the local-ancilla purification route.
     """
     mats = list(sensor.generators)
     if not mats:

@@ -7,7 +7,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -434,6 +434,41 @@ class TestOrthogonalCompletion:
     def test_non_finite_vector_rejected(self):
         with pytest.raises(ValueError, match="vector v contains non-finite entries"):
             orthogonal_completion([np.nan, 0.0])
+
+
+_SIGNED_BASIS_VECTORS = st.builds(
+    lambda d, k, sign: sign * np.eye(d)[k % d],
+    st.integers(1, 8),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+)
+_UNIT_VECTORS = (
+    st.integers(1, 8)
+    .flatmap(
+        lambda d: st.lists(
+            st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e-20, -1e-20]), min_size=d, max_size=d
+        )
+    )
+    .map(np.array)
+    .filter(lambda x: np.linalg.norm(x) > 1e-3)
+    .map(lambda x: x / np.linalg.norm(x))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _SIGNED_BASIS_VECTORS | _UNIT_VECTORS,
+    st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10]),
+)
+@example(np.array([0.0, 0.6, -0.8]), 1.0)
+@example(np.array([1e-20, 0.6, 0.8]), 1.0)
+@example(np.array([-0.6, 0.8]), 1.0 + 1e-10)
+@example(-np.eye(1)[0], 1.0 - 1e-10)
+def test_orthogonal_completion_property(unit, scale):
+    v = unit * scale
+    m = orthogonal_completion(v)
+    assert np.max(np.abs(m @ m.T - np.eye(v.size))) <= 1e-14
+    assert np.max(np.abs(m[0] - v / np.linalg.norm(v))) <= 1e-15
 
 
 class TestBlockInverse:

@@ -87,24 +87,32 @@ class TestJointEigenbasis:
         with pytest.raises(NoncommutingGeneratorsError):
             joint_eigenbasis(sensor)
 
-    def test_near_degenerate_first_generator_split_by_second(self):
-        # The basis starts from the first generator's eigh. Two of its
-        # eigenvalues 5e-8 apart (inside the 1e-6 cluster tolerance) leave
-        # their eigenvectors mixed at roundoff over the gap; the second
-        # generator separates them, and the refinement must deliver a basis
-        # that is clean for both.
+    @pytest.mark.parametrize("mu", [(0.2, 0.7, -0.3), (0.2, 0.2, -0.3)], ids=["split", "scalar"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["lam_first", "mu_first"])
+    def test_near_degenerate_first_generator_split_by_second(self, mu, reverse):
+        # Two eigenvalues of ``lam`` 5e-8 apart (inside the 1e-6 cluster
+        # tolerance) leave their eigenvectors mixed at roundoff over the gap.
+        # ``mu`` either separates the pair or is scalar on it; in neither
+        # case, and in neither generator order, may it scramble the pair.
+        # Seed 81 is one where refining by each later generator in turn
+        # raises with the scalar ``mu`` second.
         rng = np.random.default_rng(81)
         shared = haar_unitary(3, rng)
         lam = np.array([1.0, 1.0 + 5e-8, -1.0])
-        mu = np.array([0.2, 0.7, -0.3])
+        spectra = (lam, np.array(mu))
         gens = []
-        for spectrum in (lam, mu):
+        for spectrum in spectra[::-1] if reverse else spectra:
             g = (shared * spectrum) @ shared.conj().T
             gens.append((g + g.conj().T) / 2)
         labels, vectors = joint_eigenbasis(SensorSpec(3, tuple(gens), identity(3)))
         for j, g in enumerate(gens):
             rebuilt = (vectors * labels[:, j]) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - g)) <= 1e-9
+        # Either order yields the joint spectrum, up to a row permutation;
+        # ``lam``'s entries are distinct, so they fix the row order.
+        pairs = labels[:, ::-1] if reverse else labels
+        expected = np.column_stack(spectra)
+        assert_allclose(pairs[np.argsort(pairs[:, 0])], expected[np.argsort(lam)], atol=1e-9)
 
     def test_ancilla_gets_trivial_basis(self):
         labels, vectors = joint_eigenbasis(SensorSpec(3, (), identity(3)))
