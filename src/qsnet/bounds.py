@@ -143,6 +143,8 @@ class BoundComparison:
     ratio: float
     ghz_constructible: bool
 
+    CSV_HEADER = ("d", "N", "kappa", "mu", "sep_bound", "ghz_bound", "ratio")
+
     def to_jsonable(self) -> dict:
         return {
             "d": self.d,
@@ -156,15 +158,7 @@ class BoundComparison:
         }
 
     def csv_row(self) -> list:
-        return [
-            self.d,
-            self.n_particles,
-            self.kappa,
-            self.repeats,
-            self.separable,
-            self.ghz,
-            self.ratio,
-        ]
+        return [self.d, self.n_particles, self.kappa, self.repeats, self.separable, self.ghz, self.ratio]
 
 
 def compare(f: LinearFunctional) -> BoundComparison:

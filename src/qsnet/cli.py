@@ -17,9 +17,10 @@ layered: the subcommand's defaults, then the fields the config file sets,
 then explicit flags. A flag or config field the kind never reads is a
 configuration error. The manifest echoes the resolved settings.
 
-Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on a
-configuration error (bad flags, malformed JSON, mismatched dimensions), 3 on
-an internal fault (any other exception; its traceback goes to stderr).
+Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on rejected
+input (bad flags, malformed JSON, mismatched dimensions, the dimension cap),
+3 on an internal fault (any other exception, a plain ``ValueError``
+included; its traceback goes to stderr).
 Result files are byte-identical across runs with the same seed; the run
 manifest (written alongside) carries the timestamps.
 """
@@ -37,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .exceptions import FormatError
-from .bounds import LinearFunctional, compare
+from .exceptions import DimensionLimitError, FormatError, LayoutError
+from .bounds import BoundComparison, LinearFunctional, compare
 from .fisher import block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
 from .hilbert import DensityOperator, PureState, matrix_from_json, vector_from_json
 from .network import network_from_json
@@ -65,18 +66,21 @@ _SCENARIOS = {
     "gradient": (gradient_scenario, 0, 1, {"n_particles", "mu", "tol"}),
     "optical": (optical_phase_scenario, 11, 50, {f.name for f in fields(ScenarioConfig)} - {"max_matrix_dim"}),
 }
+_RUNS = {"audit": _AUDITS, "scenario": _SCENARIOS}
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _built(path: str, build, *args):
-    """``build(*args)`` with ``path`` in front of any ``ValueError`` it raises."""
+def _built(path: str | None, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a plain ``ValueError`` it raises becomes a
+    :class:`FormatError`, and ``path``, when given, goes in front."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        kind = FormatError if type(exc) is ValueError else type(exc)
+        raise kind(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
@@ -93,7 +97,7 @@ def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
         unread |= set(doc) - {"scenario"} - reads
     if unread:
         raise FormatError(f"{args.command} {args.kind} does not read {sorted(unread)}")
-    return replace(cfg, **flags)
+    return _built(None, replace, cfg, **flags)
 
 
 def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:
@@ -119,49 +123,22 @@ def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) 
     print(f"report: {path}")
 
 
-def _run_audit(args) -> int:
-    runner, *defaults = _AUDITS[args.kind]
+def _run(args) -> int:
+    runner, *defaults = _RUNS[args.command][args.kind]
     cfg = _config(args, *defaults)
     started = _now()
     result = runner(cfg)
-    status = "PASS" if result.passed else "FAIL"
-    print(
-        f"{result.name}: trials={result.trials} regenerated={result.regenerated} "
-        f"max_violation={result.max_violation:.3e} max_structure_defect={result.max_structure_defect:.3e} {status}"
-    )
-    header = ["name", "seed", "trials", "tol", "max_violation", "max_structure_defect", "regenerated", "passed"]
-    row = [getattr(result, h) for h in header]
-    _emit(args, f"audit_{args.kind}", asdict(cfg), started, result.to_jsonable(), header, [row])
+    print(f"{result.summary()} {'PASS' if result.passed else 'FAIL'}")
+    _emit(args, f"{args.command}_{args.kind}", asdict(cfg), started, result.to_jsonable(), result.CSV_HEADER, [result.csv_row()])
     return 0 if result.passed else 1
-
-
-def _run_scenario(args) -> int:
-    runner, *defaults = _SCENARIOS[args.kind]
-    cfg = _config(args, *defaults)
-    started = _now()
-    report = runner(cfg)
-    status = "PASS" if report.passed else "FAIL"
-    if args.kind == "gradient":
-        header = ["scenario", "N", "mu", "var_entangled", "var_separable", "ratio", "passed"]
-        row = ["gradient", report.n_particles, report.mu, report.var_entangled, report.var_separable, report.ratio, report.passed]
-        print(f"gradient: N={report.n_particles} ratio={report.ratio:.12g} {status}")
-    else:
-        header = ["scenario", "modes", "cutoff", "trials", "max_violation", "vacuum_flagged", "passed"]
-        row = ["optical", report.n_modes, report.cutoff, report.surrogate_trials, report.surrogate_max_violation, report.vacuum_flagged, report.passed]
-        print(
-            f"optical: modes={report.n_modes} cutoff={report.cutoff} "
-            f"max_violation={report.surrogate_max_violation:.3e} {status}"
-        )
-    _emit(args, f"scenario_{args.kind}", asdict(cfg), started, report.to_jsonable(), header, [row])
-    return 0 if report.passed else 1
 
 
 def _run_bounds(args) -> int:
     started = _now()
     for d in args.d:
-        config.check_int(d, "--d")
+        _built(None, config.check_int, d, "--d")
     for n in args.N or ():
-        config.check_int(n, "--N")
+        _built(None, config.check_int, n, "--N")
     if args.N is None:
         budgets = list(args.d)
     elif len(args.N) == 1:
@@ -171,7 +148,7 @@ def _run_bounds(args) -> int:
     else:
         raise FormatError("--N must be a single value or match --d in length")
     comparisons = [
-        compare(LinearFunctional(np.ones(d) / np.sqrt(d), args.kappa, n, args.mu))
+        compare(_built(None, LinearFunctional, np.ones(d) / np.sqrt(d), args.kappa, n, args.mu))
         for d, n in zip(args.d, budgets)
     ]
     for c in comparisons:
@@ -182,7 +159,7 @@ def _run_bounds(args) -> int:
         {"d": list(args.d), "N": budgets, "kappa": args.kappa, "mu": args.mu},
         started,
         {"rows": [c.to_jsonable() for c in comparisons]},
-        ["d", "N", "kappa", "mu", "sep_bound", "ghz_bound", "ratio"],
+        BoundComparison.CSV_HEADER,
         [c.csv_row() for c in comparisons],
     )
     return 0
@@ -216,7 +193,7 @@ def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperat
 
 def _run_qfim(args) -> int:
     started = _now()
-    config.check_int(args.mu, "mu")
+    _built(None, config.check_int, args.mu, "mu")
     net = _built(args.network, network_from_json, read_json(args.network))
     state = _load_state(args.state, net.dims)
     if isinstance(state, PureState):
@@ -258,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", parents=[run], help="run a randomized audit")
     audit.add_argument("kind", choices=sorted(_AUDITS))
-    audit.set_defaults(handler=_run_audit)
+    audit.set_defaults(handler=_run)
 
     scenario = sub.add_parser("scenario", parents=[run], help="run a canned experiment")
     scenario.add_argument("kind", choices=sorted(_SCENARIOS))
@@ -268,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--cutoff", dest="mode_cutoff", type=int, help=f"optical: photon cutoff per mode (default {ScenarioConfig.mode_cutoff})"
     )
-    scenario.set_defaults(handler=_run_scenario)
+    scenario.set_defaults(handler=_run)
 
     bounds = sub.add_parser("bounds", parents=[table], help="closed-form bound tables")
     bounds.add_argument("action", choices=["sweep"])
@@ -294,7 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (FormatError, LayoutError, DimensionLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -5,6 +5,8 @@ import math
 import os
 from numbers import Integral, Real
 
+from .exceptions import FormatError
+
 # Invariant tolerances for the core carriers.
 HERMITICITY_TOL = 1e-12   # relative to the largest entry magnitude
 NORM_TOL = 1e-12          # pure-state normalization slack
@@ -62,5 +64,5 @@ def max_dim() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"QSN_MAX_DIM must be a positive integer, got {value!r}")
+        raise FormatError(f"QSN_MAX_DIM must be a positive integer, got {value!r}")
     return cap

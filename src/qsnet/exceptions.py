@@ -16,4 +16,4 @@ class NoncommutingGeneratorsError(ValueError):
 
 
 class FormatError(ValueError):
-    """Strict JSON ingestion rejected a network or state document."""
+    """Rejected input from a file, a flag, a config field or QSN_MAX_DIM."""

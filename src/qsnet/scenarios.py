@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .bounds import LinearFunctional, enhancement_ratio, ghz_bound, separable_bound
+from .bounds import LinearFunctional, compare, separable_bound
 from .config import check_int, check_positive
 from .exceptions import FormatError
 from .fisher import (
@@ -148,8 +148,17 @@ class AuditResult:
     passed: bool
     records: tuple[dict, ...]
 
+    CSV_HEADER = ("name", "seed", "trials", "tol", "max_violation", "max_structure_defect", "regenerated", "passed")
+
     def to_jsonable(self) -> dict:
         return asdict(self)
+
+    def csv_row(self) -> list:
+        return [getattr(self, h) for h in self.CSV_HEADER]
+
+    def summary(self) -> str:
+        counts = f"{self.name}: trials={self.trials} regenerated={self.regenerated}"
+        return f"{counts} max_violation={self.max_violation:.3e} max_structure_defect={self.max_structure_defect:.3e}"
 
 
 def _finish(name, cfg, violation, structure, regenerated, records) -> AuditResult:
@@ -494,10 +503,18 @@ class GradientReport:
     defects: dict
     passed: bool
 
+    CSV_HEADER = ("scenario", "N", "mu", "var_entangled", "var_separable", "ratio", "passed")
+
     def to_jsonable(self) -> dict:
         doc = asdict(self)
         doc["N"] = doc.pop("n_particles")
         return {"scenario": "gradient", **doc}
+
+    def csv_row(self) -> list:
+        return ["gradient", self.n_particles, self.mu, self.var_entangled, self.var_separable, self.ratio, self.passed]
+
+    def summary(self) -> str:
+        return f"gradient: N={self.n_particles} ratio={self.ratio:.12g}"
 
 
 def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
@@ -512,13 +529,13 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     """
     n = cfg.n_particles
     if n < 2 or n % 2:
-        raise ValueError("gradient scenario needs an even particle count >= 2")
+        raise FormatError("gradient scenario needs an even particle count >= 2")
     family = qubit_ensemble_family()
     functional = LinearFunctional(np.array([-1.0, 1.0]) / np.sqrt(2.0), family.kappa, n, cfg.mu)
     psi, net = ghz_probe(functional.v, n, family)
     fim = qfim_pure(psi, net)
 
-    rotation = np.vstack([functional.v, np.array([1.0, 1.0]) / np.sqrt(2.0)])
+    rotation = orthogonal_completion(functional.v)
     fim_rotated = rotate_qfim(fim, rotation)
     report_ent = qcrb(fim_rotated, [1.0, 0.0], cfg.mu)
     sum_sensitivity = abs(float(fim_rotated.matrix[1, 1]))
@@ -527,9 +544,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     fim_sep = qfim_pure(sep_state, sep_net)
     report_sep = qcrb(rotate_qfim(fim_sep, rotation), [1.0, 0.0], cfg.mu)
 
-    closed_ent = ghz_bound(functional)
-    closed_sep = separable_bound(functional)
-    closed_ratio = enhancement_ratio(functional)
+    closed = compare(functional)
     ratio = report_sep.bound / report_ent.bound
 
     both_ent = qcrb(fim, [1.0, 1.0], cfg.mu)
@@ -537,9 +552,9 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
 
     defects = {
         "ratio": abs(ratio - 2.0),
-        "state_vs_closed_entangled": abs(report_ent.bound - closed_ent),
-        "state_vs_closed_separable": abs(report_sep.bound - closed_sep),
-        "ratio_vs_enhancement": abs(ratio - closed_ratio),
+        "state_vs_closed_entangled": abs(report_ent.bound - closed.ghz),
+        "state_vs_closed_separable": abs(report_sep.bound - closed.separable),
+        "ratio_vs_enhancement": abs(ratio - closed.ratio),
     }
     passed = (
         max(defects.values()) <= cfg.tol
@@ -553,9 +568,9 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
         var_entangled=report_ent.bound,
         var_separable=report_sep.bound,
         ratio=ratio,
-        closed_form_entangled=closed_ent,
-        closed_form_separable=closed_sep,
-        closed_form_ratio=closed_ratio,
+        closed_form_entangled=closed.ghz,
+        closed_form_separable=closed.separable,
+        closed_form_ratio=closed.ratio,
         sum_sensitivity=sum_sensitivity,
         allocation=tuple(int(w) for w in allocation),
         entangled_singular_for_both_params=both_ent.singular,
@@ -585,10 +600,18 @@ class OpticalReport:
     passed: bool
     records: tuple[dict, ...]
 
+    CSV_HEADER = ("scenario", "modes", "cutoff", "trials", "max_violation", "vacuum_flagged", "passed")
+
     def to_jsonable(self) -> dict:
         doc = asdict(self)
         doc["modes"] = doc.pop("n_modes")
         return {"scenario": "optical_phases", **doc}
+
+    def csv_row(self) -> list:
+        return ["optical", self.n_modes, self.cutoff, self.surrogate_trials, self.surrogate_max_violation, self.vacuum_flagged, self.passed]
+
+    def summary(self) -> str:
+        return f"optical: modes={self.n_modes} cutoff={self.cutoff} max_violation={self.surrogate_max_violation:.3e}"
 
 
 def _top_level_weights(psi: PureState) -> np.ndarray:
@@ -615,6 +638,8 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     """
     family = truncated_mode_family()
     net = SensorNetwork((family.sensor_for(cfg.mode_cutoff),) * cfg.n_modes)
+    if cfg.n_particles < cfg.n_modes:
+        raise FormatError("budget too small: some weighted sensor would get no particles")
 
     factor = extremal_superposition(family, cfg.mode_cutoff).amplitudes
     designed_probe = PureState(kron_all([factor] * cfg.n_modes), net.dims)
@@ -638,12 +663,8 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     uniform = np.ones(cfg.n_modes) / np.sqrt(cfg.n_modes)
     alloc_state, alloc_net, allocation = optimal_separable_probe(uniform, cfg.n_particles, family)
     fim_alloc = qfim_pure(alloc_state, alloc_net)
-    rotation = orthogonal_completion(uniform)
-    selector = np.zeros(cfg.n_modes)
-    selector[0] = 1.0
-    alloc_bound = qcrb(rotate_qfim(fim_alloc, rotation), selector, cfg.mu).bound
-    functional = LinearFunctional(uniform, family.kappa, cfg.n_particles, cfg.mu)
-    analytic = separable_bound(functional)
+    alloc_bound = qcrb(rotate_qfim(fim_alloc, orthogonal_completion(uniform)), np.eye(cfg.n_modes)[0], cfg.mu).bound
+    analytic = separable_bound(LinearFunctional(uniform, family.kappa, cfg.n_particles, cfg.mu))
 
     designed_top = _top_level_weights(designed_probe)
     passed = (

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli
+from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli, scenarios
 from qsnet.cli import main
 from qsnet.exceptions import FormatError, LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
@@ -141,6 +141,16 @@ class TestScenario:
         assert main(["scenario", "optical", "--N", "0", "--out", str(tmp_path)]) == 2
         assert "error: n_particles must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "scenario_optical.json").exists()
+
+    def test_optical_budget_below_modes_draws_no_trial(self, tmp_path, monkeypatch, capsys):
+        # One particle cannot reach both modes: refused before any
+        # surrogate trial is drawn.
+        calls = []
+        trial = scenarios._surrogate_trial
+        monkeypatch.setattr(scenarios, "_surrogate_trial", lambda *a, **k: calls.append(1) or trial(*a, **k))
+        assert main(["scenario", "optical", "--N", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: budget too small: some weighted sensor would get no particles\n"
+        assert calls == []
 
     def test_optical_json(self, tmp_path):
         code = main(
@@ -270,15 +280,25 @@ class TestLocalGenerators:
 
 
 class TestInternalFault:
-    def test_uncaught_exception_exits_three(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RuntimeError("regeneration cap exceeded; loosen the conditioning guard"),
+            ValueError("operands could not be broadcast together"),
+        ],
+        ids=["RuntimeError", "ValueError"],
+    )
+    def test_uncaught_exception_exits_three(self, tmp_path, monkeypatch, capsys, exc):
+        # Only qsnet's rejected-input errors exit 2; a plain ValueError
+        # from inside a run is a fault like any other.
         def broken(cfg):
-            raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
+            raise exc
 
         monkeypatch.setitem(cli._AUDITS, "t1", (broken, *cli._AUDITS["t1"][1:]))
         assert main(["audit", "t1", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err
-        assert "regeneration cap exceeded" in err
+        assert str(exc) in err
 
 
 class TestRunConfig:
@@ -349,6 +369,11 @@ class TestRunConfig:
         monkeypatch.setenv("QSN_MAX_DIM", "8")
         assert main(["qfim", str(net), str(state), "--out", str(tmp_path)]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_bad_dimension_cap_variable_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QSN_MAX_DIM", "0")
+        assert main(["scenario", "optical", "--trials", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: QSN_MAX_DIM must be a positive integer, got '0'\n"
 
 
 class TestOutsideNumbers:

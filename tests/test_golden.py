@@ -6,6 +6,8 @@ refactors that followed them. Integers, booleans and strings
 ``rel_tol=1e-9`` or by the report's ``tol`` (default ``1e-9``), so a
 change that reorders float arithmetic on purpose is checked against the
 same files. CSV reports are compared cell by cell under the same rule.
+The first stdout line of each audit and scenario run, its summary, is
+pinned as exact text.
 """
 
 import json
@@ -28,10 +30,29 @@ CASES = [
 ]
 
 CSV_CASES = [
+    (["audit", "t1", "--trials", "5"], "audit_t1.csv"),
+    (["audit", "t2", "--trials", "5"], "audit_t2.csv"),
     (["audit", "prop1", "--trials", "20"], "audit_prop1.csv"),
     (["scenario", "gradient"], "scenario_gradient.csv"),
     (["scenario", "optical", "--trials", "5"], "scenario_optical.csv"),
     (["bounds", "sweep"], "bounds_sweep.csv"),
+]
+
+SUMMARIES = [
+    (
+        ["audit", "t1", "--trials", "5"],
+        "separable_surrogate: trials=5 regenerated=3 max_violation=4.774e-15 max_structure_defect=3.246e-16 PASS",
+    ),
+    (
+        ["audit", "t2", "--trials", "5"],
+        "local_purification: trials=5 regenerated=0 max_violation=7.105e-15 max_structure_defect=2.939e-16 PASS",
+    ),
+    (
+        ["audit", "prop1", "--trials", "20"],
+        "block_inverse: trials=24 regenerated=0 max_violation=3.634e-14 max_structure_defect=0.000e+00 PASS",
+    ),
+    (["scenario", "gradient"], "gradient: N=4 ratio=2 PASS"),
+    (["scenario", "optical", "--trials", "5"], "optical: modes=2 cutoff=3 max_violation=5.329e-15 PASS"),
 ]
 
 
@@ -89,6 +110,12 @@ def test_csv_report_matches_golden(tmp_path, argv, report):
     header = want[0]
     tol = want[1][header.index("tol")] if "tol" in header else 1e-9
     assert _mismatches(got, want, tol) == []
+
+
+@pytest.mark.parametrize("argv,line", SUMMARIES, ids=[argv[1] for argv, _ in SUMMARIES])
+def test_summary_line_matches_golden(tmp_path, capsys, argv, line):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
 
 
 def test_comparison_catches_drift():
