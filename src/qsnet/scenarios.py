@@ -299,22 +299,24 @@ def _too_singular(fim: QFIM) -> bool:
 # --- audits -------------------------------------------------------------------
 
 
-def _run_trials(cfg: ScenarioConfig, trial) -> tuple[float, float, int, list[dict]]:
-    """Draw until ``cfg.trials`` trials are accepted, at most ``10 * trials``.
+def _run_trials(cfg: ScenarioConfig, trial, first_draw: int = 0) -> tuple[float, float, int, list[dict]]:
+    """Draw until ``cfg.trials`` trials are accepted, at most ``10 * trials``
+    draws counted from ``first_draw``.
 
     Draw ``t`` hands ``trial_rng(cfg.seed, t)`` to ``trial``, which returns
     ``None`` to ask for a regeneration, otherwise its record, the values
-    checked against ``tol`` and its structure defect. Returns the worst
-    violation, the worst structure defect, the regenerated count and the
-    records, each tagged with its ``trial`` and ``draw`` index.
+    checked against ``tol`` (possibly none) and its structure defect.
+    Returns the worst violation, the worst structure defect, the
+    regenerated count and the records. Every audit draws here, so every
+    audit record carries its ``trial`` and ``draw`` index.
     """
     records: list[dict] = []
     violation = -np.inf
     structure = -np.inf
     regenerated = 0
-    draw = 0
+    draw = first_draw
     while len(records) < cfg.trials:
-        if draw >= 10 * cfg.trials:
+        if draw >= first_draw + 10 * cfg.trials:
             raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
         out = trial(trial_rng(cfg.seed, draw))
         draw += 1
@@ -322,7 +324,7 @@ def _run_trials(cfg: ScenarioConfig, trial) -> tuple[float, float, int, list[dic
             regenerated += 1
             continue
         record, checks, defect = out
-        violation = max(violation, *checks)
+        violation = max((violation, *checks))
         structure = max(structure, defect)
         records.append({"trial": len(records), "draw": draw - 1, **record})
     return violation, structure, regenerated, records
@@ -449,36 +451,33 @@ def audit_block_inverse(cfg: ScenarioConfig) -> AuditResult:
     every block of the inverse must dominate the inverse of the block,
     ``[F^-1]_[kk] >= [F_[kk]]^-1``. On top of ``cfg.trials`` general draws,
     one fifth as many forced block-diagonal trials check the equality case
-    at the tighter structural tolerance; the result's ``trials`` field
-    counts both kinds (records carry a ``kind`` tag).
+    at the tighter structural tolerance; their draws start at
+    ``10 * trials``, past any draw the general pass can reach. The result's
+    ``trials`` field counts both kinds, numbered on from the general ones
+    (records carry a ``kind`` tag as well as ``trial`` and ``draw``).
     """
-    records: list[dict] = []
-    violation = -np.inf
-    structure = -np.inf
-    for t in range(cfg.trials + max(1, cfg.trials // 5)):
-        general = t < cfg.trials
-        rng = trial_rng(cfg.seed, t if general else 10 * cfg.trials + t - cfg.trials)
+
+    def trial(rng, kind):
         d = int(rng.integers(2, cfg.max_matrix_dim + 1))
         partition = _random_partition(d, rng)
         mat = random_spd(d, rng)
-        if not general:
+        if kind == "block_diagonal":
             mat = _zero_off_blocks(mat, partition)
         residuals = block_inverse_residuals(QFIM(mat, partition))
-        record = {
-            "trial": t,
-            "kind": "general" if general else "block_diagonal",
-            "inputs_sha256": sha256_of_arrays(mat),
-            "d": d,
-            "n_blocks": len(partition),
-        }
-        if general:
+        record = {"kind": kind, "inputs_sha256": sha256_of_arrays(mat), "d": d, "n_blocks": len(partition)}
+        if kind == "general":
             record["min_residual"] = float(residuals.min())
-            violation = max(violation, -record["min_residual"])
-        else:
-            record["abs_residual"] = float(np.max(np.abs(residuals)))
-            structure = max(structure, record["abs_residual"])
-        records.append(record)
-    return _finish("block_inverse", cfg, violation, structure, 0, records)
+            return record, (-record["min_residual"],), -np.inf
+        record["abs_residual"] = float(np.max(np.abs(residuals)))
+        return record, (), record["abs_residual"]
+
+    violation, _, regen_general, general = _run_trials(cfg, lambda rng: trial(rng, "general"))
+    diagonal_cfg = replace(cfg, trials=max(1, cfg.trials // 5))
+    _, structure, regen_diagonal, diagonal = _run_trials(
+        diagonal_cfg, lambda rng: trial(rng, "block_diagonal"), first_draw=10 * cfg.trials
+    )
+    records = [{**r, "trial": i} for i, r in enumerate(general + diagonal)]
+    return _finish("block_inverse", cfg, violation, structure, regen_general + regen_diagonal, records)
 
 
 # --- canned scenarios ---------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .bounds import LinearFunctional
+from .bounds import _TINY, LinearFunctional
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
@@ -228,19 +228,19 @@ def optimal_separable_probe(
 
     ``v`` may be signed; the allocation depends on ``|v|`` only. Minimizes
     ``sum_k v_k^2 / w_k^2`` over integer allocations with ``sum w_k = N``.
-    Every sensor with ``v_k != 0`` gets one particle; each remaining
-    particle goes to the sensor whose cost drops most,
+    Every sensor with ``|v_k|`` above ``pnorm``'s 1e-300 cut gets one
+    particle; each remaining particle goes to the sensor whose cost drops most,
     ``v_k^2 / w_k^2 - v_k^2 / (w_k + 1)^2``. The cost is separable and
     convex in each ``w_k``, so this marginal greedy allocation is exact
     (Fox 1966; Ibaraki & Katoh, Resource Allocation Problems, 1988). Drops
     within 1e-12 relative of the largest count as tied, and ties go to the
     highest index, which returns the lexicographically first minimizer.
-    Sensors with ``v_k = 0`` get no particles and contribute trivial
+    Sensors below the threshold get no particles and contribute trivial
     factors.
     """
     f = LinearFunctional(v, family.kappa, n_particles)
     vec, n_particles = np.abs(f.v), f.n_particles
-    w = (vec > 0.0).astype(int)
+    w = (vec > _TINY).astype(int)
     if n_particles < int(w.sum()):
         raise ValueError("budget too small: some weighted sensor would get no particles")
     sq = vec**2

@@ -28,8 +28,9 @@ from qsnet import (
 )
 from qsnet.exceptions import DimensionLimitError, FormatError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
-from qsnet.reporting import dumps
-from qsnet.sampling import haar_state, haar_unitary, random_density, trial_rng
+from qsnet.reporting import dumps, sha256_of_arrays
+from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
+from qsnet.scenarios import _random_partition, _run_trials, _zero_off_blocks
 
 
 def _dicke_isometry(n: int) -> np.ndarray:
@@ -251,6 +252,48 @@ class TestLocalPurificationAudit:
         assert a == b
 
 
+def _draw_counting_trial(first_draw: int, accept):
+    """Trial for :func:`_run_trials` that records each stream's first
+    uniform under the draw index it expects, and accepts draw ``t`` iff
+    ``accept(t)``."""
+    seen = {}
+
+    def trial(rng):
+        draw = first_draw + len(seen)
+        seen[draw] = float(rng.random())
+        return ({"x": seen[draw]}, (seen[draw],), 0.0) if accept(draw) else None
+
+    return trial, seen
+
+
+class TestTrialLoop:
+    def test_first_draw_offsets_streams_and_draw_tags(self):
+        trial, seen = _draw_counting_trial(17, lambda draw: draw % 2 == 0)
+        _, _, regenerated, records = _run_trials(ScenarioConfig(seed=5, trials=3), trial, first_draw=17)
+        assert seen == {t: float(trial_rng(5, t).random()) for t in range(17, 23)}
+        assert [(r["trial"], r["draw"], r["x"]) for r in records] == [(i, t, seen[t]) for i, t in enumerate((18, 20, 22))]
+        assert regenerated == 3
+
+    @pytest.mark.parametrize("first_draw", [0, 30])
+    def test_regeneration_cap_counts_from_first_draw(self, first_draw):
+        cfg = ScenarioConfig(seed=2, trials=4)
+        trial, seen = _draw_counting_trial(first_draw, lambda draw: False)
+        with pytest.raises(RuntimeError, match="regeneration cap exceeded"):
+            _run_trials(cfg, trial, first_draw=first_draw)
+        assert list(seen) == list(range(first_draw, first_draw + 40))
+        # The last draws under the cap are still taken.
+        trial, _ = _draw_counting_trial(first_draw, lambda draw: draw >= first_draw + 36)
+        _, _, regenerated, records = _run_trials(cfg, trial, first_draw=first_draw)
+        assert regenerated == 36 and [r["draw"] for r in records] == list(range(first_draw + 36, first_draw + 40))
+
+    def test_trial_without_tol_checks(self):
+        def trial(rng):
+            return {}, (), 0.25
+
+        violation, structure, _, records = _run_trials(ScenarioConfig(trials=2), trial)
+        assert violation == -np.inf and structure == 0.25 and len(records) == 2
+
+
 class TestBlockInverseAudit:
     def test_run_passes_with_equality_cases(self):
         result = audit_block_inverse(ScenarioConfig(seed=3, trials=100))
@@ -258,6 +301,23 @@ class TestBlockInverseAudit:
         kinds = {rec["kind"] for rec in result.records}
         assert kinds == {"general", "block_diagonal"}
         assert result.trials == 100 + 20
+
+    def test_records_number_trials_on_and_draw_past_ten_times_trials(self):
+        result = audit_block_inverse(ScenarioConfig(seed=3, trials=20))
+        assert [r["trial"] for r in result.records] == list(range(24))
+        assert [r["draw"] for r in result.records] == [*range(20), *range(200, 204)]
+        assert [r["kind"] for r in result.records] == ["general"] * 20 + ["block_diagonal"] * 4
+
+    def test_block_diagonal_inputs_rebuild_from_their_draw(self):
+        cfg = ScenarioConfig(seed=3, trials=20)
+        record = audit_block_inverse(cfg).records[-1]
+        assert record["kind"] == "block_diagonal" and record["draw"] == 203
+        rng = trial_rng(cfg.seed, record["draw"])
+        d = int(rng.integers(2, cfg.max_matrix_dim + 1))
+        partition = _random_partition(d, rng)
+        mat = _zero_off_blocks(random_spd(d, rng), partition)
+        assert (record["d"], record["n_blocks"]) == (d, len(partition))
+        assert record["inputs_sha256"] == sha256_of_arrays(mat)
 
     def test_determinism(self):
         cfg = ScenarioConfig(seed=12, trials=40)

@@ -552,6 +552,26 @@ class TestOptimalSeparableProbe:
         with pytest.raises(ValueError):
             optimal_separable_probe(np.ones(3) / np.sqrt(3), 2, fam)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_weight_at_pnorm_cut_gets_no_particle(self, n):
+        # pnorm and the GHZ allocation drop |v_k| <= 1e-300; so must the greedy.
+        fam = qubit_ensemble_family()
+        tiny = np.array([1e-301, 1.0])
+        tiny_state, tiny_net, tiny_w = optimal_separable_probe(tiny, n, fam)
+        state, net, w = optimal_separable_probe(np.array([0.0, 1.0]), n, fam)
+        assert np.array_equal(tiny_w, [0, n]) and np.array_equal(w, [0, n])
+        assert np.array_equal(tiny_w, LinearFunctional(tiny, fam.kappa, n).ghz_allocation())
+        assert tiny_net.dims == net.dims
+        assert np.array_equal(tiny_state.amplitudes, state.amplitudes)
+
+    def test_small_real_weight_keeps_its_particle(self):
+        # A weight above the cut with no particle would have infinite variance.
+        fam = qubit_ensemble_family()
+        _, _, w = optimal_separable_probe(np.array([1e-13, 1.0]), 4, fam)
+        assert np.array_equal(w, [1, 3])
+        with pytest.raises(ValueError, match="budget too small"):
+            optimal_separable_probe(np.array([1e-13, 1.0]), 1, fam)
+
 
 class TestIntegerCounts:
     @pytest.mark.parametrize(
