@@ -66,7 +66,7 @@ from .scenarios import (
 )
 from .states import (
     SensorFamily,
-    extremal_superposition,
+    extremal_product,
     ghz_probe,
     joint_eigenbasis,
     local_purification_probe,
@@ -99,7 +99,7 @@ __all__ = [
     "separable_surrogate",
     "purify",
     "local_purification_probe",
-    "extremal_superposition",
+    "extremal_product",
     "ghz_probe",
     "optimal_separable_probe",
     "product_defect",

@@ -26,7 +26,7 @@ from .fisher import (
     qfim_pure,
     rotate_qfim,
 )
-from .hilbert import PureState, check_dim, commutator, identity, kron_all
+from .hilbert import PureState, check_dim, commutator, identity
 from .network import (
     SensorNetwork,
     SensorSpec,
@@ -38,7 +38,7 @@ from .reporting import sha256_of_arrays
 from .sampling import _ginibre, haar_state, haar_unitary, random_density, random_spd, trial_rng
 from .states import (
     SensorFamily,
-    extremal_superposition,
+    extremal_product,
     ghz_probe,
     local_purification_probe,
     optimal_separable_probe,
@@ -636,12 +636,10 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     truncated model, but stop representing an untruncated mode.
     """
     family = truncated_mode_family()
-    net = SensorNetwork((family.sensor_for(cfg.mode_cutoff),) * cfg.n_modes)
+    designed_probe, net = extremal_product(family, [cfg.mode_cutoff] * cfg.n_modes)
     if cfg.n_particles < cfg.n_modes:
         raise FormatError("budget too small: some weighted sensor would get no particles")
 
-    factor = extremal_superposition(family, cfg.mode_cutoff).amplitudes
-    designed_probe = PureState(kron_all([factor] * cfg.n_modes), net.dims)
     fim_designed = qfim_pure(designed_probe, net)
     per_mode_qfi = tuple(float(x) for x in np.diag(fim_designed.matrix))
 

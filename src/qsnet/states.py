@@ -3,9 +3,9 @@
 Covers the states the toolkit reasons about: per-sensor joint eigenbases of
 commuting generators, separable surrogates that reproduce a probe's
 diagonal Fisher blocks, canonical purifications and sensor-local
-purification probes on the doubled space, extremal-superposition
-single-sensor probes, sensor-entangled GHZ-like probes for one linear
-functional, and the integer-allocation optimal separable probe.
+purification probes on the doubled space, and the extremal probes for one
+linear functional: products of extremal superpositions (the optimal
+separable probe among them) and sensor-entangled GHZ-like probes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .bounds import _TINY, LinearFunctional
+from .bounds import LinearFunctional
 from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
@@ -35,7 +35,7 @@ __all__ = [
     "separable_surrogate",
     "purify",
     "local_purification_probe",
-    "extremal_superposition",
+    "extremal_product",
     "ghz_probe",
     "optimal_separable_probe",
     "product_defect",
@@ -162,35 +162,42 @@ class SensorFamily:
     """Particle-count-indexed sensor constructor with linear spectral width.
 
     ``sensor_for(n)`` returns the sensor housing ``n`` particles; its single
-    generator must have spectral width ``kappa * n``. ``sensor_for(0)`` is
-    the trivial one-dimensional sensor.
+    generator must have spectral width ``kappa * n``, which the extremal
+    probes check. ``sensor_for(0)`` is the trivial one-dimensional sensor.
     """
 
     kappa: float
     sensor_for: Callable[[int], SensorSpec]
 
 
-def _extremal_pair(sensor: SensorSpec) -> tuple[np.ndarray, np.ndarray]:
-    if len(sensor.generators) != 1:
-        raise ValueError("extremal construction needs a single-generator sensor")
-    w, v = np.linalg.eigh(np.asarray(sensor.generators[0]))
-    # Ties inside an extremal eigenspace break to the lowest eigh index.
-    tie = 1e-9 * max(1.0, float(np.max(np.abs(w))))
-    lo = v[:, 0]
-    hi_index = int(np.nonzero(w >= w[-1] - tie)[0][0])
-    hi = v[:, hi_index]
-    return lo, hi
+def _extremal_sensors(family: SensorFamily, counts) -> tuple[SensorNetwork, list[tuple[np.ndarray, np.ndarray]]]:
+    """Network of ``family`` sensors holding ``counts`` particles and each
+    sensor's (lowest, highest) generator eigenvector pair. Equal counts share
+    one sensor, built and decomposed once; a generator whose spectral width
+    is not ``kappa * n`` raises ``ValueError``."""
+    ns = [config.check_int(c, "particle count", 0) for c in counts]
+    built = {}
+    for n in dict.fromkeys(ns):
+        sensor = family.sensor_for(n)
+        if len(sensor.generators) != 1:
+            raise ValueError("extremal construction needs a single-generator sensor")
+        w, v = np.linalg.eigh(np.asarray(sensor.generators[0]))
+        if abs(w[-1] - w[0] - family.kappa * n) > 1e-9 * max(1.0, family.kappa * n):
+            raise ValueError(f"sensor_for({n}) has generator width {float(w[-1] - w[0])!r}, not kappa * n = {family.kappa * n!r}")
+        # Ties inside an extremal eigenspace break to the lowest eigh index.
+        tie = 1e-9 * max(1.0, float(np.max(np.abs(w))))
+        built[n] = sensor, (v[:, 0], v[:, int(np.nonzero(w >= w[-1] - tie)[0][0])])
+    return SensorNetwork(tuple(built[n][0] for n in ns)), [built[n][1] for n in ns]
 
 
-def extremal_superposition(family: SensorFamily, n: int) -> PureState:
-    """Equal superposition of the extremal generator eigenvectors for ``n``
-    particles, the optimal single-sensor probe at that particle count."""
-    n = config.check_int(n, "particle count", 0)
-    sensor = family.sensor_for(n)
-    lo, hi = _extremal_pair(sensor)
-    vec = lo + hi
-    vec = vec / np.linalg.norm(vec)
-    return PureState(vec, (sensor.dim,))
+def extremal_product(family: SensorFamily, counts) -> tuple[PureState, SensorNetwork]:
+    """Product of extremal superpositions, sensor ``k`` holding ``counts[k]``
+    particles in the optimal single-sensor probe at that count (the equal
+    superposition of its extremal generator eigenvectors). Returns the probe
+    and its network; ``extremal_product(family, [n])`` is one sensor."""
+    net, pairs = _extremal_sensors(family, counts)
+    factors = [(lo + hi) / np.linalg.norm(lo + hi) for lo, hi in pairs]
+    return PureState(kron_all(factors), net.dims), net
 
 
 def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, SensorNetwork]:
@@ -205,52 +212,21 @@ def ghz_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, Sen
     since sensor dimensions depend on the allocation.
     """
     f = LinearFunctional(v, family.kappa, n_particles)
-    sensors = [family.sensor_for(int(c)) for c in f.ghz_allocation()]
-    net = SensorNetwork(tuple(sensors))
-    los, his = [], []
-    for sensor, vk in zip(sensors, f.v):
-        lo, hi = _extremal_pair(sensor)
-        if vk < 0.0:
-            lo, hi = hi, lo
-        los.append(lo)
-        his.append(hi)
-    branch = kron_all(his) + kron_all(los)
+    net, pairs = _extremal_sensors(family, f.ghz_allocation())
+    pairs = [(hi, lo) if vk < 0.0 else (lo, hi) for (lo, hi), vk in zip(pairs, f.v)]
+    branch = kron_all([hi for _, hi in pairs]) + kron_all([lo for lo, _ in pairs])
     branch = branch / np.linalg.norm(branch)
     return PureState(branch, net.dims), net
 
 
-def optimal_separable_probe(
-    v,
-    n_particles: int,
-    family: SensorFamily,
-) -> tuple[PureState, SensorNetwork, np.ndarray]:
+def optimal_separable_probe(v, n_particles: int, family: SensorFamily) -> tuple[PureState, SensorNetwork, np.ndarray]:
     """Best product of extremal superpositions for estimating ``v . phi``.
 
-    ``v`` may be signed; the allocation depends on ``|v|`` only. Minimizes
-    ``sum_k v_k^2 / w_k^2`` over integer allocations with ``sum w_k = N``.
-    Every sensor with ``|v_k|`` above ``pnorm``'s 1e-300 cut gets one
-    particle; each remaining particle goes to the sensor whose cost drops most,
-    ``v_k^2 / w_k^2 - v_k^2 / (w_k + 1)^2``. The cost is separable and
-    convex in each ``w_k``, so this marginal greedy allocation is exact
-    (Fox 1966; Ibaraki & Katoh, Resource Allocation Problems, 1988). Drops
-    within 1e-12 relative of the largest count as tied, and ties go to the
-    highest index, which returns the lexicographically first minimizer.
-    Sensors below the threshold get no particles and contribute trivial
-    factors.
+    Allocates by :meth:`LinearFunctional.separable_allocation`; returns the
+    probe, its network and the allocation.
     """
-    f = LinearFunctional(v, family.kappa, n_particles)
-    vec, n_particles = np.abs(f.v), f.n_particles
-    w = (vec > _TINY).astype(int)
-    if n_particles < int(w.sum()):
-        raise ValueError("budget too small: some weighted sensor would get no particles")
-    sq = vec**2
-    for _ in range(n_particles - int(w.sum())):
-        drop = np.where(w > 0, sq / np.maximum(w, 1) ** 2 - sq / (w + 1) ** 2, -np.inf)
-        w[np.nonzero(drop >= drop.max() * (1.0 - 1e-12))[0][-1]] += 1
-    sensors = [family.sensor_for(int(c)) for c in w]
-    net = SensorNetwork(tuple(sensors))
-    factors = [extremal_superposition(family, int(c)).amplitudes for c in w]
-    return PureState(kron_all(factors), net.dims), net, w
+    w = LinearFunctional(v, family.kappa, n_particles).separable_allocation()
+    return (*extremal_product(family, w), w)
 
 
 def product_defect(psi: PureState, groups=None) -> float:

@@ -13,6 +13,7 @@ from qsnet import (
     enhancement_ratio,
     ghz_bound,
     ghz_probe,
+    optimal_separable_probe,
     orthogonal_completion,
     pnorm,
     qcrb,
@@ -43,6 +44,9 @@ class TestPnorm:
 
     def test_tiny_entries_dropped(self):
         assert pnorm([1.0, 1e-310], 2.0 / 3.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_all_entries_below_cut_give_zero(self):
+        assert pnorm([1e-301, 0.0, -1e-310], 2.0 / 3.0) == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -126,6 +130,23 @@ class TestClosedFormBounds:
         else:
             with pytest.raises(ValueError, match="not integral"):
                 ghz_probe(v, n, fam)
+
+
+class TestSeparableAllocation:
+    def test_probe_allocates_by_the_functional(self):
+        fam = qubit_ensemble_family()
+        v = np.array([0.3, 1.0, 0.6])
+        v /= np.linalg.norm(v)
+        w = LinearFunctional(-v, fam.kappa, 7).separable_allocation()
+        assert np.array_equal(w, [2, 3, 2])
+        _, net, probe_w = optimal_separable_probe(v, 7, fam)
+        assert np.array_equal(probe_w, w)
+        assert net.dims == (3, 4, 3)
+
+    def test_budget_below_weighted_sensors_rejected(self):
+        f = LinearFunctional(np.ones(3) / np.sqrt(3), 1.0, 2)
+        with pytest.raises(ValueError, match="budget too small: some weighted sensor would get no particles"):
+            f.separable_allocation()
 
 
 class TestFunctionalValidation:

@@ -179,6 +179,15 @@ class TestBoundsSweep:
         lines = (tmp_path / "bounds_sweep.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_budget_list_pairs_with_sensor_counts(self, tmp_path, capsys):
+        code = main(
+            ["bounds", "sweep", "--d", "2", "3", "--N", "4", "6", "--format", "csv", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("d=2 N=4: sep=0.25 ghz=0.125 ratio=2\nd=3 N=6: sep=0.25 ")
+        rows = [line.split(",")[:4] for line in (tmp_path / "bounds_sweep.csv").read_text().splitlines()[1:]]
+        assert rows == [["2", "4", "1", "1"], ["3", "6", "1", "1"]]
+
     def test_mismatched_budget_list_is_config_error(self, tmp_path):
         assert main(["bounds", "sweep", "--d", "2", "3", "--N", "4", "5", "6", "--out", str(tmp_path)]) == 2
 
@@ -245,6 +254,13 @@ class TestQfimCommand:
         state = tmp_path / "plus.json"
         _write(state, vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2)))
         assert main(["qfim", str(bad), str(state), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("doc", [{}, 3], ids=["object", "number"])
+    def test_state_that_is_no_vector_or_matrix_exit_two(self, tmp_path, single_qubit_net_file, capsys, doc):
+        state = tmp_path / "state.json"
+        _write(state, doc)
+        assert main(["qfim", str(single_qubit_net_file), str(state), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {state}: expected a vector or matrix of [re, im] pairs\n"
 
     def test_missing_file_exit_two(self, tmp_path, single_qubit_net_file):
         assert main(["qfim", str(single_qubit_net_file), str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

@@ -188,6 +188,13 @@ class TestQfimMixed:
         with pytest.warns(RuntimeWarning, match="rank cutoff"):
             qfim_mixed(rho, [np.asarray(SIGMA_X) / 2], net.partition)
 
+    def test_near_cutoff_eigenvalues_are_reported_by_sld_operators(self):
+        net = _single_qubit_net()
+        eps = 2e-9
+        rho = DensityOperator(np.diag([1.0 - eps, eps]), (2,))
+        with pytest.warns(RuntimeWarning, match="SLD denominators within 100x of the rank cutoff"):
+            sld_operators(rho, [np.asarray(SIGMA_X) / 2])
+
 
 def _max_rel_dev(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
@@ -692,6 +699,39 @@ class TestInputChecks:
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             qcrb(QFIM(np.eye(2)), [bad, 1.0])
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"information matrix must be square, got \(2, 3\)"):
+            QFIM(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, 1.0, 1.0], r"expected 2 weights, got shape \(3,\)"),
+            (np.eye(3), r"weight matrix shape \(3, 3\), expected \(2, 2\)"),
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_wrong_weight_shape_rejected(self, weights, message):
+        with pytest.raises(LayoutError, match=message):
+            qcrb(QFIM(np.eye(2)), weights)
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            qcrb(QFIM(np.eye(2)), [1.0, -1.0])
+
+    def test_wrong_rotation_shape_rejected(self):
+        with pytest.raises(LayoutError, match=r"rotation shape \(3, 3\), expected \(2, 2\)"):
+            rotate_qfim(QFIM(np.eye(2)), np.eye(3))
+
+    def test_wrong_effect_shape_rejected(self):
+        with pytest.raises(LayoutError, match=r"effect 0 has shape \(4, 4\), network dim 2"):
+            cfim([np.eye(4)], _single_qubit_net(), _plus_state())
+
+    def test_negative_effect_rejected(self):
+        effects = [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]
+        with pytest.raises(ValueError, match="effect 1 has eigenvalue -5.000e-01 < 0"):
+            cfim(effects, _single_qubit_net(), _plus_state())
 
 
 class TestSpectrum:

@@ -181,6 +181,11 @@ class TestPartialTrace:
         with pytest.raises(LayoutError):
             partial_trace(bell, {0, 1})
 
+    def test_index_past_layout_rejected(self):
+        psi = PureState(np.eye(4)[0], (2, 2))
+        with pytest.raises(LayoutError, match="subsystem index 2 outside layout of length 2"):
+            partial_trace(psi, [2])
+
 
 class TestExpmI:
     def test_zero_angle(self):
@@ -435,6 +440,14 @@ class TestKronAll:
     def test_mixed_ranks_rejected(self):
         with pytest.raises(ValueError):
             kron_all([identity(2), np.ones(2)])
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="empty operator list"):
+            kron_all([])
+
+    def test_require_hermitian_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"operator must be a square matrix, got shape \(2, 3\)"):
+            require_hermitian(np.ones((2, 3)))
 
 
 class TestDimensionCapSetting:

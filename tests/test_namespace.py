@@ -20,7 +20,7 @@ PACKAGE_API = """
     SensorSpec SensorNetwork encode resource_count doubled with_collective_ancilla
     network_to_json network_from_json
     SensorFamily joint_eigenbasis separable_surrogate purify local_purification_probe
-    extremal_superposition ghz_probe optimal_separable_probe product_defect
+    extremal_product ghz_probe optimal_separable_probe product_defect
     QFIM BoundReport qfim_pure qfim_mixed sld_operators qcrb rotate_qfim
     orthogonal_completion block_inverse_residuals cfim
     LinearFunctional BoundComparison pnorm separable_bound ghz_bound enhancement_ratio compare

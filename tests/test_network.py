@@ -142,6 +142,13 @@ class TestEncode:
         assert np.max(np.abs(got_pure - unitary @ psi.amplitudes)) <= 1e-12
         assert np.max(np.abs(got_mixed - unitary @ rho.matrix @ unitary.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_phi_rejected(self, bad):
+        net = two_qubit_z_network()
+        psi = PureState(np.eye(4)[0], (2, 2))
+        with pytest.raises(ValueError, match="parameter point contains non-finite values"):
+            encode(net, psi, [0.0, bad])
+
 
 class TestResources:
     def test_excitation_count_frozen_values(self):
@@ -263,6 +270,23 @@ class TestJsonIngestion:
     def test_empty_sensor_list_rejected(self):
         with pytest.raises(FormatError, match="at least one sensor"):
             network_from_json({"sensors": []})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "network document must be a JSON object"),
+            ({"sensors": {}}, "network.sensors must be a list"),
+            ({"sensors": [3]}, r"sensors\[0\]: expected an object"),
+            (
+                {"sensors": [{"dim": 1, "generators": {}, "resource": [[[0.0, 0.0]]]}]},
+                r"sensors\[0\]\.generators: expected a list of matrices",
+            ),
+        ],
+        ids=["document", "sensors", "sensor", "generators"],
+    )
+    def test_structural_refusals(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            network_from_json(doc)
 
 
 class TestDimensionCap:

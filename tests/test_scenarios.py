@@ -68,12 +68,11 @@ class TestSensorFamilies:
         # The symmetric sector must agree with the full 2^n product space on
         # everything the toolkit extracts from extremal probes; the sector
         # probe is carried into the full space by the Dicke isometry.
-        from qsnet import extremal_superposition, resource_count
+        from qsnet import extremal_product, resource_count
 
         n = 4
         fam = qubit_ensemble_family()
-        sector_state = extremal_superposition(fam, n)
-        sector_net = SensorNetwork((fam.sensor_for(n),))
+        sector_state, sector_net = extremal_product(fam, [n])
         full_net = SensorNetwork((_full_qubit_sensor(n),))
         full_state = PureState(_dicke_isometry(n) @ sector_state.amplitudes, full_net.dims)
         values = []
@@ -182,6 +181,20 @@ class TestConfig:
             scenario_config_from_json({"trials": "many"})
         with pytest.raises(FormatError):
             scenario_config_from_json({"trials": True})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([{"seed": 1}], "scenario config must be a JSON object"),
+            ({"scenario": 3}, "scenario config: 'scenario' must be a string"),
+        ],
+        ids=["not-object", "scenario-name"],
+    )
+    def test_json_shape_checked(self, doc, message):
+        from qsnet import scenario_config_from_json
+
+        with pytest.raises(FormatError, match=message):
+            scenario_config_from_json(doc)
 
 
 class TestSurrogateAudit:

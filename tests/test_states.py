@@ -24,7 +24,7 @@ from qsnet import (
     SensorNetwork,
     SensorSpec,
     doubled,
-    extremal_superposition,
+    extremal_product,
     ghz_bound,
     ghz_probe,
     joint_eigenbasis,
@@ -323,17 +323,16 @@ class TestLocalPurificationProbe:
 class TestExtremalSuperposition:
     def test_single_qubit(self):
         fam = qubit_ensemble_family()
-        state = extremal_superposition(fam, 1)
+        state, net = extremal_product(fam, [1])
+        assert net.dims == (2,)
         assert_allclose(np.abs(state.amplitudes), np.full(2, 1 / np.sqrt(2)), atol=1e-12)
-        net = SensorNetwork((fam.sensor_for(1),))
         fim = oracle_qfim_pure(state, net)
         assert fim[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_collective_spin_ghz_information(self):
         fam = qubit_ensemble_family()
         for n in (2, 3):
-            state = extremal_superposition(fam, n)
-            net = SensorNetwork((fam.sensor_for(n),))
+            state, net = extremal_product(fam, [n])
             fim = oracle_qfim_pure(state, net)
             assert fim[0, 0] == pytest.approx(float(n * n), abs=1e-10)
 
@@ -346,8 +345,8 @@ class TestExtremalSuperposition:
 
     def test_zero_particles_trivial(self):
         fam = truncated_mode_family()
-        state = extremal_superposition(fam, 0)
-        assert state.layout == (1,)
+        state, net = extremal_product(fam, [0])
+        assert state.layout == net.dims == (1,)
         assert_allclose(np.abs(state.amplitudes), [1.0], atol=1e-12)
 
     def test_degenerate_extreme_tie_break_deterministic(self):
@@ -356,11 +355,52 @@ class TestExtremalSuperposition:
             return SensorSpec(3, (gen,), identity(3))
 
         fam = SensorFamily(kappa=1.0, sensor_for=build)
-        a = extremal_superposition(fam, 2)
-        b = extremal_superposition(fam, 2)
+        a, _ = extremal_product(fam, [2])
+        b, _ = extremal_product(fam, [2])
         assert_allclose(a.amplitudes, b.amplitudes, atol=0)
         # Lowest eigh index inside the maximal eigenspace wins the tie.
         assert_allclose(np.abs(a.amplitudes), [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], atol=1e-12)
+
+    def test_product_of_single_sensor_probes(self):
+        fam = truncated_mode_family()
+        state, net = extremal_product(fam, [2, 0, 1])
+        assert net.dims == (3, 1, 2)
+        factors = [extremal_product(fam, [n])[0].amplitudes for n in (2, 0, 1)]
+        assert np.array_equal(state.amplitudes, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+        assert_allclose(np.diag(oracle_qfim_pure(state, net)), [4.0, 0.0, 1.0], atol=1e-12)
+
+    def test_equal_counts_share_one_sensor_built_once(self):
+        calls = []
+
+        def build(n):
+            calls.append(n)
+            return truncated_mode_family().sensor_for(n)
+
+        _, net = extremal_product(SensorFamily(kappa=1.0, sensor_for=build), [2, 1, 2, 2])
+        assert calls == [2, 1]
+        assert net.sensors[0] is net.sensors[2] is net.sensors[3]
+
+    def test_generator_width_must_be_kappa_times_count(self):
+        # A family whose kappa disagrees with its sensors would let the
+        # probes miss the closed-form bounds computed from kappa.
+        wide = SensorFamily(kappa=2.0, sensor_for=qubit_ensemble_family().sensor_for)
+        v = np.ones(2) / np.sqrt(2)
+        for build in (
+            lambda: extremal_product(wide, [0, 3]),
+            lambda: ghz_probe(v, 2, wide),
+            lambda: optimal_separable_probe(v, 2, wide),
+        ):
+            with pytest.raises(ValueError, match=r"sensor_for\((3|1)\) has generator width"):
+                build()
+        # Zero particles have zero width at any kappa.
+        assert extremal_product(wide, [0])[1].dims == (1,)
+
+    def test_multi_generator_sensor_rejected(self):
+        def build(n):
+            return SensorSpec(2, (SIGMA_Z, SIGMA_Z), identity(2))
+
+        with pytest.raises(ValueError, match="single-generator"):
+            extremal_product(SensorFamily(kappa=2.0, sensor_for=build), [1])
 
 
 class TestGhzProbe:
@@ -579,7 +619,7 @@ class TestIntegerCounts:
         [
             lambda: qubit_ensemble_family().sensor_for(2.5),
             lambda: truncated_mode_family().sensor_for(2.0),
-            lambda: extremal_superposition(qubit_ensemble_family(), 2.5),
+            lambda: extremal_product(qubit_ensemble_family(), [2, 2.5]),
             lambda: ghz_probe(np.ones(2) / np.sqrt(2), 2.0, qubit_ensemble_family()),
             lambda: optimal_separable_probe(np.ones(2) / np.sqrt(2), 2.5, qubit_ensemble_family()),
         ],
@@ -594,6 +634,11 @@ class TestProductDefectGroups:
         psi = PureState(bell_state(), (2, 2))
         with pytest.raises(LayoutError, match="empty group"):
             product_defect(psi, groups=[(), (0, 1)])
+
+    def test_groups_missing_a_subsystem_rejected(self):
+        psi = PureState(bell_state(), (2, 2))
+        with pytest.raises(LayoutError, match=r"groups \[\(0,\)\] do not partition 2 subsystems"):
+            product_defect(psi, groups=[(0,)])
 
     @pytest.mark.parametrize("bad", [0.9, 0.0, False])
     def test_float_index_rejected_not_truncated(self, bad):
