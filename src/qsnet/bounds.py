@@ -112,21 +112,28 @@ class LinearFunctional:
 
         Minimizes ``sum_k v_k^2 / w_k^2`` over integer allocations with
         ``sum w_k = N``. Every sensor with ``|v_k|`` above ``pnorm``'s
-        1e-300 cut gets one particle (a budget too small for that raises
-        ``ValueError``); each remaining particle goes to the sensor whose
-        cost drops most, ``v_k^2 / w_k^2 - v_k^2 / (w_k + 1)^2``. The cost
-        is separable and convex in each ``w_k``, so this marginal greedy
+        1e-300 cut gets at least one particle (a budget too small for that
+        raises ``ValueError``). Sensor ``k`` starts at
+        ``max(1, floor((N - d) a_k / sum(a)) - 1)``, ``a = |v|^(2/3)`` over the
+        ``d`` weighted sensors, one below a lower bound on its optimal count,
+        so at most ``3 d`` particles are left; each goes to the sensor whose
+        cost drops most, ``v_k^2 / w_k^2 - v_k^2 / (w_k + 1)^2``. The cost is
+        separable and convex in each ``w_k``, so this marginal greedy
         allocation is exact (Fox 1966; Ibaraki & Katoh, Resource Allocation
         Problems, 1988). Drops within 1e-12 relative of the largest count as
         tied, and ties go to the highest index, which returns the
         lexicographically first minimizer.
         """
-        w = (np.abs(self.v) > _TINY).astype(int)
-        if self.n_particles < int(w.sum()):
+        weighted = np.abs(self.v) > _TINY
+        if self.n_particles < int(weighted.sum()):
             raise ValueError("budget too small: some weighted sensor would get no particles")
+        a = np.where(weighted, np.abs(self.v), 0.0) ** (2.0 / 3.0)
+        start = np.floor((self.n_particles - int(weighted.sum())) * a / a.sum()) - 1.0
+        w = np.where(weighted, np.maximum(1.0, start), 0.0).astype(int)
         sq = self.v**2
         for _ in range(self.n_particles - int(w.sum())):
-            drop = np.where(w > 0, sq / np.maximum(w, 1) ** 2 - sq / (w + 1) ** 2, -np.inf)
+            # v^2 (2w + 1) / (w (w + 1))^2: the drop without cancellation at large w.
+            drop = np.where(w > 0, sq * (2.0 * w + 1.0) / np.maximum(w * (w + 1.0), 1.0) ** 2, -np.inf)
             w[np.nonzero(drop >= drop.max() * (1.0 - 1e-12))[0][-1]] += 1
         return w
 

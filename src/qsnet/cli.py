@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .exceptions import DimensionLimitError, FormatError, LayoutError
+from .exceptions import DimensionLimitError, FormatError, LayoutError, located
 from .bounds import BoundComparison, LinearFunctional, compare
 from .fisher import block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
 from .hilbert import DensityOperator, PureState, matrix_from_json, vector_from_json
@@ -73,16 +73,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _built(path: str | None, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a plain ``ValueError`` it raises becomes a
-    :class:`FormatError`, and ``path``, when given, goes in front."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        kind = FormatError if type(exc) is ValueError else type(exc)
-        raise kind(f"{path}: {exc}" if path else str(exc)) from exc
-
-
 def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
     """The kind's defaults, then the fields ``--config`` sets, then flags."""
     cfg = ScenarioConfig(seed=seed, trials=trials)
@@ -91,13 +81,13 @@ def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
     unread = set(flags) - reads
     if args.config:
         doc = read_json(args.config)
-        name, cfg = _built(args.config, scenario_config_from_json, doc, cfg)
+        name, cfg = located(args.config, scenario_config_from_json, doc, cfg)
         if name is not None and name != args.kind:
             raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
         unread |= set(doc) - {"scenario"} - reads
     if unread:
         raise FormatError(f"{args.command} {args.kind} does not read {sorted(unread)}")
-    return _built(None, replace, cfg, **flags)
+    return located(None, replace, cfg, **flags)
 
 
 def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:
@@ -136,9 +126,9 @@ def _run(args) -> int:
 def _run_bounds(args) -> int:
     started = _now()
     for d in args.d:
-        _built(None, config.check_int, d, "--d")
+        located(None, config.check_int, d, "--d")
     for n in args.N or ():
-        _built(None, config.check_int, n, "--N")
+        located(None, config.check_int, n, "--N")
     if args.N is None:
         budgets = list(args.d)
     elif len(args.N) == 1:
@@ -148,7 +138,7 @@ def _run_bounds(args) -> int:
     else:
         raise FormatError("--N must be a single value or match --d in length")
     comparisons = [
-        compare(_built(None, LinearFunctional, np.ones(d) / np.sqrt(d), args.kappa, n, args.mu))
+        compare(located(None, LinearFunctional, np.ones(d) / np.sqrt(d), args.kappa, n, args.mu))
         for d, n in zip(args.d, budgets)
     ]
     for c in comparisons:
@@ -184,17 +174,17 @@ def _load_state(path: str, layout: tuple[int, ...]) -> PureState | DensityOperat
     enabled = gc.isenabled()
     gc.disable()
     try:
-        entries = _built(path, _state_entries, read_json(path))
+        entries = located(path, _state_entries, read_json(path))
     finally:
         if enabled:
             gc.enable()
-    return _built(path, DensityOperator if entries.ndim == 2 else PureState, entries, layout)
+    return located(path, DensityOperator if entries.ndim == 2 else PureState, entries, layout)
 
 
 def _run_qfim(args) -> int:
     started = _now()
-    _built(None, config.check_int, args.mu, "mu")
-    net = _built(args.network, network_from_json, read_json(args.network))
+    located(None, config.check_int, args.mu, "mu")
+    net = located(args.network, network_from_json, read_json(args.network))
     state = _load_state(args.state, net.dims)
     if isinstance(state, PureState):
         fim = qfim_pure(state, net)

@@ -16,4 +16,17 @@ class NoncommutingGeneratorsError(ValueError):
 
 
 class FormatError(ValueError):
-    """Rejected input from a file, a flag, a config field or QSN_MAX_DIM."""
+    """A malformed or out-of-range value from a file, a flag, a config field or
+    QSN_MAX_DIM. A failure read from a file keeps its kind (:class:`LayoutError`,
+    :class:`DimensionLimitError`) and names the file and field (:func:`located`)."""
+
+
+def located(where: str | None, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a plain ``ValueError`` it raises becomes a
+    :class:`FormatError`, the package's own subclasses keep their type, and
+    ``where``, when given, goes in front of the message."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        kind = FormatError if type(exc) is ValueError else type(exc)
+        raise kind(f"{where}: {exc}" if where else str(exc)) from exc

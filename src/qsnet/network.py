@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from . import config
-from .exceptions import DimensionLimitError, FormatError, LayoutError, NoncommutingGeneratorsError
+from .exceptions import FormatError, LayoutError, NoncommutingGeneratorsError, located
 from .hilbert import (
     DensityOperator,
     PureState,
@@ -274,13 +274,5 @@ def network_from_json(obj) -> SensorNetwork:
             for j, g in enumerate(raw_gens)
         ]
         resource = matrix_from_json(raw["resource"], where=f"{where}.resource")
-        try:
-            sensors.append(SensorSpec(raw["dim"], tuple(gens), resource))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    try:
-        return SensorNetwork(tuple(sensors))
-    except DimensionLimitError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"network: {exc}") from exc
+        sensors.append(located(where, SensorSpec, raw["dim"], tuple(gens), resource))
+    return located("network", SensorNetwork, tuple(sensors))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import LinearFunctional, compare, separable_bound
 from .config import check_int, check_positive
-from .exceptions import FormatError
+from .exceptions import FormatError, located
 from .fisher import (
     QFIM,
     block_inverse_residuals,
@@ -26,7 +26,7 @@ from .fisher import (
     qfim_pure,
     rotate_qfim,
 )
-from .hilbert import PureState, check_dim, commutator, identity
+from .hilbert import PureState, check_dim, commutator
 from .network import (
     SensorNetwork,
     SensorSpec,
@@ -121,10 +121,7 @@ def scenario_config_from_json(
         raise FormatError(f"scenario config: unknown fields {unknown}")
     if name is not None and not isinstance(name, str):
         raise FormatError("scenario config: 'scenario' must be a string")
-    try:
-        return name, replace(base, **settings)
-    except ValueError as exc:
-        raise FormatError(f"scenario config: {exc}") from exc
+    return name, located("scenario config", replace, base, **settings)
 
 
 @dataclass(frozen=True)
@@ -179,6 +176,19 @@ def _finish(name, cfg, violation, structure, regenerated, records) -> AuditResul
 # --- sensor families ---------------------------------------------------------
 
 
+def _diagonal_family(generator_diagonal, resource_diagonal) -> SensorFamily:
+    """``kappa = 1`` sensors on ``n + 1`` levels: ``diag(generator_diagonal(n))``
+    generates, ``diag(resource_diagonal(n))`` counts resources."""
+
+    def build(n: int) -> SensorSpec:
+        n = check_int(n, "particle count", 0)
+        check_dim(n + 1)
+        gen, res = (np.diag(entries(n)).astype(complex) for entries in (generator_diagonal, resource_diagonal))
+        return SensorSpec(n + 1, (gen,), res)
+
+    return SensorFamily(kappa=1.0, sensor_for=build)
+
+
 def qubit_ensemble_family() -> SensorFamily:
     """Collective-spin sensors of ``n`` qubits in their symmetric sector.
 
@@ -190,14 +200,7 @@ def qubit_ensemble_family() -> SensorFamily:
     and holds both of its extremal eigenvectors, so every probe built here
     has the same Fisher information as in the full ``2**n`` space.
     """
-
-    def build(n: int) -> SensorSpec:
-        n = check_int(n, "particle count", 0)
-        check_dim(n + 1)
-        jz = np.diag(n / 2.0 - np.arange(n + 1)).astype(complex)
-        return SensorSpec(n + 1, (jz,), float(n) * identity(n + 1))
-
-    return SensorFamily(kappa=1.0, sensor_for=build)
+    return _diagonal_family(lambda n: n / 2.0 - np.arange(n + 1), lambda n: np.full(n + 1, float(n)))
 
 
 def truncated_mode_family() -> SensorFamily:
@@ -207,14 +210,8 @@ def truncated_mode_family() -> SensorFamily:
     resource operator are both the number operator ``diag(0..n)``
     (``kappa = 1``).
     """
-
-    def build(n: int) -> SensorSpec:
-        n = check_int(n, "particle count", 0)
-        check_dim(n + 1)
-        num = np.diag(np.arange(n + 1, dtype=float)).astype(complex)
-        return SensorSpec(n + 1, (num,), num)
-
-    return SensorFamily(kappa=1.0, sensor_for=build)
+    number = lambda n: np.arange(n + 1, dtype=float)
+    return _diagonal_family(number, number)
 
 
 # --- random network ensembles ------------------------------------------------
@@ -637,8 +634,10 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     """
     family = truncated_mode_family()
     designed_probe, net = extremal_product(family, [cfg.mode_cutoff] * cfg.n_modes)
-    if cfg.n_particles < cfg.n_modes:
-        raise FormatError("budget too small: some weighted sensor would get no particles")
+    # Built before any trial is drawn: a budget below the mode count or over
+    # the dimension cap draws none.
+    uniform = np.ones(cfg.n_modes) / np.sqrt(cfg.n_modes)
+    alloc_state, alloc_net, allocation = located(None, optimal_separable_probe, uniform, cfg.n_particles, family)
 
     fim_designed = qfim_pure(designed_probe, net)
     per_mode_qfi = tuple(float(x) for x in np.diag(fim_designed.matrix))
@@ -657,8 +656,6 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
 
     violation, structure, regenerated, records = _run_trials(cfg, trial)
 
-    uniform = np.ones(cfg.n_modes) / np.sqrt(cfg.n_modes)
-    alloc_state, alloc_net, allocation = optimal_separable_probe(uniform, cfg.n_particles, family)
     fim_alloc = qfim_pure(alloc_state, alloc_net)
     alloc_bound = qcrb(rotate_qfim(fim_alloc, orthogonal_completion(uniform)), np.eye(cfg.n_modes)[0], cfg.mu).bound
     analytic = separable_bound(LinearFunctional(uniform, family.kappa, cfg.n_particles, cfg.mu))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NOT_FINITE_POSITIVE, oracle_qfim_pure, sign_patterns
@@ -147,6 +147,64 @@ class TestSeparableAllocation:
         f = LinearFunctional(np.ones(3) / np.sqrt(3), 1.0, 2)
         with pytest.raises(ValueError, match="budget too small: some weighted sensor would get no particles"):
             f.separable_allocation()
+
+
+def _per_particle_greedy(v: np.ndarray, n: int) -> np.ndarray:
+    """The allocation oracle: one particle per weighted sensor, then each
+    further particle, one at a time, to the sensor whose cost drops most
+    (drops within 1e-12 relative of the largest tie; ties go to the highest
+    index)."""
+    w = (np.abs(v) > 1e-300).astype(int)
+    sq = v**2
+    for _ in range(n - int(w.sum())):
+        drop = np.where(w > 0, sq * (2.0 * w + 1.0) / np.maximum(w * (w + 1.0), 1.0) ** 2, -np.inf)
+        w[np.nonzero(drop >= drop.max() * (1.0 - 1e-12))[0][-1]] += 1
+    return w
+
+
+# Coefficients spanning many decades, exact repeats, signs, zeros and
+# entries below the 1e-300 cut.
+_coefficients = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-14, 0)),
+    st.sampled_from([0.0, 1e-301, 1e-13, -0.5, 0.5, 1.0]),
+)
+
+
+class TestAllocationStart:
+    """The greedy starts near the continuous optimum, not at one particle
+    per sensor, and still returns the per-particle greedy's allocation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_coefficients, min_size=1, max_size=8), st.integers(1, 5000))
+    # A dominant sensor among small ones: its optimal count lies two below
+    # floor(N a_k / sum(a)), so a start one below that would overshoot.
+    @example([-2.32617752e-03, -9.97629629e-01, 5.12820963e-03, 2.25263353e-03,
+              -8.86307939e-04, 3.18099564e-03, -6.84647674e-02, -1.04029210e-04], 3133)
+    # Small sensors that each need their one particle: a start from the
+    # unconstrained optimum overshoots the dominant sensor.
+    @example([9.45576738e-06, -1.16159226e-01, 9.93230603e-01, 2.93091534e-08, 5.70885576e-05], 19)
+    def test_matches_per_particle_greedy(self, entries, n):
+        v = np.array(entries, dtype=float)
+        assume(np.any(v != 0.0))
+        v /= np.abs(v).max()
+        v /= np.linalg.norm(v)
+        assume(n >= int(np.sum(np.abs(v) > 1e-300)))
+        f = LinearFunctional(v, 1.0, n)
+        assert np.array_equal(f.separable_allocation(), _per_particle_greedy(f.v, n))
+
+    def test_large_budget_allocates_at_once(self):
+        # N = 1e9 is out of the per-particle loop's reach, so the result is
+        # certified instead: moving any one particle between weighted
+        # sensors does not lower the cost sum v_k^2 / w_k^2.
+        v = np.array([1.0, 2.0, 3.0, 1e-13])
+        v /= np.linalg.norm(v)
+        w = LinearFunctional(v, 1.0, 10**9).separable_allocation().astype(float)
+        assert w.sum() == 10**9 and w[3] == 1
+        gained = v**2 * (2 * w + 1) / (w * (w + 1)) ** 2
+        big = w > 1
+        lost = v[big] ** 2 * (2 * w[big] - 1) / (w[big] * (w[big] - 1)) ** 2
+        assert gained.max() <= lost.min() * (1 + 1e-9)
 
 
 class TestFunctionalValidation:

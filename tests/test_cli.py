@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli, scenarios
 from qsnet.cli import main
-from qsnet.exceptions import FormatError, LayoutError
+from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
 from qsnet.reporting import read_json
@@ -152,6 +152,17 @@ class TestScenario:
         assert capsys.readouterr().err == "error: budget too small: some weighted sensor would get no particles\n"
         assert calls == []
 
+    def test_optical_over_cap_budget_draws_no_trial(self, tmp_path, monkeypatch, capsys):
+        # Three million photons over two modes put 1.5 million on each: the
+        # allocation is immediate and its probe is refused at the cap
+        # before any surrogate trial is drawn.
+        calls = []
+        trial = scenarios._surrogate_trial
+        monkeypatch.setattr(scenarios, "_surrogate_trial", lambda *a, **k: calls.append(1) or trial(*a, **k))
+        assert main(["scenario", "optical", "--N", "3000000", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: dimension 1500001 exceeds the cap 4096 (QSN_MAX_DIM)\n"
+        assert calls == []
+
     def test_optical_json(self, tmp_path):
         code = main(
             ["scenario", "optical", "--trials", "4", "--seed", "11", "--out", str(tmp_path)]
@@ -273,6 +284,70 @@ class TestQfimCommand:
         err = capsys.readouterr().err
         assert "mu must be an integer >= 1" in err
         assert "nope.json" not in err
+
+
+class TestInputFailureKinds:
+    """A failure read from a network or state file keeps its kind, exits 2
+    and names the file, then the field where the failure lies inside it (a
+    state file holds one field, the state)."""
+
+    CASES = [
+        ("network", "wrong_size", LayoutError, "sensors[0]: generator 0 has shape (1, 1), sensor dim 2"),
+        ("network", "over_cap", DimensionLimitError, "network: dimension 2 exceeds the cap 1 (QSN_MAX_DIM)"),
+        ("network", "non_numeric", FormatError, "sensors[0].generators[0]: expected numbers in [re, im] pairs, got str"),
+        ("state", "wrong_size", LayoutError, "layout (2,) implies dim 2, the state has dim 4"),
+        ("state", "over_cap", DimensionLimitError, "dimension 2 exceeds the cap 1 (QSN_MAX_DIM)"),
+        ("state", "non_numeric", FormatError, "state: expected numbers in [re, im] pairs, got str"),
+    ]
+    IDS = [f"{source}-{failure}" for source, failure, *_ in CASES]
+
+    @staticmethod
+    def _argv(tmp_path, monkeypatch, source, failure):
+        """``qsnet qfim`` argv on a qubit network and state, with ``failure``
+        put into the ``source`` file; returns it and that file's path."""
+        net = network_to_json(SensorNetwork((SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0])),)))
+        state = vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2))
+        if (source, failure) == ("network", "wrong_size"):
+            net["sensors"][0]["generators"][0] = [[[1.0, 0.0]]]
+        elif (source, failure) == ("network", "over_cap"):
+            monkeypatch.setenv("QSN_MAX_DIM", "1")
+        elif (source, failure) == ("network", "non_numeric"):
+            net["sensors"][0]["generators"][0][0][0] = ["x", 0.0]
+        elif (source, failure) == ("state", "wrong_size"):
+            state = vector_to_json(np.eye(4)[0])
+        elif (source, failure) == ("state", "over_cap"):
+            # A state matching a network within the cap is within it too;
+            # the cap drops once the network is built.
+            build = cli.network_from_json
+
+            def build_then_lower_cap(doc):
+                built = build(doc)
+                monkeypatch.setenv("QSN_MAX_DIM", "1")
+                return built
+
+            monkeypatch.setattr(cli, "network_from_json", build_then_lower_cap)
+        else:
+            state = [["x", 0.0], [0.0, 0.0]]
+        paths = {"network": tmp_path / "net.json", "state": tmp_path / "state.json"}
+        _write(paths["network"], net)
+        _write(paths["state"], state)
+        return ["qfim", str(paths["network"]), str(paths["state"]), "--out", str(tmp_path)], paths[source]
+
+    @pytest.mark.parametrize("source, failure, kind, message", CASES, ids=IDS)
+    def test_keeps_its_kind(self, tmp_path, monkeypatch, source, failure, kind, message):
+        argv, path = self._argv(tmp_path, monkeypatch, source, failure)
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(kind) as info:
+            args.handler(args)
+        assert type(info.value) is kind
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("source, failure, kind, message", CASES, ids=IDS)
+    def test_exits_two_naming_file_and_field(self, tmp_path, monkeypatch, capsys, source, failure, kind, message):
+        argv, path = self._argv(tmp_path, monkeypatch, source, failure)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "qfim.json").exists()
 
 
 class TestLocalGenerators:

@@ -251,7 +251,7 @@ class TestJsonIngestion:
     def test_wrong_generator_size_rejected(self):
         doc = network_to_json(two_qubit_z_network())
         doc["sensors"][0]["generators"][0] = [[[1.0, 0.0]]]
-        with pytest.raises(FormatError):
+        with pytest.raises(LayoutError):
             network_from_json(doc)
 
     def test_non_hermitian_generator_rejected(self):
