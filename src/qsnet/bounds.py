@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_int, check_positive
+from .config import check_array, check_int, check_positive
 
 __all__ = [
     "LinearFunctional",
@@ -39,13 +39,10 @@ _TINY = 1e-300
 
 def pnorm(v, p: float) -> float:
     """``(sum_k |v_k|^p)^(1/p)`` for ``p > 0`` (quasi-norm below 1 allowed)."""
-    vec = np.abs(np.asarray(v, dtype=float).reshape(-1))
+    vec = np.abs(check_array(v, "vector").reshape(-1))
     if vec.size == 0:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("vector contains non-finite entries")
-    if not p > 0.0:
-        raise ValueError(f"p must be positive, got {p}")
+    p = check_positive(p, "p")
     keep = vec[vec > _TINY]
     if keep.size == 0:
         return 0.0
@@ -56,9 +53,7 @@ def pnorm(v, p: float) -> float:
 def unit_vector(v, name: str) -> np.ndarray:
     """``v`` flattened as floats; raises unless it is finite with unit
     2-norm (within 1e-9)."""
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    vec = check_array(v, name).reshape(-1)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"{name} must have unit 2-norm, got {norm!r}")

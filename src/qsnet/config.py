@@ -1,9 +1,11 @@
-"""Numerical tolerances, size limits and the integer and positive-number
-checks shared across the package."""
+"""Numerical tolerances, size limits and the integer, positive-number and
+array checks shared across the package."""
 
 import math
 import os
 from numbers import Integral, Real
+
+import numpy as np
 
 from .exceptions import FormatError
 
@@ -48,6 +50,20 @@ def check_positive(value, name: str) -> float:
         if 0.0 < number < math.inf:
             return number
     raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def check_array(value, name: str, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; anything but integer or real
+    entries (complex too when ``dtype`` is ``complex``; booleans, strings and
+    objects never), or a non-finite entry, raises ``ValueError``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        numbers = "integer, real or complex" if dtype is complex else "integer or real"
+        raise ValueError(f"{name} must hold {numbers} numbers, got dtype {arr.dtype}")
+    arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 def max_dim() -> int:

@@ -59,13 +59,11 @@ class QFIM:
     spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = config.check_array(self.matrix, "information matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"information matrix must be square, got {mat.shape}")
         if mat.size == 0:
             raise ValueError("information matrix is empty: no parameters")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("information matrix contains non-finite entries")
         scale = max(1.0, float(np.max(np.abs(mat))))
         if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
             raise ValueError("information matrix is not symmetric")
@@ -277,7 +275,7 @@ def sld_operators(
 
 
 def _check_weights(weights, d: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = config.check_array(weights, "weights")
     if w.ndim == 2:
         if w.shape != (d, d):
             raise LayoutError(f"weight matrix shape {w.shape}, expected ({d}, {d})")
@@ -287,8 +285,6 @@ def _check_weights(weights, d: int) -> np.ndarray:
         w = np.diag(w)
     if w.shape != (d,):
         raise LayoutError(f"expected {d} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights contain non-finite entries")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if not np.any(w > 0.0):
@@ -341,9 +337,7 @@ def rotate_qfim(fim: QFIM, m) -> QFIM:
     ``M`` must be orthogonal; the partition is dropped because derived
     parameters are global.
     """
-    mat = np.asarray(m, dtype=float)
-    if not np.isfinite(mat).all():
-        raise ValueError("rotation m contains non-finite entries")
+    mat = config.check_array(m, "rotation m")
     if mat.shape != (fim.d, fim.d):
         raise LayoutError(f"rotation shape {mat.shape}, expected ({fim.d}, {fim.d})")
     defect = float(np.max(np.abs(mat @ mat.T - np.eye(fim.d))))

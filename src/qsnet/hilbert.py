@@ -53,13 +53,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_complex(a, name: str = "array") -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def check_dim(dim: int) -> None:
     """Raise :class:`DimensionLimitError` if ``dim`` exceeds the cap."""
     cap = config.max_dim()
@@ -96,7 +89,7 @@ def identity(dim: int) -> np.ndarray:
 
 def require_hermitian(op, tol: float | None = None, name: str = "operator") -> np.ndarray:
     """Validate hermiticity (relative to the largest entry) and return the array."""
-    a = _as_complex(op, name)
+    a = config.check_array(op, name, complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     tol = config.HERMITICITY_TOL if tol is None else tol
@@ -119,7 +112,7 @@ def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
     """
     if not ops:
         raise ValueError("empty operator list")
-    factors = [_as_complex(op, f"factor {i}") for i, op in enumerate(ops)]
+    factors = [config.check_array(op, f"factor {i}", complex) for i, op in enumerate(ops)]
     if factors[0].ndim not in (1, 2) or any(f.ndim != factors[0].ndim for f in factors):
         raise ValueError("kron_all expects matrices only or vectors only")
     out = factors[0]
@@ -135,7 +128,7 @@ def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
     dims = tuple(int(d) for d in layout)
     if not 0 <= site < len(dims):
         raise LayoutError(f"site {site} outside layout of length {len(dims)}")
-    a = _as_complex(op, "local operator")
+    a = config.check_array(op, "local operator", complex)
     if a.shape != (dims[site], dims[site]):
         raise LayoutError(
             f"operator of shape {a.shape} does not fit site {site} with dim {dims[site]}"
@@ -176,7 +169,7 @@ class PureState:
     layout: tuple[int, ...]
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1)
+        amps = config.check_array(self.amplitudes, "amplitudes", complex).reshape(-1)
         layout = _check_layout(self.layout, amps.size)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > config.NORM_TOL:

@@ -25,6 +25,7 @@ from .hilbert import (
     DensityOperator,
     PureState,
     State,
+    _frozen,
     apply_local,
     check_dim,
     commutator,
@@ -53,9 +54,7 @@ def _local_operator(op, dim: int, name: str) -> np.ndarray:
     mat = require_hermitian(op, name=name)
     if mat.shape != (dim, dim):
         raise LayoutError(f"{name} has shape {mat.shape}, sensor dim {dim}")
-    mat = mat.copy()
-    mat.setflags(write=False)
-    return mat
+    return _frozen(mat)
 
 
 @dataclass(frozen=True)
@@ -143,11 +142,9 @@ def global_generators(net: SensorNetwork) -> list[np.ndarray]:
 
 
 def _check_phi(net: SensorNetwork, phi) -> np.ndarray:
-    values = np.asarray(phi, dtype=float).reshape(-1)
+    values = config.check_array(phi, "parameter point").reshape(-1)
     if values.size != net.n_params:
         raise LayoutError(f"expected {net.n_params} parameters, got {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("parameter point contains non-finite values")
     return values
 
 

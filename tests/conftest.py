@@ -40,6 +40,33 @@ NOT_FINITE_POSITIVE = [
 ]
 
 
+def _with_first_entry(value):
+    def spoil(a):
+        out = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+        out.flat[0] = value
+        return out
+
+    return spoil
+
+
+# Turn a valid array input into one that ``config.check_array`` refuses:
+# ill-typed entries or a non-finite one. Each maps the valid array to the bad one.
+NOT_NUMERIC_ARRAY = [
+    pytest.param(spoil, id=name)
+    for name, spoil in [
+        ("bool", lambda a: np.ones(np.shape(a), dtype=bool)),
+        ("str", lambda a: np.asarray(a).astype(str)),
+        ("None", lambda a: None),
+        ("object", lambda a: np.asarray(a).astype(object)),
+        ("complex", lambda a: np.asarray(a) * (1.0 + 1.0j)),
+        ("nan", _with_first_entry(np.nan)),
+        ("inf", _with_first_entry(np.inf)),
+    ]
+]
+# The same, for an input that is complex: there a complex array is valid.
+NOT_NUMERIC_COMPLEX_ARRAY = [p for p in NOT_NUMERIC_ARRAY if p.id != "complex"]
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two matrices or two vectors: the two-factor
     case of ``kron_all``, which checks the dimension cap and finiteness."""

@@ -54,6 +54,11 @@ class TestPnorm:
         with pytest.raises(ValueError):
             pnorm([1.0], 0.0)
 
+    @pytest.mark.parametrize("p", NOT_FINITE_POSITIVE)
+    def test_exponent_is_a_finite_positive_number(self, p):
+        with pytest.raises(ValueError, match="p must be a finite positive number"):
+            pnorm([3.0, 4.0], p)
+
 
 class TestClosedFormBounds:
     def test_single_sensor_heisenberg(self):

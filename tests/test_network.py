@@ -146,7 +146,7 @@ class TestEncode:
     def test_non_finite_phi_rejected(self, bad):
         net = two_qubit_z_network()
         psi = PureState(np.eye(4)[0], (2, 2))
-        with pytest.raises(ValueError, match="parameter point contains non-finite values"):
+        with pytest.raises(ValueError, match="parameter point contains non-finite entries"):
             encode(net, psi, [0.0, bad])
 
 
