@@ -26,11 +26,9 @@ from .fisher import (
     BoundReport,
     block_inverse_residuals,
     cfim,
-    orthogonal_completion,
     qcrb,
     qfim_mixed,
     qfim_pure,
-    rotate_qfim,
     sld_operators,
 )
 from .hilbert import (
@@ -110,8 +108,6 @@ __all__ = [
     "qfim_mixed",
     "sld_operators",
     "qcrb",
-    "rotate_qfim",
-    "orthogonal_completion",
     "block_inverse_residuals",
     "cfim",
     # bounds

@@ -15,8 +15,7 @@ NORM_TOL = 1e-12          # pure-state normalization slack
 TRACE_TOL = 1e-12         # density-operator trace slack
 PSD_SLACK = 1e-10         # admissible negative eigenvalue from roundoff
 
-# Operation post-condition tolerances.
-UNITARITY_TOL = 1e-10
+# Operation preconditions.
 COMMUTE_TOL = 1e-9        # mutual-commutation precondition for joint eigenbases
 
 # Fisher-information support handling.

@@ -8,9 +8,11 @@ strict upper triangle of eigenvalue pairs, in blocks of eigenbasis columns,
 so its scratch stays at one ``D x D`` matrix plus ``d * D * _BLOCK_COLUMNS``
 complex entries for ``d`` parameters. A network's generators act on their
 own sensor's axis of the probe, never as full-space matrices. The scalar
-Cramer-Rao bound for a diagonal weighting is
-``sum_k W_kk [F^-1]_kk / mu``; singular matrices are never silently
-pseudo-inverted, the report flags them and restricts to the support.
+Cramer-Rao bound for any positive-semidefinite weighting ``W`` is
+``Tr[W F^+] / mu``; a linear functional ``v . phi`` is ``W = v v^T``.
+Singular matrices are never silently pseudo-inverted: the report flags
+them, restricts to the support, and the bound is ``inf`` when ``W``
+weighs a direction outside it.
 Each carrier holds its ``spectrum``: the probe's eigenbasis and the
 information matrix's eigenpairs are computed once, when the carrier is
 validated, and every bound, inverse and SLD reads them.
@@ -25,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .bounds import unit_vector
 from .exceptions import LayoutError
 from .hilbert import DensityOperator, PureState, State, apply_local, require_hermitian
 from .network import SensorNetwork, encode
@@ -37,8 +38,6 @@ __all__ = [
     "qfim_mixed",
     "sld_operators",
     "qcrb",
-    "rotate_qfim",
-    "orthogonal_completion",
     "block_inverse_residuals",
     "cfim",
 ]
@@ -64,14 +63,7 @@ class QFIM:
             raise ValueError(f"information matrix must be square, got {mat.shape}")
         if mat.size == 0:
             raise ValueError("information matrix is empty: no parameters")
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
-            raise ValueError("information matrix is not symmetric")
-        mat = (mat + mat.T) / 2
-        spectrum = np.linalg.eigh(mat)
-        lo = float(spectrum[0][0])
-        if lo < -1e-9 * scale:
-            raise ValueError(f"information matrix has eigenvalue {lo:.3e} < 0")
+        mat, spectrum = _psd_spectrum(mat, "information matrix")
         partition = tuple(
             tuple(config.check_int(i, "partition index", 0) for i in blk) for blk in self.partition
         )
@@ -98,6 +90,24 @@ class QFIM:
         return self.matrix[np.ix_(idx, idx)]
 
 
+def _psd_spectrum(mat: np.ndarray, name: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A square real matrix symmetrized, with its ascending eigenpairs.
+
+    Raises ``ValueError`` naming ``name`` unless the matrix is symmetric
+    within 1e-10 and its eigenvalues are above -1e-9, both relative to its
+    largest entry (at least 1).
+    """
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
+        raise ValueError(f"{name} is not symmetric")
+    mat = (mat + mat.T) / 2
+    spectrum = np.linalg.eigh(mat)
+    lo = float(spectrum[0][0])
+    if lo < -1e-9 * scale:
+        raise ValueError(f"{name} has eigenvalue {lo:.3e} < 0")
+    return mat, spectrum
+
+
 def _rank_cutoff(eigenvalues: np.ndarray) -> float:
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     return max(config.RANK_TOL_FACTOR * top, config.RANK_TOL_FLOOR)
@@ -114,6 +124,13 @@ def _support_inverse(spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarra
     support = eigvals > _rank_cutoff(eigvals)
     vs = eigvecs[:, support]
     return vs, (vs / eigvals[support]) @ vs.T
+
+
+def _off_support(vs: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Which unit columns ``u`` of ``directions`` leave the span of the
+    orthonormal columns ``V``: the residual ``u - V V^T u`` has norm above
+    1e-9. Roundoff in ``V`` moves that norm by about 1e-16."""
+    return np.linalg.norm(directions - vs @ (vs.T @ directions), axis=0) > 1e-9
 
 
 def _local_generators(source, state: State, partition=()):
@@ -274,22 +291,29 @@ def sld_operators(
     return tuple(slds)
 
 
-def _check_weights(weights, d: int) -> np.ndarray:
+def _weighted_directions(weights, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, U)`` with ``W = U diag(lam) U^T`` for the weighting ``W``.
+
+    A weight vector ``w`` is ``diag(w)`` on the parameter axes. A ``(d, d)``
+    matrix must be symmetric and positive semidefinite; its eigenvectors
+    whose eigenvalues clear the rank cutoff are kept.
+    """
     w = config.check_array(weights, "weights")
     if w.ndim == 2:
         if w.shape != (d, d):
             raise LayoutError(f"weight matrix shape {w.shape}, expected ({d}, {d})")
-        off = w - np.diag(np.diag(w))
-        if float(np.max(np.abs(off))) > 0.0:
-            raise ValueError("only diagonal weighting matrices are supported")
-        w = np.diag(w)
-    if w.shape != (d,):
-        raise LayoutError(f"expected {d} weights, got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    if not np.any(w > 0.0):
+        lam, vecs = _psd_spectrum(w, "weight matrix")[1]
+        keep = lam > _rank_cutoff(lam)
+        lam, directions = lam[keep], vecs[:, keep]
+    else:
+        if w.shape != (d,):
+            raise LayoutError(f"expected {d} weights, got shape {w.shape}")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be nonnegative")
+        lam, directions = w, np.eye(d)
+    if not np.any(lam > 0.0):
         raise ValueError("weights must not all be zero")
-    return w
+    return lam, directions
 
 
 @dataclass(frozen=True)
@@ -298,8 +322,8 @@ class BoundReport:
 
     For a singular matrix ``undetermined`` lists the parameter indices
     outside the support, whose ``diag_inverse`` entries are ``inf``. The
-    bound is ``inf`` if any of them carries a positive weight; otherwise it
-    sums the determined parameters.
+    bound is ``inf`` if the weighting gives weight to a direction outside
+    the support; otherwise it is ``Tr[W F^+] / mu`` over the support.
     """
 
     bound: float
@@ -313,54 +337,29 @@ class BoundReport:
 
 
 def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
-    """Weighted scalar Cramer-Rao bound ``sum_k W_kk [F^-1]_kk / mu``."""
+    """Weighted scalar Cramer-Rao bound ``Tr[W F^+] / mu``.
+
+    ``weights`` is a vector ``w``, for ``W = diag(w)``, or any symmetric
+    positive-semidefinite ``(d, d)`` matrix ``W``; the variance of a linear
+    functional ``v . phi`` is ``W = v v^T``. Eigenvalues of a matrix ``W``
+    below the rank cutoff (1e-10 of its largest) count as zero. A parameter
+    axis, or a weighted eigenvector of ``W``, lies in the support when its
+    residual off the support has norm at most 1e-9.
+    """
     mu = config.check_int(mu, "mu")
-    w_diag = _check_weights(weights, fim.d)
+    lam, directions = _weighted_directions(weights, fim.d)
     vs, inv_supp = _support_inverse(fim.spectrum)
     support_dim = vs.shape[1]
-    singular = support_dim < fim.d
-    # A parameter direction is determined only if e_k lies in the support.
-    proj_defect = np.sqrt(np.clip(1.0 - np.sum(np.abs(vs) ** 2, axis=1), 0.0, None))
-    inside = proj_defect <= 1e-9 if singular else np.ones(fim.d, dtype=bool)
-    diag = np.where(inside, np.real(np.diag(inv_supp)), np.inf)
-    if np.any(w_diag[~inside] > 0.0):
+    inside = ~_off_support(vs, np.eye(fim.d))
+    diag = np.where(inside, np.diag(inv_supp), np.inf)
+    weighed = ~_off_support(vs, directions)
+    if np.any(lam[~weighed] > 0.0):
         bound = np.inf
     else:
-        bound = float(np.sum(w_diag[inside] * diag[inside]) / mu)
+        quad = np.sum(directions * (inv_supp @ directions), axis=0)
+        bound = float(np.sum(lam[weighed] * quad[weighed]) / mu)
     undetermined = tuple(int(k) for k in np.nonzero(~inside)[0])
-    return BoundReport(bound, tuple(float(x) for x in diag), singular, support_dim, undetermined)
-
-
-def rotate_qfim(fim: QFIM, m) -> QFIM:
-    """Congruence transform ``M F M^T`` onto derived parameters.
-
-    ``M`` must be orthogonal; the partition is dropped because derived
-    parameters are global.
-    """
-    mat = config.check_array(m, "rotation m")
-    if mat.shape != (fim.d, fim.d):
-        raise LayoutError(f"rotation shape {mat.shape}, expected ({fim.d}, {fim.d})")
-    defect = float(np.max(np.abs(mat @ mat.T - np.eye(fim.d))))
-    if defect > config.UNITARITY_TOL:
-        raise ValueError(f"rotation is not orthogonal (defect {defect:.3e})")
-    return QFIM(mat @ fim.matrix @ mat.T, ())
-
-
-def orthogonal_completion(v) -> np.ndarray:
-    """Orthogonal matrix whose first row is ``v / |v|``.
-
-    It is the Householder reflection that takes ``e_0`` to ``v``, signed so
-    that row 0 is ``v``: ``-s (I - u u^T / (1 + |v_0|))`` with
-    ``u = v + s e_0`` and ``s = sign(v_0)`` (``+1`` at 0), so that
-    ``u_0 = v_0 + s`` never cancels. ``v`` is normalized first, so a norm off by roundoff still
-    gives a rotation that :func:`rotate_qfim` accepts.
-    """
-    vec = unit_vector(v, "vector v")
-    vec = vec / np.linalg.norm(vec)
-    s = 1.0 if vec[0] >= 0.0 else -1.0
-    u = vec.copy()
-    u[0] += s
-    return s * (np.outer(u, u) / (1.0 + abs(vec[0])) - np.eye(vec.size))
+    return BoundReport(bound, tuple(float(x) for x in diag), support_dim < fim.d, support_dim, undetermined)
 
 
 def block_inverse_residuals(fim: QFIM) -> np.ndarray:

@@ -69,6 +69,15 @@ def layout_ints(values, name: str, minimum: int = 0) -> tuple[int, ...]:
         raise LayoutError(str(exc)) from None
 
 
+def _index(value, n: int, name: str) -> int:
+    """``value`` as an index into a layout of length ``n``, through
+    :func:`layout_ints`; one out of range raises :class:`LayoutError`."""
+    (k,) = layout_ints((value,), name)
+    if k >= n:
+        raise LayoutError(f"{name} {k} outside layout of length {n}")
+    return k
+
+
 def _check_layout(layout, dim: int) -> tuple[int, ...]:
     """A state's ``layout`` as ``int``s whose product is ``dim``, within the cap."""
     dims = layout_ints(layout, "layout entry", 1)
@@ -125,9 +134,8 @@ def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
     """Extend a local operator to ``I x ... x op x ... x I`` in layout order."""
-    dims = tuple(int(d) for d in layout)
-    if not 0 <= site < len(dims):
-        raise LayoutError(f"site {site} outside layout of length {len(dims)}")
+    dims = layout_ints(layout, "layout entry", 1)
+    site = _index(site, len(dims), "site")
     a = config.check_array(op, "local operator", complex)
     if a.shape != (dims[site], dims[site]):
         raise LayoutError(
@@ -153,9 +161,14 @@ def apply_local(op: np.ndarray, site: int, tensor: np.ndarray) -> np.ndarray:
 
 
 def expm_i(op, angle: float = 1.0) -> np.ndarray:
-    """Unitary ``exp(-i * angle * op)`` for Hermitian ``op``, via eigh."""
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
+    """Unitary ``exp(-i * angle * op)`` for Hermitian ``op``, via eigh.
+
+    ``angle`` is one finite real number, read by :func:`config.check_array`.
+    """
+    angle = config.check_array(angle, "angle")
+    if angle.ndim:
+        raise ValueError(f"angle must be a single number, got shape {angle.shape}")
+    angle = float(angle)
     w, v = np.linalg.eigh(require_hermitian(op))
     phases = np.exp(-1j * angle * w)
     return (v * phases) @ v.conj().T
@@ -227,10 +240,7 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
     """Reduced density operator after discarding the listed subsystems."""
     dims = state.layout
     n = len(dims)
-    dropped = sorted(set(layout_ints(discard, "subsystem index")))
-    for i in dropped:
-        if i >= n:
-            raise LayoutError(f"subsystem index {i} outside layout of length {n}")
+    dropped = sorted({_index(i, n, "subsystem index") for i in discard})
     kept = [i for i in range(n) if i not in dropped]
     if not kept:
         raise LayoutError("tracing out every subsystem leaves a scalar, not a state")
@@ -251,6 +261,7 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
 
 def sensor_marginal(state: State, site: int) -> DensityOperator:
     """Reduced state of a single subsystem."""
+    site = _index(site, len(state.layout), "site")
     others = [i for i in range(len(state.layout)) if i != site]
     return partial_trace(state, others)
 

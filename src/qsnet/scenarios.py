@@ -17,15 +17,7 @@ import numpy as np
 from .bounds import LinearFunctional, compare, separable_bound
 from .config import check_int, check_positive
 from .exceptions import FormatError, located
-from .fisher import (
-    QFIM,
-    block_inverse_residuals,
-    orthogonal_completion,
-    qcrb,
-    qfim_mixed,
-    qfim_pure,
-    rotate_qfim,
-)
+from .fisher import QFIM, block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
 from .hilbert import PureState, check_dim, commutator
 from .network import (
     SensorNetwork,
@@ -519,8 +511,8 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     The sensor-entangled probe is :func:`qsnet.states.ghz_probe` for the
     signed functional ``v = (-1, 1)/sqrt(2)``: it superposes the two
     anti-aligned collective extremes and halves the variance of the best
-    separable strategy (one local GHZ-like state per site). Its rotated
-    information matrix is insensitive to the sum parameter, so for the
+    separable strategy (one local GHZ-like state per site). Its information
+    is zero along the sum direction ``(1, 1)/sqrt(2)``, so for the
     both-parameters task the separable probe wins instead.
     """
     n = cfg.n_particles
@@ -531,14 +523,14 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
     psi, net = ghz_probe(functional.v, n, family)
     fim = qfim_pure(psi, net)
 
-    rotation = orthogonal_completion(functional.v)
-    fim_rotated = rotate_qfim(fim, rotation)
-    report_ent = qcrb(fim_rotated, [1.0, 0.0], cfg.mu)
-    sum_sensitivity = abs(float(fim_rotated.matrix[1, 1]))
+    functional_weights = np.outer(functional.v, functional.v)
+    report_ent = qcrb(fim, functional_weights, cfg.mu)
+    total = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    sum_sensitivity = abs(float(total @ fim.matrix @ total))
 
     sep_state, sep_net, allocation = optimal_separable_probe(functional.v, n, family)
     fim_sep = qfim_pure(sep_state, sep_net)
-    report_sep = qcrb(rotate_qfim(fim_sep, rotation), [1.0, 0.0], cfg.mu)
+    report_sep = qcrb(fim_sep, functional_weights, cfg.mu)
 
     closed = compare(functional)
     ratio = report_sep.bound / report_ent.bound
@@ -657,7 +649,7 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     violation, structure, regenerated, records = _run_trials(cfg, trial)
 
     fim_alloc = qfim_pure(alloc_state, alloc_net)
-    alloc_bound = qcrb(rotate_qfim(fim_alloc, orthogonal_completion(uniform)), np.eye(cfg.n_modes)[0], cfg.mu).bound
+    alloc_bound = qcrb(fim_alloc, np.outer(uniform, uniform), cfg.mu).bound
     analytic = separable_bound(LinearFunctional(uniform, family.kappa, cfg.n_particles, cfg.mu))
 
     designed_top = _top_level_weights(designed_probe)

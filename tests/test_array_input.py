@@ -12,10 +12,8 @@ from qsnet import (
     LinearFunctional,
     SensorSpec,
     encode,
-    orthogonal_completion,
     pnorm,
     qcrb,
-    rotate_qfim,
 )
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, embed_local, kron_all
 
@@ -26,8 +24,6 @@ REAL_INPUTS = {
     "QFIM": (QFIM, np.eye(2), "information matrix"),
     "qcrb_weights": (lambda x: qcrb(QFIM(np.eye(2)), x), [1.0, 1.0], "weights"),
     "qcrb_weight_matrix": (lambda x: qcrb(QFIM(np.eye(2)), x), np.eye(2), "weights"),
-    "rotate_qfim": (lambda x: rotate_qfim(QFIM(np.eye(2)), x), np.eye(2), "rotation m"),
-    "orthogonal_completion": (orthogonal_completion, [1.0, 0.0], "vector v"),
     "LinearFunctional": (lambda x: LinearFunctional(x, 1.0, 2), [1.0, 0.0], "coefficient vector"),
     "pnorm": (lambda x: pnorm(x, 1.0), [3.0, 4.0], "vector"),
     "encode_phi": (

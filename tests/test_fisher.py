@@ -1,5 +1,5 @@
-"""Fisher-information machinery: pure and SLD-based matrices, bounds,
-rotations, block inequality, classical information of measurements."""
+"""Fisher-information machinery: pure and SLD-based matrices, weighted
+bounds, block inequality, classical information of measurements."""
 
 import tracemalloc
 import warnings
@@ -7,7 +7,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -36,11 +36,9 @@ from qsnet import (
     cfim,
     doubled,
     encode,
-    orthogonal_completion,
     qcrb,
     qfim_mixed,
     qfim_pure,
-    rotate_qfim,
     sld_operators,
     with_collective_ancilla,
 )
@@ -375,9 +373,10 @@ class TestQcrb:
         with pytest.raises(ValueError):
             qcrb(fim, [0.0, 0.0], 1)
         with pytest.raises(ValueError):
-            qcrb(fim, np.array([[1.0, 0.2], [0.2, 1.0]]), 1)
-        # A diagonal matrix form is accepted.
+            qcrb(fim, np.array([[1.0, 0.2], [0.0, 1.0]]), 1)
+        # Diagonal and non-diagonal PSD matrices are accepted: Tr[W F^-1].
         assert qcrb(fim, np.diag([1.0, 1.0]), 1).bound == pytest.approx(2.0)
+        assert qcrb(fim, np.array([[1.0, 0.2], [0.2, 1.0]]), 1).bound == pytest.approx(2.0)
 
     def test_monotone_under_psd_perturbation(self):
         rng = np.random.default_rng(55)
@@ -391,91 +390,95 @@ class TestQcrb:
             assert after <= before + 1e-12
 
 
-class TestRotation:
-    def test_identity_rotation(self):
-        fim = QFIM(np.diag([2.0, 3.0]))
-        assert_allclose(rotate_qfim(fim, np.eye(2)).matrix, fim.matrix, atol=0)
-
-    def test_spectrum_invariant(self):
-        rng = np.random.default_rng(57)
-        fim = QFIM(random_spd(5, rng))
-        v = rng.standard_normal(5)
-        m = orthogonal_completion(v / np.linalg.norm(v))
-        rotated = rotate_qfim(fim, m)
-        assert_allclose(
-            np.sort(np.linalg.eigvalsh(rotated.matrix)),
-            np.sort(np.linalg.eigvalsh(fim.matrix)),
-            atol=1e-9,
-        )
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(ValueError):
-            rotate_qfim(QFIM(np.eye(2)), np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_non_finite_rotation_rejected(self):
-        with pytest.raises(ValueError, match="rotation m contains non-finite entries"):
-            rotate_qfim(QFIM(np.eye(2)), [[np.nan, 0.0], [0.0, 1.0]])
+def _psd_on(basis: np.ndarray, rng) -> np.ndarray:
+    """A PSD matrix whose support is the span of the columns of ``basis``,
+    with eigenvectors turned inside that span and eigenvalues in [0.5, 2]."""
+    q = np.linalg.qr(basis)[0]
+    turn = np.linalg.qr(rng.standard_normal((q.shape[1], q.shape[1])))[0]
+    q = q @ turn
+    return (q * rng.uniform(0.5, 2.0, q.shape[1])) @ q.T
 
 
-class TestOrthogonalCompletion:
-    def test_standard_basis_vector(self):
-        m = orthogonal_completion(np.array([1.0, 0.0, 0.0]))
-        assert_allclose(np.abs(m), np.eye(3), atol=1e-12)
-        assert_allclose(m[0], [1.0, 0.0, 0.0], atol=0)
+def _pinv(mat: np.ndarray) -> np.ndarray:
+    return np.linalg.pinv(mat, 1e-10, hermitian=True)
 
-    def test_two_dim_diagonal_direction(self):
-        m = orthogonal_completion(np.array([1.0, 1.0]) / np.sqrt(2))
-        assert_allclose(np.abs(m[1]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
 
-    def test_random_vectors_orthogonal(self):
-        rng = np.random.default_rng(59)
-        for d in (2, 4, 7):
+class TestWeightMatrix:
+    def test_support_axes_match_pinv_oracle(self):
+        # The support holds the axes in `kept` exactly, through eigenvectors
+        # that mix them with each other and with other directions.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            d = int(rng.integers(3, 7))
+            kept = np.sort(rng.choice(d, int(rng.integers(1, d)), replace=False))
+            rest = np.setdiff1d(np.arange(d), kept)
+            extra = np.zeros((d, int(rng.integers(0, rest.size))))
+            extra[rest] = rng.standard_normal((rest.size, extra.shape[1]))
+            mat = _psd_on(np.hstack([np.eye(d)[:, kept], extra]), rng)
+            rep = qcrb(QFIM(mat), np.where(np.isin(np.arange(d), kept), rng.uniform(0.1, 1.0, d), 0.0))
+            oracle = np.diag(_pinv(mat))
+            assert rep.undetermined == tuple(int(k) for k in rest)
+            assert_allclose(np.array(rep.diag_inverse)[kept], oracle[kept], rtol=1e-9)
+            assert np.all(np.isinf(np.array(rep.diag_inverse)[rest]))
+            assert np.isfinite(rep.bound)
+
+    def test_functional_equals_rotated_route(self):
+        # The variance of v . phi, against M F M^T weighed by e_0 for an
+        # orthogonal M whose first row is v.
+        rng = np.random.default_rng(62)
+        for d in (2, 3, 5):
             v = rng.standard_normal(d)
-            m = orthogonal_completion(v / np.linalg.norm(v))
-            assert np.max(np.abs(m @ m.T - np.eye(d))) <= 1e-10
+            v /= np.linalg.norm(v)
+            m = np.linalg.qr(np.column_stack([v, rng.standard_normal((d, d - 1))]))[0].T
+            m[0] = v
+            for mat in (random_spd(d, rng), _psd_on(np.column_stack([v, rng.standard_normal(d)]), rng)):
+                rotated = qcrb(QFIM(m @ mat @ m.T), np.eye(d)[0], 3).bound
+                bound = qcrb(QFIM(mat), np.outer(v, v), 3).bound
+                assert bound == pytest.approx(rotated, rel=1e-9)
+                assert bound == pytest.approx(v @ _pinv(mat) @ v / 3, rel=1e-9)
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            orthogonal_completion(np.zeros(3))
+    def test_functional_outside_support_is_infinite(self):
+        rng = np.random.default_rng(63)
+        q = rng.standard_normal(3)
+        v = np.array([1.0, 0.0, 0.0])
+        rep = qcrb(QFIM(np.outer(q, q)), np.outer(v, v))
+        assert rep.bound == np.inf
+        # Weight only inside the support keeps it finite.
+        u = q / np.linalg.norm(q)
+        assert qcrb(QFIM(np.outer(q, q)), np.outer(u, u)).bound == pytest.approx(1.0 / (q @ q))
 
-    def test_non_finite_vector_rejected(self):
-        with pytest.raises(ValueError, match="vector v contains non-finite entries"):
-            orthogonal_completion([np.nan, 0.0])
+    def test_orthonormal_rows_sum_their_variances(self):
+        # Tr[V F^-1 V^T] for V with orthonormal rows is W = V^T V.
+        rng = np.random.default_rng(64)
+        for d, r in ((3, 2), (5, 3), (6, 6)):
+            mat = random_spd(d, rng)
+            rows = np.linalg.qr(rng.standard_normal((d, r)))[0].T
+            per_row = sum(qcrb(QFIM(mat), np.outer(row, row)).bound for row in rows)
+            bound = qcrb(QFIM(mat), rows.T @ rows).bound
+            assert bound == pytest.approx(per_row, rel=1e-9)
+            assert bound == pytest.approx(np.trace(rows @ np.linalg.inv(mat) @ rows.T), rel=1e-9)
 
+    def test_diagonal_matrix_equals_weight_vector(self):
+        rng = np.random.default_rng(65)
+        for mat in (random_spd(4, rng), np.diag([2.0, 0.0, 1.0, 0.0]), _psd_on(rng.standard_normal((4, 2)), rng)):
+            for w in (rng.uniform(0.0, 1.0, 4), np.array([1.0, 0.0, 0.5, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])):
+                vector = qcrb(QFIM(mat), w, 2)
+                matrix = qcrb(QFIM(mat), np.diag(w), 2)
+                assert matrix.bound == pytest.approx(vector.bound, rel=1e-12, abs=0.0)
+                assert matrix.diag_inverse == vector.diag_inverse
 
-_SIGNED_BASIS_VECTORS = st.builds(
-    lambda d, k, sign: sign * np.eye(d)[k % d],
-    st.integers(1, 8),
-    st.integers(0, 7),
-    st.sampled_from([1.0, -1.0]),
-)
-_UNIT_VECTORS = (
-    st.integers(1, 8)
-    .flatmap(
-        lambda d: st.lists(
-            st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e-20, -1e-20]), min_size=d, max_size=d
-        )
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([[1.0, 0.5], [0.0, 1.0]], "weight matrix is not symmetric"),
+            ([[1.0, 0.0], [0.0, -1.0]], r"weight matrix has eigenvalue -1.000e\+00 < 0"),
+            (np.zeros((2, 2)), "weights must not all be zero"),
+        ],
+        ids=["non-symmetric", "negative", "zero"],
     )
-    .map(np.array)
-    .filter(lambda x: np.linalg.norm(x) > 1e-3)
-    .map(lambda x: x / np.linalg.norm(x))
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    _SIGNED_BASIS_VECTORS | _UNIT_VECTORS,
-    st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10]),
-)
-@example(np.array([0.0, 0.6, -0.8]), 1.0)
-@example(np.array([1e-20, 0.6, 0.8]), 1.0)
-@example(np.array([-0.6, 0.8]), 1.0 + 1e-10)
-@example(-np.eye(1)[0], 1.0 - 1e-10)
-def test_orthogonal_completion_property(unit, scale):
-    v = unit * scale
-    m = orthogonal_completion(v)
-    assert np.max(np.abs(m @ m.T - np.eye(v.size))) <= 1e-14
-    assert np.max(np.abs(m[0] - v / np.linalg.norm(v))) <= 1e-15
+    def test_invalid_matrix_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            qcrb(QFIM(np.eye(2)), weights)
 
 
 class TestBlockInverse:
@@ -719,10 +722,6 @@ class TestInputChecks:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="weights must be nonnegative"):
             qcrb(QFIM(np.eye(2)), [1.0, -1.0])
-
-    def test_wrong_rotation_shape_rejected(self):
-        with pytest.raises(LayoutError, match=r"rotation shape \(3, 3\), expected \(2, 2\)"):
-            rotate_qfim(QFIM(np.eye(2)), np.eye(3))
 
     def test_wrong_effect_shape_rejected(self):
         with pytest.raises(LayoutError, match=r"effect 0 has shape \(4, 4\), network dim 2"):

@@ -15,6 +15,7 @@ from qsnet import config
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import (
     kron_all,
+    SIGMA_X,
     SIGMA_Z,
     DensityOperator,
     PureState,
@@ -91,6 +92,21 @@ class TestEmbedLocal:
     def test_dim_mismatch(self):
         with pytest.raises(LayoutError):
             embed_local(SIGMA_Z, 0, (3, 2))
+
+    @pytest.mark.parametrize(
+        "site, layout, message",
+        [
+            (0, (2.7, 2.2), "layout entry must be an integer >= 1, got 2.7"),
+            (1.0, (2, 2), "site must be an integer >= 0, got 1.0"),
+            (True, (2, 2), "site must be an integer >= 0, got True"),
+            (-1, (2, 2), "site must be an integer >= 0, got -1"),
+            (2, (2, 2), "site 2 outside layout of length 2"),
+        ],
+        ids=["float-layout", "float-site", "bool-site", "negative", "past-end"],
+    )
+    def test_bad_index_names_it(self, site, layout, message):
+        with pytest.raises(LayoutError, match=message):
+            embed_local(SIGMA_X, site, layout)
 
     @settings(max_examples=60, deadline=None)
     @given(layouts, st.data(), seeds)
@@ -186,6 +202,22 @@ class TestPartialTrace:
         with pytest.raises(LayoutError, match="subsystem index 2 outside layout of length 2"):
             partial_trace(psi, [2])
 
+    @pytest.mark.parametrize(
+        "site, message",
+        [
+            (True, "site must be an integer >= 0, got True"),
+            (1.0, "site must be an integer >= 0, got 1.0"),
+            (-1, "site must be an integer >= 0, got -1"),
+            (5, "site 5 outside layout of length 2"),
+        ],
+        ids=["bool", "float", "negative", "past-end"],
+    )
+    def test_marginal_site_checked(self, site, message):
+        psi = PureState(np.eye(4)[1], (2, 2))
+        with pytest.raises(LayoutError, match=message):
+            sensor_marginal(psi, site)
+        assert_allclose(sensor_marginal(psi, np.int64(1)).matrix, np.diag([0.0, 1.0]), atol=0)
+
 
 class TestExpmI:
     def test_zero_angle(self):
@@ -206,8 +238,26 @@ class TestExpmI:
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_angle_rejected(self, angle):
-        with pytest.raises(ValueError, match="angle must be finite"):
+        with pytest.raises(ValueError, match="angle contains non-finite entries"):
             expm_i(np.eye(2), angle)
+
+    @pytest.mark.parametrize(
+        "angle, message",
+        [
+            (True, "angle must hold integer or real numbers, got dtype bool"),
+            ("0.5", "angle must hold integer or real numbers"),
+            ([1.0, 2.0], r"angle must be a single number, got shape \(2,\)"),
+            (1j, "angle must hold integer or real numbers, got dtype complex128"),
+        ],
+        ids=["bool", "str", "list", "complex"],
+    )
+    def test_non_number_angle_rejected(self, angle, message):
+        with pytest.raises(ValueError, match=message):
+            expm_i(SIGMA_Z, angle)
+
+    def test_integer_and_array_scalar_angles_accepted(self):
+        assert np.array_equal(expm_i(SIGMA_Z, 2), expm_i(SIGMA_Z, 2.0))
+        assert np.array_equal(expm_i(SIGMA_Z, np.array(-0.5)), expm_i(SIGMA_Z, -0.5))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):

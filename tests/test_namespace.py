@@ -21,8 +21,8 @@ PACKAGE_API = """
     network_to_json network_from_json
     SensorFamily joint_eigenbasis separable_surrogate purify local_purification_probe
     extremal_product ghz_probe optimal_separable_probe product_defect
-    QFIM BoundReport qfim_pure qfim_mixed sld_operators qcrb rotate_qfim
-    orthogonal_completion block_inverse_residuals cfim
+    QFIM BoundReport qfim_pure qfim_mixed sld_operators qcrb
+    block_inverse_residuals cfim
     LinearFunctional BoundComparison pnorm separable_bound ghz_bound enhancement_ratio compare
     ScenarioConfig AuditResult GradientReport OpticalReport scenario_config_from_json
     qubit_ensemble_family truncated_mode_family audit_separable_surrogate

@@ -30,14 +30,12 @@ from qsnet import (
     joint_eigenbasis,
     local_purification_probe,
     optimal_separable_probe,
-    orthogonal_completion,
     pnorm,
     product_defect,
     purify,
     qcrb,
     qfim_pure,
     resource_count,
-    rotate_qfim,
     sensor_marginal,
     separable_bound,
     separable_surrogate,
@@ -426,13 +424,11 @@ class TestGhzProbe:
         fam = qubit_ensemble_family()
         counts = np.array([1.0, 2.0, 1.0, 2.0, 1.0][:d])
         n = int(counts.sum())
-        selector = np.eye(d)[0]
         for signs in sign_patterns(d):
             v = signs * counts / np.linalg.norm(counts)
             state, net = ghz_probe(v, n, fam)
             assert net.dims == tuple(int(c) + 1 for c in counts)
-            rotated = rotate_qfim(qfim_pure(state, net), orthogonal_completion(v))
-            variance = qcrb(rotated, selector, 3).bound
+            variance = qcrb(qfim_pure(state, net), np.outer(v, v), 3).bound
             assert variance == pytest.approx(pnorm(v, 1.0) ** 2 / (3 * fam.kappa**2 * n**2), abs=1e-9)
             w, vecs = np.linalg.eigh(oracle_qfim_pure(state, net))
             assert w[-2] <= 1e-9
@@ -524,14 +520,13 @@ class TestOptimalSeparableProbe:
         assert net.dims == (6, 1)
 
     def test_achieved_bound_matches_analytic_at_integral_optimum(self):
-        from qsnet import LinearFunctional, orthogonal_completion, qcrb, rotate_qfim, separable_bound
+        from qsnet import LinearFunctional, qcrb, separable_bound
 
         fam = qubit_ensemble_family()
         v = np.ones(2) / np.sqrt(2)
         state, net, _ = optimal_separable_probe(v, 4, fam)
         fim = QFIM(oracle_qfim_pure(state, net), net.partition)
-        rotated = rotate_qfim(fim, orthogonal_completion(v))
-        achieved = qcrb(rotated, [1.0, 0.0], 1).bound
+        achieved = qcrb(fim, np.outer(v, v), 1).bound
         analytic = separable_bound(LinearFunctional(v, fam.kappa, 4, 1))
         assert achieved == pytest.approx(analytic, abs=1e-9)
         assert achieved >= analytic - 1e-9
@@ -572,7 +567,7 @@ class TestOptimalSeparableProbe:
         v /= np.linalg.norm(v)
         state, net, w = optimal_separable_probe(v, 12, qubit_ensemble_family())
         assert_allclose(w, np.ones(12))
-        variance = qcrb(rotate_qfim(qfim_pure(state, net), orthogonal_completion(v)), np.eye(12)[0]).bound
+        variance = qcrb(qfim_pure(state, net), np.outer(v, v)).bound
         assert variance == pytest.approx(np.sum(v**2 / w**2), rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -656,14 +651,12 @@ class TestPaperComparison:
         # ||v||_1^2 / N^2, read off the probes' own Fisher information.
         fam = qubit_ensemble_family()
         v = np.ones(d) / np.sqrt(d)
-        selector = np.zeros(d)
-        selector[0] = 1.0
         functional = LinearFunctional(v, fam.kappa, n, 1)
         sep_state, sep_net, _ = optimal_separable_probe(v, n, fam)
-        sep = qcrb(rotate_qfim(qfim_pure(sep_state, sep_net), orthogonal_completion(v)), selector, 1)
+        sep = qcrb(qfim_pure(sep_state, sep_net), np.outer(v, v), 1)
         assert sep.bound == pytest.approx(separable_bound(functional), abs=1e-9)
         ghz_state, ghz_net = ghz_probe(v, n, fam)
-        ghz = qcrb(rotate_qfim(qfim_pure(ghz_state, ghz_net), orthogonal_completion(v)), selector, 1)
+        ghz = qcrb(qfim_pure(ghz_state, ghz_net), np.outer(v, v), 1)
         assert ghz.bound == pytest.approx(ghz_bound(functional), abs=1e-9)
         assert sep.bound / ghz.bound == pytest.approx(d, rel=1e-9)
         # Uniform v: N/d particles per sensor, d^2/N^2 and d/N^2 (0.0625 and

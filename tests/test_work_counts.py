@@ -22,8 +22,8 @@ COUNTS = {
     "audit t1": (1083, 0, 483, 483, 0, 871, 283),
     "audit t2": (1317, 0, 614, 903, 703, 1218, 614),
     "audit prop1": (5878, 4678, 1200, 0, 0, 0, 0),
-    "scenario optical": (206, 0, 104, 103, 0, 2, 2),
-    "scenario gradient": (6, 0, 4, 2, 0, 2, 2),
+    "scenario optical": (206, 0, 103, 103, 0, 2, 2),
+    "scenario gradient": (6, 0, 2, 2, 0, 2, 2),
 }
 
 
