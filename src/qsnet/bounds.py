@@ -51,9 +51,11 @@ def pnorm(v, p: float) -> float:
 
 
 def unit_vector(v, name: str) -> np.ndarray:
-    """``v`` flattened as floats; raises unless it is finite with unit
+    """``v`` as a 1-D float array; raises unless it is finite with unit
     2-norm (within 1e-9)."""
-    vec = check_array(v, name).reshape(-1)
+    vec = check_array(v, name)
+    if vec.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"{name} must have unit 2-norm, got {norm!r}")

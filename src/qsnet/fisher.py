@@ -28,7 +28,7 @@ import numpy as np
 
 from . import config
 from .exceptions import LayoutError
-from .hilbert import DensityOperator, PureState, State, apply_local, require_hermitian
+from .hilbert import DensityOperator, PureState, State, apply_local, psd_spectrum, require_hermitian
 from .network import SensorNetwork, encode
 
 __all__ = [
@@ -58,24 +58,17 @@ class QFIM:
     spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = config.check_array(self.matrix, "information matrix")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"information matrix must be square, got {mat.shape}")
-        if mat.size == 0:
-            raise ValueError("information matrix is empty: no parameters")
-        mat, spectrum = _psd_spectrum(mat, "information matrix")
+        mat, spectrum = _symmetric_psd(self.matrix, "information matrix")
         partition = tuple(
             tuple(config.check_int(i, "partition index", 0) for i in blk) for blk in self.partition
         )
         partition = partition or (tuple(range(mat.shape[0])),)
         flat = [i for blk in partition for i in blk]
-        if flat != list(range(mat.shape[0])):
-            raise ValueError(f"partition {partition} does not tile 0..{mat.shape[0] - 1}")
-        for part in (mat, *spectrum):
-            part.setflags(write=False)
+        if flat != list(range(mat.shape[0])) or not all(partition):
+            raise ValueError(f"partition {partition} does not tile 0..{mat.shape[0] - 1} in non-empty blocks")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "spectrum", tuple(spectrum))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def d(self) -> int:
@@ -90,22 +83,17 @@ class QFIM:
         return self.matrix[np.ix_(idx, idx)]
 
 
-def _psd_spectrum(mat: np.ndarray, name: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """A square real matrix symmetrized, with its ascending eigenpairs.
-
-    Raises ``ValueError`` naming ``name`` unless the matrix is symmetric
-    within 1e-10 and its eigenvalues are above -1e-9, both relative to its
-    largest entry (at least 1).
-    """
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
-        raise ValueError(f"{name} is not symmetric")
+def _symmetric_psd(mat, name: str, dim: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A real non-empty matrix, symmetric within 1e-10 and with eigenvalues
+    above -1e-9, both relative to its largest entry (at least 1): symmetrized,
+    read-only, with its :func:`~qsnet.hilbert.psd_spectrum`."""
+    mat = require_hermitian(mat, 1e-10, name, float, dim)
+    if mat.size == 0:
+        raise ValueError(f"{name} is empty: no parameters")
+    floor = 1e-9 * max(1.0, float(np.max(np.abs(mat))))
     mat = (mat + mat.T) / 2
-    spectrum = np.linalg.eigh(mat)
-    lo = float(spectrum[0][0])
-    if lo < -1e-9 * scale:
-        raise ValueError(f"{name} has eigenvalue {lo:.3e} < 0")
-    return mat, spectrum
+    mat.setflags(write=False)
+    return mat, psd_spectrum(mat, name, floor)
 
 
 def _rank_cutoff(eigenvalues: np.ndarray) -> float:
@@ -148,12 +136,7 @@ def _local_generators(source, state: State, partition=()):
         source.require_layout(state)
         gens = [(site, g) for site, s in enumerate(source.sensors) for g in s.generators]
         return source.dims, gens, source.partition
-    gens = []
-    for k, g in enumerate(source):
-        gen = np.asarray(g, dtype=complex)
-        if gen.shape != (state.dim, state.dim):
-            raise LayoutError(f"generator {k} has shape {gen.shape}, state dim {state.dim}")
-        gens.append((0, require_hermitian(gen, name=f"generator {k}")))
+    gens = [(0, require_hermitian(g, name=f"generator {k}", dim=state.dim)) for k, g in enumerate(source)]
     if not gens:
         raise ValueError("need at least one generator")
     return (state.dim,), gens, partition
@@ -167,6 +150,8 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
     used, or a sequence of generators on the probe's full space. Valid for
     arbitrary (also mutually non-commuting) generators.
     """
+    if not isinstance(psi, PureState):
+        raise TypeError(f"qfim_pure needs a PureState, got {type(psi).__name__}")
     layout, gens, partition = _local_generators(source, psi, partition)
     amps = psi.amplitudes
     tensor = amps.reshape(layout)
@@ -234,6 +219,8 @@ def qfim_mixed(
     complex entries for ``d`` parameters, never ``d`` full ``D x D``
     generators.
     """
+    if not isinstance(rho, DensityOperator):
+        raise TypeError(f"qfim_mixed needs a DensityOperator, got {type(rho).__name__}")
     layout, gens, partition = _local_generators(source, rho, partition)
     p, v = rho.spectrum
     cutoff = _rank_cutoff(p)
@@ -300,9 +287,7 @@ def _weighted_directions(weights, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     w = config.check_array(weights, "weights")
     if w.ndim == 2:
-        if w.shape != (d, d):
-            raise LayoutError(f"weight matrix shape {w.shape}, expected ({d}, {d})")
-        lam, vecs = _psd_spectrum(w, "weight matrix")[1]
+        lam, vecs = _symmetric_psd(w, "weight matrix", d)[1]
         keep = lam > _rank_cutoff(lam)
         lam, directions = lam[keep], vecs[:, keep]
     else:
@@ -346,6 +331,8 @@ def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:
     axis, or a weighted eigenvector of ``W``, lies in the support when its
     residual off the support has norm at most 1e-9.
     """
+    if not isinstance(fim, QFIM):
+        raise TypeError(f"qcrb needs a QFIM, got {type(fim).__name__}")
     mu = config.check_int(mu, "mu")
     lam, directions = _weighted_directions(weights, fim.d)
     vs, inv_supp = _support_inverse(fim.spectrum)
@@ -404,12 +391,8 @@ def cfim(
     ops = []
     total = np.zeros((dim, dim), dtype=complex)
     for m, e in enumerate(effects):
-        eff = require_hermitian(e, tol=1e-9, name=f"effect {m}")
-        if eff.shape != (dim, dim):
-            raise LayoutError(f"effect {m} has shape {eff.shape}, network dim {dim}")
-        lo = float(np.linalg.eigvalsh((eff + eff.conj().T) / 2)[0])
-        if lo < -1e-9:
-            raise ValueError(f"effect {m} has eigenvalue {lo:.3e} < 0")
+        eff = require_hermitian(e, tol=1e-9, name=f"effect {m}", dim=dim)
+        psd_spectrum((eff + eff.conj().T) / 2, f"effect {m}", 1e-9)
         ops.append(eff)
         total += eff
     if float(np.max(np.abs(total - np.eye(dim)))) > 1e-9:

@@ -96,17 +96,37 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def require_hermitian(op, tol: float | None = None, name: str = "operator") -> np.ndarray:
-    """Validate hermiticity (relative to the largest entry) and return the array."""
-    a = config.check_array(op, name, complex)
+def require_hermitian(
+    op, tol: float | None = None, name: str = "operator", dtype=complex, dim: int | None = None
+) -> np.ndarray:
+    """``op`` as a square array of ``dtype``, Hermitian (symmetric for
+    ``float``) within ``tol`` relative to its largest entry (at least 1).
+    With ``dim``, a square matrix of another size raises :class:`LayoutError`."""
+    a = config.check_array(op, name, dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise LayoutError(f"{name} has shape {a.shape}, expected ({dim}, {dim})")
     tol = config.HERMITICITY_TOL if tol is None else tol
     scale = float(abs(a).max()) if a.size else 0.0
     defect = float(abs(a - a.conj().T).max()) if a.size else 0.0
     if defect > tol * max(scale, 1.0):
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+        kind = "Hermitian" if dtype is complex else "symmetric"
+        raise ValueError(f"{name} is not {kind} (defect {defect:.3e})")
     return a
+
+
+def psd_spectrum(a: np.ndarray, name: str, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ascending eigenvalues and eigenvector columns of the
+    Hermitian ``a`` from one ``eigh``; an eigenvalue below ``-floor`` raises
+    ``ValueError`` naming ``name``."""
+    spectrum = np.linalg.eigh(a)
+    lo = float(spectrum[0][0])
+    if lo < -floor:
+        raise ValueError(f"{name} has eigenvalue {lo:.3e} < 0")
+    for part in spectrum:
+        part.setflags(write=False)
+    return tuple(spectrum)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,15 +238,9 @@ class DensityOperator:
         if abs(tr - 1.0) > config.TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
         mat = _frozen(mat)
-        spectrum = np.linalg.eigh(mat)
-        lo = float(spectrum[0][0])
-        if lo < -config.PSD_SLACK:
-            raise ValueError(f"density operator has eigenvalue {lo:.3e} < -{config.PSD_SLACK}")
-        for part in spectrum:
-            part.setflags(write=False)
+        object.__setattr__(self, "spectrum", psd_spectrum(mat, "density operator", config.PSD_SLACK))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "spectrum", tuple(spectrum))
 
     @property
     def dim(self) -> int:

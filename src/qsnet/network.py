@@ -49,14 +49,6 @@ __all__ = [
 ]
 
 
-def _local_operator(op, dim: int, name: str) -> np.ndarray:
-    """A read-only copy of the Hermitian ``dim x dim`` operator ``op``."""
-    mat = require_hermitian(op, name=name)
-    if mat.shape != (dim, dim):
-        raise LayoutError(f"{name} has shape {mat.shape}, sensor dim {dim}")
-    return _frozen(mat)
-
-
 @dataclass(frozen=True)
 class SensorSpec:
     """One sensor: local dimension, parameter generators, resource operator.
@@ -71,8 +63,8 @@ class SensorSpec:
 
     def __post_init__(self):
         dim = config.check_int(self.dim, "sensor dimension")
-        gens = tuple(_local_operator(g, dim, f"generator {i}") for i, g in enumerate(self.generators))
-        res = _local_operator(self.resource_op, dim, "resource operator")
+        gens = tuple(_frozen(require_hermitian(g, name=f"generator {i}", dim=dim)) for i, g in enumerate(self.generators))
+        res = _frozen(require_hermitian(self.resource_op, name="resource operator", dim=dim))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "resource_op", res)
@@ -142,9 +134,9 @@ def global_generators(net: SensorNetwork) -> list[np.ndarray]:
 
 
 def _check_phi(net: SensorNetwork, phi) -> np.ndarray:
-    values = config.check_array(phi, "parameter point").reshape(-1)
-    if values.size != net.n_params:
-        raise LayoutError(f"expected {net.n_params} parameters, got {values.size}")
+    values = config.check_array(phi, "parameter point")
+    if values.shape != (net.n_params,):
+        raise LayoutError(f"expected {net.n_params} parameters, got shape {values.shape}")
     return values
 
 

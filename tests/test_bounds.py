@@ -302,6 +302,11 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="non-finite"):
             separable_bound(LinearFunctional([bad, 1.0], 1.0, 2))
 
+    def test_coefficients_must_be_one_dimensional(self):
+        # A (2, 2) array is not read as the 4-vector of its entries.
+        with pytest.raises(ValueError, match=r"coefficient vector must be a 1-D vector, got shape \(2, 2\)"):
+            LinearFunctional(np.eye(2) / np.sqrt(2), 1.0, 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_pnorm_rejects(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

@@ -292,7 +292,7 @@ class TestInputFailureKinds:
     state file holds one field, the state)."""
 
     CASES = [
-        ("network", "wrong_size", LayoutError, "sensors[0]: generator 0 has shape (1, 1), sensor dim 2"),
+        ("network", "wrong_size", LayoutError, "sensors[0]: generator 0 has shape (1, 1), expected (2, 2)"),
         ("network", "over_cap", DimensionLimitError, "network: dimension 2 exceeds the cap 1 (QSN_MAX_DIM)"),
         ("network", "non_numeric", FormatError, "sensors[0].generators[0]: expected numbers in [re, im] pairs, got str"),
         ("state", "wrong_size", LayoutError, "layout (2,) implies dim 2, the state has dim 4"),

@@ -548,6 +548,10 @@ class TestQfimType:
         with pytest.raises(ValueError, match="information matrix is empty"):
             QFIM(np.zeros((0, 0)))
 
+    def test_empty_partition_block_rejected(self):
+        with pytest.raises(ValueError, match=r"partition \(\(\), \(0, 1\)\) does not tile 0..1 in non-empty blocks"):
+            QFIM(np.eye(2), ((), (0, 1)))
+
 
 class TestCfim:
     def test_pure_probe_builds_no_density_operator(self, monkeypatch):
@@ -704,14 +708,14 @@ class TestInputChecks:
             qcrb(QFIM(np.eye(2)), [bad, 1.0])
 
     def test_non_square_matrix_rejected(self):
-        with pytest.raises(ValueError, match=r"information matrix must be square, got \(2, 3\)"):
+        with pytest.raises(ValueError, match=r"information matrix must be a square matrix, got shape \(2, 3\)"):
             QFIM(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
         "weights, message",
         [
             ([1.0, 1.0, 1.0], r"expected 2 weights, got shape \(3,\)"),
-            (np.eye(3), r"weight matrix shape \(3, 3\), expected \(2, 2\)"),
+            (np.eye(3), r"weight matrix has shape \(3, 3\), expected \(2, 2\)"),
         ],
         ids=["vector", "matrix"],
     )
@@ -724,13 +728,74 @@ class TestInputChecks:
             qcrb(QFIM(np.eye(2)), [1.0, -1.0])
 
     def test_wrong_effect_shape_rejected(self):
-        with pytest.raises(LayoutError, match=r"effect 0 has shape \(4, 4\), network dim 2"):
+        with pytest.raises(LayoutError, match=r"effect 0 has shape \(4, 4\), expected \(2, 2\)"):
             cfim([np.eye(4)], _single_qubit_net(), _plus_state())
 
     def test_negative_effect_rejected(self):
         effects = [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]
         with pytest.raises(ValueError, match="effect 1 has eigenvalue -5.000e-01 < 0"):
             cfim(effects, _single_qubit_net(), _plus_state())
+
+
+class TestMatrixKindRules:
+    """Every one-sensor operator and weight matrix has one size rule, and
+    every state, information matrix, weight matrix and effect one positivity
+    rule, each with its own floor."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SensorSpec(2, (np.eye(3),), np.zeros((2, 2))), "generator 0 has shape (3, 3), expected (2, 2)"),
+            (lambda: SensorSpec(2, (SIGMA_Z,), np.zeros((3, 3))), "resource operator has shape (3, 3), expected (2, 2)"),
+            (lambda: qfim_pure(_plus_state(), [np.eye(3)]), "generator 0 has shape (3, 3), expected (2, 2)"),
+            (lambda: cfim([np.eye(3)], _single_qubit_net(), _plus_state()), "effect 0 has shape (3, 3), expected (2, 2)"),
+            (lambda: qcrb(QFIM(np.eye(2)), np.eye(3)), "weight matrix has shape (3, 3), expected (2, 2)"),
+        ],
+        ids=["sensor-generator", "sensor-resource", "sequence-generator", "effect", "weight-matrix"],
+    )
+    def test_size_rule(self, build, message):
+        with pytest.raises(LayoutError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build, floor, message",
+        [
+            (lambda e: DensityOperator(np.diag([1.0 + e, -e]), (2,)), 1e-10, "density operator has eigenvalue -2.000e-10 < 0"),
+            # 1e-9 of the largest entry, 4.
+            (lambda e: QFIM(np.diag([4.0, -e])), 4e-9, "information matrix has eigenvalue -8.000e-09 < 0"),
+            (lambda e: qcrb(QFIM(np.eye(2)), np.diag([4.0, -e])), 4e-9, "weight matrix has eigenvalue -8.000e-09 < 0"),
+            (
+                lambda e: cfim([np.diag([1.0 + e, 0.0]), np.diag([-e, 1.0])], _single_qubit_net(), _plus_state()),
+                1e-9,
+                "effect 1 has eigenvalue -2.000e-09 < 0",
+            ),
+        ],
+        ids=["density", "information-matrix", "weight-matrix", "effect"],
+    )
+    def test_positivity_rule(self, build, floor, message):
+        build(floor / 2)
+        with pytest.raises(ValueError) as info:
+            build(2 * floor)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: qfim_pure(_plus_state().density(), _single_qubit_net()), "qfim_pure needs a PureState, got DensityOperator"),
+            (lambda: qfim_mixed(_plus_state(), _single_qubit_net()), "qfim_mixed needs a DensityOperator, got PureState"),
+            (lambda: qcrb(np.eye(2), [1.0, 1.0]), "qcrb needs a QFIM, got ndarray"),
+        ],
+        ids=["qfim_pure", "qfim_mixed", "qcrb"],
+    )
+    def test_swapped_carrier_rejected(self, call, message):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_phi0_must_be_one_dimensional(self):
+        with pytest.raises(LayoutError, match=r"expected 1 parameters, got shape \(1, 1\)"):
+            cfim([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], _single_qubit_net(), _plus_state(), [[0.1]])
 
 
 class TestSpectrum:

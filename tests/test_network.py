@@ -149,6 +149,13 @@ class TestEncode:
         with pytest.raises(ValueError, match="parameter point contains non-finite entries"):
             encode(net, psi, [0.0, bad])
 
+    @pytest.mark.parametrize("phi", [[[0.1], [0.2]], [[0.1, 0.2]], 0.1])
+    def test_phi_must_be_one_dimensional(self, phi):
+        net = two_qubit_z_network()
+        psi = PureState(np.eye(4)[0], (2, 2))
+        with pytest.raises(LayoutError, match=r"expected 2 parameters, got shape \("):
+            encode(net, psi, phi)
+
 
 class TestResources:
     def test_excitation_count_frozen_values(self):
