@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_array, check_int, check_positive
+from .reporting import Report
 
 __all__ = [
     "LinearFunctional",
@@ -158,7 +159,7 @@ def enhancement_ratio(f: LinearFunctional) -> float:
 
 
 @dataclass(frozen=True)
-class BoundComparison:
+class BoundComparison(Report):
     """Closed-form bound pair for one functional, ready for report rows."""
 
     d: int
@@ -170,22 +171,8 @@ class BoundComparison:
     ratio: float
     ghz_constructible: bool
 
+    KEYS = {"n_particles": "N", "repeats": "mu", "separable": "sep_bound", "ghz": "ghz_bound"}
     CSV_HEADER = ("d", "N", "kappa", "mu", "sep_bound", "ghz_bound", "ratio")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.n_particles,
-            "kappa": self.kappa,
-            "mu": self.repeats,
-            "sep_bound": self.separable,
-            "ghz_bound": self.ghz,
-            "ratio": self.ratio,
-            "ghz_constructible": self.ghz_constructible,
-        }
-
-    def csv_row(self) -> list:
-        return [self.d, self.n_particles, self.kappa, self.repeats, self.separable, self.ghz, self.ratio]
 
 
 def compare(f: LinearFunctional) -> BoundComparison:

@@ -191,15 +191,11 @@ def _run_qfim(args) -> int:
     else:
         fim = qfim_mixed(state, net)
     report = qcrb(fim, np.ones(net.n_params), args.mu)
-    if report.singular:
-        residuals = None
-    else:
-        residuals = [float(r) for r in block_inverse_residuals(fim)]
     doc = {
-        "qfim": fim.matrix.tolist(),
-        "partition": [list(b) for b in fim.partition],
+        "qfim": fim.matrix,
+        "partition": fim.partition,
         "mu": args.mu,
-        "residuals": residuals,
+        "residuals": None if report.singular else block_inverse_residuals(fim),
         **report.to_jsonable(),
     }
     kind = "singular" if report.singular else "invertible"

@@ -21,7 +21,7 @@ validated, and every bound, inverse and SLD reads them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from . import config
 from .exceptions import LayoutError
 from .hilbert import DensityOperator, PureState, State, apply_local, psd_spectrum, require_hermitian
 from .network import SensorNetwork, encode
+from .reporting import Report
 
 __all__ = [
     "QFIM",
@@ -302,7 +303,7 @@ def _weighted_directions(weights, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Report):
     """Scalar Cramer-Rao bound for one (information matrix, weights, mu).
 
     For a singular matrix ``undetermined`` lists the parameter indices
@@ -316,9 +317,6 @@ class BoundReport:
     singular: bool
     support_dim: int
     undetermined: tuple[int, ...]
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 def qcrb(fim: QFIM, weights, mu: int = 1) -> BoundReport:

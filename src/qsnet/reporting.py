@@ -3,7 +3,7 @@
 Audit reports must be byte-identical across runs with the same seed, so
 JSON is emitted by a small canonical writer: object keys sorted, floats
 printed with 17 significant digits, no locale or hash-order dependence.
-CSV rows use the same float formatting.
+A :class:`Report` renders both from its own fields; a CSV cell is JSON scalar text.
 
 Input documents (networks, states, scenario configs) are parsed by
 :func:`read_json` with ``orjson``, which decodes floats bit-for-bit like
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .exceptions import FormatError
 
 __all__ = [
-    "format_float",
+    "Report",
     "dumps",
     "read_json",
     "write_json",
@@ -33,11 +34,24 @@ __all__ = [
 ]
 
 
-def format_float(x: float) -> str:
-    if not np.isfinite(x):
-        # JSON has no inf/nan literals; reports encode them as strings.
-        return json.dumps("inf" if x > 0 else ("-inf" if x < 0 else "nan"))
-    return format(float(x), ".17g")
+class Report:
+    """One rule for every result's report.
+
+    The JSON document is the class's constant ``TAG`` entries plus every
+    dataclass field, each under its ``KEYS`` name where one is given; the
+    CSV row is the document's entries named by ``CSV_HEADER``.
+    """
+
+    TAG: dict = {}
+    KEYS: dict = {}
+    CSV_HEADER: tuple = ()
+
+    def to_jsonable(self) -> dict:
+        return {**self.TAG, **{self.KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}}
+
+    def csv_row(self) -> list:
+        doc = self.to_jsonable()
+        return [doc[key] for key in self.CSV_HEADER]
 
 
 def _encode(obj) -> str:
@@ -48,7 +62,9 @@ def _encode(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+        # JSON has no inf/nan literals; reports encode them as strings.
+        text = format(float(obj), ".17g")
+        return text if np.isfinite(obj) else f'"{text}"'
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
@@ -91,15 +107,12 @@ def write_json(path, obj) -> Path:
 
 
 def _csv_cell(x) -> str:
+    """A string as it is, otherwise the JSON scalar text unquoted."""
     if isinstance(x, str):
         return x
-    if isinstance(x, bool) or isinstance(x, np.bool_):
-        return "true" if bool(x) else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    raise TypeError(f"cannot put {type(x).__name__} in a CSV cell")
+    if not isinstance(x, (int, float, np.bool_, np.integer, np.floating)):
+        raise TypeError(f"cannot put {type(x).__name__} in a CSV cell")
+    return _encode(x).strip('"')
 
 
 def write_csv(path, header: list[str], rows) -> Path:

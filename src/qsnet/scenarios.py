@@ -10,7 +10,7 @@ counted, never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .network import (
     resource_count,
     with_collective_ancilla,
 )
-from .reporting import sha256_of_arrays
+from .reporting import Report, sha256_of_arrays
 from .sampling import _ginibre, haar_state, haar_unitary, random_density, random_spd, trial_rng
 from .states import (
     SensorFamily,
@@ -117,7 +117,7 @@ def scenario_config_from_json(
 
 
 @dataclass(frozen=True)
-class AuditResult:
+class AuditResult(Report):
     """Outcome of one randomized audit.
 
     ``max_violation`` is the worst signed violation over all inequality and
@@ -138,12 +138,6 @@ class AuditResult:
     records: tuple[dict, ...]
 
     CSV_HEADER = ("name", "seed", "trials", "tol", "max_violation", "max_structure_defect", "regenerated", "passed")
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
-
-    def csv_row(self) -> list:
-        return [getattr(self, h) for h in self.CSV_HEADER]
 
     def summary(self) -> str:
         counts = f"{self.name}: trials={self.trials} regenerated={self.regenerated}"
@@ -473,7 +467,7 @@ def audit_block_inverse(cfg: ScenarioConfig) -> AuditResult:
 
 
 @dataclass(frozen=True)
-class GradientReport:
+class GradientReport(Report):
     """Two-site field-difference estimation with ``N`` qubits."""
 
     n_particles: int
@@ -491,15 +485,9 @@ class GradientReport:
     defects: dict
     passed: bool
 
+    TAG = {"scenario": "gradient"}
+    KEYS = {"n_particles": "N"}
     CSV_HEADER = ("scenario", "N", "mu", "var_entangled", "var_separable", "ratio", "passed")
-
-    def to_jsonable(self) -> dict:
-        doc = asdict(self)
-        doc["N"] = doc.pop("n_particles")
-        return {"scenario": "gradient", **doc}
-
-    def csv_row(self) -> list:
-        return ["gradient", self.n_particles, self.mu, self.var_entangled, self.var_separable, self.ratio, self.passed]
 
     def summary(self) -> str:
         return f"gradient: N={self.n_particles} ratio={self.ratio:.12g}"
@@ -569,7 +557,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
 
 
 @dataclass(frozen=True)
-class OpticalReport:
+class OpticalReport(Report):
     """Multi-mode phase estimation on truncated oscillators."""
 
     n_modes: int
@@ -588,14 +576,12 @@ class OpticalReport:
     passed: bool
     records: tuple[dict, ...]
 
+    TAG = {"scenario": "optical_phases"}
+    KEYS = {"n_modes": "modes"}
     CSV_HEADER = ("scenario", "modes", "cutoff", "trials", "max_violation", "vacuum_flagged", "passed")
 
-    def to_jsonable(self) -> dict:
-        doc = asdict(self)
-        doc["modes"] = doc.pop("n_modes")
-        return {"scenario": "optical_phases", **doc}
-
     def csv_row(self) -> list:
+        # Its trials and max_violation are the JSON's surrogate_* entries; its scenario reads "optical".
         return ["optical", self.n_modes, self.cutoff, self.surrogate_trials, self.surrogate_max_violation, self.vacuum_flagged, self.passed]
 
     def summary(self) -> str:
