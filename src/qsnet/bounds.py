@@ -85,6 +85,8 @@ class LinearFunctional:
         object.__setattr__(self, "kappa", check_positive(self.kappa, "kappa"))
         object.__setattr__(self, "n_particles", check_int(self.n_particles, "particle budget"))
         object.__setattr__(self, "repeats", check_int(self.repeats, "mu"))
+        if not (self._denominator() > 0.0 and all(0.0 < b(self) < np.inf for b in (separable_bound, ghz_bound))):
+            raise ValueError(f"kappa = {self.kappa!r} with N = {self.n_particles}, mu = {self.repeats} puts a bound past the float range")
 
     @property
     def d(self) -> int:
@@ -123,6 +125,8 @@ class LinearFunctional:
         lexicographically first minimizer.
         """
         weighted = np.abs(self.v) > _TINY
+        if self.n_particles > 2**53:
+            raise ValueError(f"particle budget {self.n_particles} is past 2**53, where float counts are inexact")
         if self.n_particles < int(weighted.sum()):
             raise ValueError("budget too small: some weighted sensor would get no particles")
         a = np.where(weighted, np.abs(self.v), 0.0) ** (2.0 / 3.0)
@@ -136,7 +140,8 @@ class LinearFunctional:
         return w
 
     def _denominator(self) -> float:
-        return self.repeats * self.kappa**2 * self.n_particles**2
+        # Without float **, which raises on overflow; the exact integer part first.
+        return self.repeats * self.n_particles * self.n_particles * self.kappa * self.kappa
 
 
 def separable_bound(f: LinearFunctional) -> float:

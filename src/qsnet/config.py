@@ -29,12 +29,14 @@ DEFAULT_MAX_DIM = 4096
 
 
 def check_int(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an ``int``; anything but an integer (numpy integers
-    included, booleans not) of at least ``minimum`` raises ``ValueError``."""
+    """``value`` as an ``int``; anything but an integer (numpy integers included, booleans
+    not) from ``minimum`` to ``2**63 - 1``, numpy's int64 limit, raises ``ValueError``."""
     # An exact int skips the Integral check, an ABC lookup that dominates hot callers.
     plain = type(value) is int
     if not plain and (isinstance(value, bool) or not isinstance(value, Integral)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > 2**63 - 1:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {value!r}")
     return int(value)
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import config
 from .exceptions import LayoutError
-from .hilbert import DensityOperator, PureState, State, apply_local, psd_spectrum, require_hermitian
-from .network import SensorNetwork, encode
+from .hilbert import DensityOperator, PureState, State, apply_local, check_floor, psd_spectrum, require_hermitian
+from .network import SensorNetwork, _check_phi, encode
 from .reporting import Report
 
 __all__ = [
@@ -262,6 +262,8 @@ def sld_operators(
     ``L_ij = 2 (d rho)_ij / (p_i + p_j)`` wherever ``p_i + p_j`` clears the
     rank cutoff, zero elsewhere. ``source`` is as for :func:`qfim_mixed`.
     """
+    if not isinstance(rho, DensityOperator):
+        raise TypeError(f"sld_operators needs a DensityOperator, got {type(rho).__name__}")
     layout, gens, _ = _local_generators(source, rho)
     p, v = rho.spectrum
     dim = rho.dim
@@ -377,7 +379,7 @@ def cfim(
     """Classical Fisher information matrix of a POVM's outcome statistics.
 
     Outcome probabilities are ``p_m = Tr[E_m rho]`` for the probe encoded at
-    ``phi0`` (default: the fiducial point). Their derivatives are analytic,
+    ``phi0`` (default, or all zeros: the probe as given). Their derivatives are analytic,
     ``d_k p_m = Tr[E_m (-i)[H_k, rho]]``, with each generator contracted on
     its own sensor's axis. Away from the fiducial point this holds only if
     each sensor's generators commute; otherwise
@@ -386,18 +388,16 @@ def cfim(
     a ``RuntimeWarning`` giving their number.
     """
     dim = net.total_dim
-    ops = []
-    total = np.zeros((dim, dim), dtype=complex)
-    for m, e in enumerate(effects):
-        eff = require_hermitian(e, tol=1e-9, name=f"effect {m}", dim=dim)
-        psd_spectrum((eff + eff.conj().T) / 2, f"effect {m}", 1e-9)
-        ops.append(eff)
-        total += eff
-    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-9:
+    ops = np.array([require_hermitian(e, tol=1e-9, name=f"effect {m}", dim=dim) for m, e in enumerate(effects)])
+    ops = ops.reshape(-1, dim, dim)
+    # Positivity from eigenvalues only, of every effect's Hermitian part at once.
+    for m, w in enumerate(np.linalg.eigvalsh((ops + ops.conj().swapaxes(1, 2)) / 2)):
+        check_floor(w, f"effect {m}", 1e-9)
+    if float(np.max(np.abs(ops.sum(axis=0) - np.eye(dim)))) > 1e-9:
         raise ValueError("POVM effects do not sum to the identity")
-    phi = np.zeros(net.n_params) if phi0 is None else phi0
-    state = encode(net, probe, phi)
-    if np.any(np.asarray(phi, dtype=float) != 0.0):
+    state = probe
+    if phi0 is not None and np.any(_check_phi(net, phi0) != 0.0):
+        state = encode(net, probe, phi0)
         for sensor in net.sensors:
             sensor.require_commuting()
     layout, gens, _ = _local_generators(net, state)
@@ -409,7 +409,7 @@ def cfim(
     applied = np.stack([apply_local(h, site, rows).reshape(-1) for site, h in gens])
     # Tr[E_m X] = <E_m, X> for Hermitian E_m, so p_m = Re <E_m, rho> and
     # d_k p_m = -i Tr[E_m [H_k, rho]] = 2 Im Tr[E_m H_k rho].
-    effects_conj = np.stack(ops).reshape(len(ops), -1).conj()
+    effects_conj = ops.reshape(len(ops), -1).conj()
     p0 = np.real(effects_conj @ rho.reshape(-1))
     dp = 2.0 * np.imag(applied @ effects_conj.T)
     kept = p0 >= config.CFIM_PROB_FLOOR

@@ -116,14 +116,19 @@ def require_hermitian(
     return a
 
 
-def psd_spectrum(a: np.ndarray, name: str, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ascending eigenvalues and eigenvector columns of the
-    Hermitian ``a`` from one ``eigh``; an eigenvalue below ``-floor`` raises
-    ``ValueError`` naming ``name``."""
-    spectrum = np.linalg.eigh(a)
-    lo = float(spectrum[0][0])
+def check_floor(eigenvalues: np.ndarray, name: str, floor: float) -> None:
+    """Raise ``ValueError`` naming ``name`` if the first of the ascending
+    ``eigenvalues`` is below ``-floor``."""
+    lo = float(eigenvalues[0])
     if lo < -floor:
         raise ValueError(f"{name} has eigenvalue {lo:.3e} < 0")
+
+
+def psd_spectrum(a: np.ndarray, name: str, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ascending eigenvalues and eigenvector columns of the
+    Hermitian ``a`` from one ``eigh``, checked by :func:`check_floor`."""
+    spectrum = np.linalg.eigh(a)
+    check_floor(spectrum[0], name, floor)
     for part in spectrum:
         part.setflags(write=False)
     return tuple(spectrum)

@@ -234,6 +234,35 @@ class TestFunctionalValidation:
     def test_real_kappa_stored_as_float(self, kappa):
         assert type(LinearFunctional(np.array([1.0, 0.0]), kappa, 2, 1).kappa) is float
 
+    @pytest.mark.parametrize(
+        "kappa, n, mu",
+        [(1e-200, 2, 1), (1e200, 2, 1), (1e-160, 2, 1), (1e150, 2**62, 1)],
+        ids=["denominator-underflows", "denominator-overflows", "bound-overflows", "huge-budget"],
+    )
+    def test_bounds_past_the_float_range_rejected(self, kappa, n, mu):
+        with pytest.raises(ValueError, match=r"^kappa = .* puts a bound past the float range$"):
+            LinearFunctional(np.array([0.6, 0.8]), kappa, n, mu)
+
+    def test_bounds_near_the_float_range_kept(self):
+        # mu N^2 kappa^2 = 1e-300 and 1e300 (kappa alone squares past the range
+        # in the first): both bounds stay finite and positive.
+        for kappa, n in ((1e-160, 10**10), (1e140, 10**10)):
+            f = LinearFunctional(np.array([0.6, 0.8]), kappa, n, 1)
+            assert 0.0 < ghz_bound(f) <= separable_bound(f) < np.inf
+
+    @pytest.mark.parametrize("field", ["n_particles", "repeats"])
+    def test_counts_past_int64_rejected(self, field):
+        counts = {"n_particles": 2, "repeats": 1}
+        LinearFunctional(np.array([0.6, 0.8]), 1e-9, **{**counts, field: 2**63 - 1})
+        with pytest.raises(ValueError, match=r"must be at most 2\*\*63 - 1, got 9223372036854775808$"):
+            LinearFunctional(np.array([0.6, 0.8]), 1.0, **{**counts, field: 2**63})
+
+    def test_separable_allocation_refuses_inexact_budget(self):
+        f = LinearFunctional(np.ones(2) / np.sqrt(2), 1.0, 2**63 - 1)
+        with pytest.raises(ValueError, match=r"past 2\*\*53"):
+            f.separable_allocation()
+        assert LinearFunctional(np.ones(2) / np.sqrt(2), 1.0, 2**53).separable_allocation().sum() == 2**53
+
 
 class TestSignedFunctional:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -5,7 +5,7 @@ import json
 import math
 import struct
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from qsnet.cli import main
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
 from qsnet.network import network_to_json
-from qsnet.reporting import read_json
+from qsnet.reporting import Report, dumps, read_json, write_csv
 
 
 def _write(path, obj):
@@ -493,6 +493,41 @@ class TestOutsideNumbers:
         _write(state, [[10**400, 0], [0, 0]])
         assert main(["qfim", str(single_qubit_net_file), str(state), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "optical", "--N", str(2**63)],
+            ["scenario", "optical", "--N", str(10**20)],
+            ["bounds", "sweep", "--mu", str(10**400)],
+            ["bounds", "sweep", "--N", str(10**400)],
+            ["scenario", "gradient", "--mu", str(10**400)],
+        ],
+        ids=["optical-N-2**63", "optical-N-1e20", "sweep-mu-1e400", "sweep-N-1e400", "gradient-mu-1e400"],
+    )
+    def test_integer_past_int64(self, tmp_path, capsys, argv):
+        # The optical runs looped about 1e19 times; the others failed with exit 3.
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "must be at most 2**63 - 1" in capsys.readouterr().err
+
+    def test_qfim_mu_past_int64(self, tmp_path, capsys, single_qubit_net_file):
+        state = tmp_path / "plus.json"
+        _write(state, vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2)))
+        argv = ["qfim", str(single_qubit_net_file), str(state), "--mu", str(10**400), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "mu must be at most 2**63 - 1" in capsys.readouterr().err
+
+    def test_optical_budget_past_float_counts(self, tmp_path, capsys):
+        # Inside int64 but past exact float counts: the allocation loop ran away.
+        assert main(["scenario", "optical", "--N", str(2**63 - 1), "--out", str(tmp_path)]) == 2
+        assert "past 2**53" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa", ["1e-200", "1e200", "1e-160"])
+    def test_kappa_whose_bounds_leave_the_float_range(self, tmp_path, capsys, kappa):
+        # Exit 3 (division by zero, overflow) or, at 1e-160, "inf" bounds and a "nan" ratio.
+        assert main(["bounds", "sweep", "--kappa", kappa, "--out", str(tmp_path)]) == 2
+        assert "puts a bound past the float range" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_sweep.json").exists()
+
 
 # Every finite double, drawn by bit pattern, plus the signed zero and the
 # extremes of the subnormal, normal and finite ranges.
@@ -503,6 +538,73 @@ finite_doubles = st.one_of(
     .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
     .filter(math.isfinite),
 )
+
+
+def _csv_value(text: str):
+    """A CSV cell as the JSON scalar it repeats; "inf" and names stay text."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+# CSV columns named apart from their JSON keys, per report kind.
+_CSV_RENAMED = {"optical": {"trials": "surrogate_trials", "max_violation": "surrogate_max_violation"}}
+
+
+class TestReportRule:
+    """A CSV report repeats entries of its JSON report: each cell is the
+    JSON entry of the same key (the same row for a sweep)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "t1", "--trials", "5"],
+            ["audit", "t2", "--trials", "3"],
+            ["audit", "prop1", "--trials", "20"],
+            ["scenario", "gradient"],
+            ["scenario", "optical", "--trials", "3"],
+            ["bounds", "sweep", "--d", "2", "5", "--N", "4", "10", "--kappa", "0.3", "--mu", "3"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_csv_cells_are_json_entries(self, tmp_path, argv):
+        name = f"{argv[0]}_{argv[1]}"
+        assert main(argv + ["--out", str(tmp_path / "json")]) == 0
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+        doc = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+        header, *lines = (tmp_path / "csv" / f"{name}.csv").read_text().splitlines()
+        entries = doc["rows"] if argv[0] == "bounds" else [doc]
+        assert len(lines) == len(entries)
+        renamed = _CSV_RENAMED.get(argv[1], {})
+        for line, entry in zip(lines, entries):
+            row = dict(zip(header.split(","), map(_csv_value, line.split(","))))
+            if argv[1] == "optical":
+                # The CSV names the scenario "optical"; its JSON tag is "optical_phases".
+                assert (row.pop("scenario"), entry["scenario"]) == ("optical", "optical_phases")
+            assert row == {key: entry[renamed.get(key, key)] for key in row}
+
+    def test_rule_on_a_bare_report(self, tmp_path):
+        @dataclass(frozen=True)
+        class Demo(Report):
+            n_particles: int
+            value: float
+            flags: tuple[bool, ...]
+
+            TAG = {"scenario": "demo"}
+            KEYS = {"n_particles": "N"}
+            CSV_HEADER = ("scenario", "N", "value")
+
+        report = Demo(3, -math.inf, (True, False))
+        assert report.to_jsonable() == {"scenario": "demo", "N": 3, "value": -math.inf, "flags": (True, False)}
+        assert dumps(report.to_jsonable()) == '{"N":3,"flags":[true,false],"scenario":"demo","value":"-inf"}\n'
+        path = write_csv(tmp_path / "demo.csv", Demo.CSV_HEADER, [report.csv_row(), Demo(0, 0.1, ()).csv_row()])
+        assert path.read_text() == "scenario,N,value\ndemo,3,-inf\ndemo,0,0.10000000000000001\n"
+
+    @pytest.mark.parametrize("cell", [None, [1.0], 1j, np.complex128(1.0)], ids=["none", "list", "complex", "np-complex"])
+    def test_csv_refuses_what_is_not_a_scalar(self, tmp_path, cell):
+        with pytest.raises(TypeError, match="in a CSV cell"):
+            write_csv(tmp_path / "bad.csv", ["x"], [[cell]])
 
 
 class TestJsonInput:

@@ -574,6 +574,35 @@ class TestCfim:
         assert built == []
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("phi0", [None, [0.0, 0.0, 0.0]], ids=["default", "zeros"])
+    def test_fiducial_density_probe_makes_no_eigh(self, monkeypatch, phi0):
+        # Effects are checked from their eigenvalues alone, and the fiducial
+        # point encodes nothing: no per-sensor unitary, no re-validated probe.
+        rng = np.random.default_rng(64)
+        sensor = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
+        net = SensorNetwork((sensor,) * 3)
+        probe = random_density(8, net.dims, rng)
+        effects = random_povm(8, 8, rng)
+        want = oracle_cfim(effects, net, probe, np.zeros(3))
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        got = cfim(effects, net, probe, phi0)
+        assert calls == []
+        assert_allclose(got, want, rtol=1e-6, atol=1e-6 * float(np.max(np.abs(want))))
+
+    def test_effects_checked_at_once_in_order(self):
+        # Every effect's Hermitian part goes through one stacked eigvalsh; the
+        # first effect below the floor is the one named.
+        effects = [np.diag([1.5, 0.0]), np.diag([-0.25, 0.5]), np.diag([-0.25, 0.5])]
+        with pytest.raises(ValueError, match=r"^effect 1 has eigenvalue -2.500e-01 < 0$"):
+            cfim(effects, _single_qubit_net(), _plus_state())
+
     def test_transverse_measurement_saturates(self):
         # Analytic outcome law: p(+/-|phi) = (1 +/- sin phi)/2, whose
         # classical information is 1 at every phase.
@@ -785,8 +814,9 @@ class TestMatrixKindRules:
             (lambda: qfim_pure(_plus_state().density(), _single_qubit_net()), "qfim_pure needs a PureState, got DensityOperator"),
             (lambda: qfim_mixed(_plus_state(), _single_qubit_net()), "qfim_mixed needs a DensityOperator, got PureState"),
             (lambda: qcrb(np.eye(2), [1.0, 1.0]), "qcrb needs a QFIM, got ndarray"),
+            (lambda: sld_operators(_plus_state(), _single_qubit_net()), "sld_operators needs a DensityOperator, got PureState"),
         ],
-        ids=["qfim_pure", "qfim_mixed", "qcrb"],
+        ids=["qfim_pure", "qfim_mixed", "qcrb", "sld_operators"],
     )
     def test_swapped_carrier_rejected(self, call, message):
         with pytest.raises(TypeError) as info:
