@@ -112,8 +112,9 @@ class LinearFunctional:
 
         Minimizes ``sum_k v_k^2 / w_k^2`` over integer allocations with
         ``sum w_k = N``. Every sensor with ``|v_k|`` above ``pnorm``'s
-        1e-300 cut gets at least one particle (a budget too small for that
-        raises ``ValueError``). Sensor ``k`` starts at
+        1e-300 cut gets at least one particle (a budget too small for that,
+        or past ``2**53``, where float counts are inexact, raises
+        ``ValueError``). Sensor ``k`` starts at
         ``max(1, floor((N - d) a_k / sum(a)) - 1)``, ``a = |v|^(2/3)`` over the
         ``d`` weighted sensors, one below a lower bound on its optimal count,
         so at most ``3 d`` particles are left; each goes to the sensor whose

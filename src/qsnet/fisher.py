@@ -379,10 +379,10 @@ def cfim(
     """Classical Fisher information matrix of a POVM's outcome statistics.
 
     Outcome probabilities are ``p_m = Tr[E_m rho]`` for the probe encoded at
-    ``phi0`` (default, or all zeros: the probe as given). Their derivatives are analytic,
-    ``d_k p_m = Tr[E_m (-i)[H_k, rho]]``, with each generator contracted on
-    its own sensor's axis. Away from the fiducial point this holds only if
-    each sensor's generators commute; otherwise
+    ``phi0`` (by default, or at all zeros, the probe as given). Their
+    derivatives are analytic, ``d_k p_m = Tr[E_m (-i)[H_k, rho]]``, with each
+    generator contracted on its own sensor's axis. Away from the fiducial
+    point this holds only if each sensor's generators commute; otherwise
     :class:`~qsnet.exceptions.NoncommutingGeneratorsError` is raised.
     Outcomes with probability below the configured floor are skipped, with
     a ``RuntimeWarning`` giving their number.
@@ -390,7 +390,6 @@ def cfim(
     dim = net.total_dim
     ops = np.array([require_hermitian(e, tol=1e-9, name=f"effect {m}", dim=dim) for m, e in enumerate(effects)])
     ops = ops.reshape(-1, dim, dim)
-    # Positivity from eigenvalues only, of every effect's Hermitian part at once.
     for m, w in enumerate(np.linalg.eigvalsh((ops + ops.conj().swapaxes(1, 2)) / 2)):
         check_floor(w, f"effect {m}", 1e-9)
     if float(np.max(np.abs(ops.sum(axis=0) - np.eye(dim)))) > 1e-9:

@@ -596,13 +596,6 @@ class TestCfim:
         assert calls == []
         assert_allclose(got, want, rtol=1e-6, atol=1e-6 * float(np.max(np.abs(want))))
 
-    def test_effects_checked_at_once_in_order(self):
-        # Every effect's Hermitian part goes through one stacked eigvalsh; the
-        # first effect below the floor is the one named.
-        effects = [np.diag([1.5, 0.0]), np.diag([-0.25, 0.5]), np.diag([-0.25, 0.5])]
-        with pytest.raises(ValueError, match=r"^effect 1 has eigenvalue -2.500e-01 < 0$"):
-            cfim(effects, _single_qubit_net(), _plus_state())
-
     def test_transverse_measurement_saturates(self):
         # Analytic outcome law: p(+/-|phi) = (1 +/- sin phi)/2, whose
         # classical information is 1 at every phase.
