@@ -16,7 +16,7 @@ TRACE_TOL = 1e-12         # density-operator trace slack
 PSD_SLACK = 1e-10         # admissible negative eigenvalue from roundoff
 
 # Operation preconditions.
-COMMUTE_TOL = 1e-9        # mutual-commutation precondition for joint eigenbases
+COMMUTE_TOL = 1e-9        # times max(1, max|G|): off-diagonal room of each generator in the joint eigenbasis
 
 # Fisher-information support handling.
 RANK_TOL_FACTOR = 1e-10   # times the largest eigenvalue: support cutoff

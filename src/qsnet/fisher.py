@@ -382,7 +382,8 @@ def cfim(
     ``phi0`` (by default, or at all zeros, the probe as given). Their
     derivatives are analytic, ``d_k p_m = Tr[E_m (-i)[H_k, rho]]``, with each
     generator contracted on its own sensor's axis. Away from the fiducial
-    point this holds only if each sensor's generators commute; otherwise
+    point this holds only if each sensor's generators commute, by the rule of
+    :func:`~qsnet.states.joint_eigenbasis`; otherwise
     :class:`~qsnet.exceptions.NoncommutingGeneratorsError` is raised.
     Outcomes with probability below the configured floor are skipped, with
     a ``RuntimeWarning`` giving their number.
@@ -397,8 +398,11 @@ def cfim(
     state = probe
     if phi0 is not None and np.any(_check_phi(net, phi0) != 0.0):
         state = encode(net, probe, phi0)
+        # Imported here: a module-level fisher -> states import moves audit t2's peak RSS.
+        from .states import joint_eigenbasis
+
         for sensor in net.sensors:
-            sensor.require_commuting()
+            joint_eigenbasis(sensor)
     layout, gens, _ = _local_generators(net, state)
     if isinstance(state, PureState):
         rho = np.outer(state.amplitudes, state.amplitudes.conj())

@@ -15,12 +15,11 @@ even when a sensor's generators do not commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 import numpy as np
 
 from . import config
-from .exceptions import FormatError, LayoutError, NoncommutingGeneratorsError, located
+from .exceptions import FormatError, LayoutError, located
 from .hilbert import (
     DensityOperator,
     PureState,
@@ -28,7 +27,6 @@ from .hilbert import (
     _frozen,
     apply_local,
     check_dim,
-    commutator,
     embed_local,
     expm_i,
     matrix_from_json,
@@ -72,16 +70,6 @@ class SensorSpec:
     @property
     def n_params(self) -> int:
         return len(self.generators)
-
-    def require_commuting(self) -> None:
-        """Raise :class:`NoncommutingGeneratorsError` unless the generators
-        commute mutually within ``config.COMMUTE_TOL``."""
-        for (i, a), (j, b) in combinations(enumerate(self.generators), 2):
-            defect = float(np.max(np.abs(commutator(a, b))))
-            if defect > config.COMMUTE_TOL:
-                raise NoncommutingGeneratorsError(
-                    f"generators {i} and {j} do not commute (defect {defect:.3e})"
-                )
 
 
 @dataclass(frozen=True)

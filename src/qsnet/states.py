@@ -93,15 +93,17 @@ def joint_eigenbasis(sensor: SensorSpec) -> tuple[np.ndarray, np.ndarray]:
     that generator's eigenvalues split, until no cluster splits. So a
     generator that is scalar on a cluster cannot scramble a pair another
     generator holds, whatever the generator order; the basis is
-    deterministic without a seed. Requires
-    the generators to commute mutually within ``config.COMMUTE_TOL``;
-    otherwise raises :class:`NoncommutingGeneratorsError`, which signals the
-    caller to switch to the local-ancilla purification route.
+    deterministic without a seed.
+
+    This is the toolkit's one commutation rule: the generators commute when
+    each one is diagonal in the returned basis, its largest off-diagonal
+    entry there at most ``config.COMMUTE_TOL * max(1, max|G|)``. Otherwise
+    :class:`NoncommutingGeneratorsError` is raised, which signals the caller
+    to switch to the local-ancilla purification route.
     """
     mats = list(sensor.generators)
     if not mats:
         return np.empty((sensor.dim, 0)), np.eye(sensor.dim, dtype=complex)
-    sensor.require_commuting()
     return _simultaneous_eigenbasis(mats)
 
 
