@@ -97,8 +97,10 @@ class LinearFunctional:
 
         Raises ``ValueError`` naming the first sensor whose count is more
         than 1e-9 from an integer: no GHZ probe of this toolkit then
-        certifies the closed-form bound.
+        certifies the closed-form bound. A budget past ``2**53`` raises too,
+        as for :meth:`separable_allocation`.
         """
+        self._require_exact_budget()
         tilde = self.n_particles * np.abs(self.v) / pnorm(self.v, 1.0)
         counts = np.rint(tilde)
         off = np.flatnonzero(np.abs(tilde - counts) > 1e-9)
@@ -125,9 +127,8 @@ class LinearFunctional:
         tied, and ties go to the highest index, which returns the
         lexicographically first minimizer.
         """
+        self._require_exact_budget()
         weighted = np.abs(self.v) > _TINY
-        if self.n_particles > 2**53:
-            raise ValueError(f"particle budget {self.n_particles} is past 2**53, where float counts are inexact")
         if self.n_particles < int(weighted.sum()):
             raise ValueError("budget too small: some weighted sensor would get no particles")
         a = np.where(weighted, np.abs(self.v), 0.0) ** (2.0 / 3.0)
@@ -139,6 +140,11 @@ class LinearFunctional:
             drop = np.where(w > 0, sq * (2.0 * w + 1.0) / np.maximum(w * (w + 1.0), 1.0) ** 2, -np.inf)
             w[np.nonzero(drop >= drop.max() * (1.0 - 1e-12))[0][-1]] += 1
         return w
+
+    def _require_exact_budget(self) -> None:
+        # Both allocations count particles in floats, exact only up to 2**53.
+        if self.n_particles > 2**53:
+            raise ValueError(f"particle budget {self.n_particles} is past 2**53, where float counts are inexact")
 
     def _denominator(self) -> float:
         # Without float **, which raises on overflow; the exact integer part first.

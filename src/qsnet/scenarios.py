@@ -508,7 +508,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
         raise FormatError("gradient scenario needs an even particle count >= 2")
     family = qubit_ensemble_family()
     functional = LinearFunctional(np.array([-1.0, 1.0]) / np.sqrt(2.0), family.kappa, n, cfg.mu)
-    psi, net = ghz_probe(functional.v, n, family)
+    psi, net = located(None, ghz_probe, functional.v, n, family)
     fim = qfim_pure(psi, net)
 
     functional_weights = np.outer(functional.v, functional.v)

@@ -521,6 +521,15 @@ class TestOutsideNumbers:
         assert main(["scenario", "optical", "--N", str(2**63 - 1), "--out", str(tmp_path)]) == 2
         assert "past 2**53" in capsys.readouterr().err
 
+    def test_ghz_budget_past_float_counts(self, tmp_path):
+        # An odd budget over two equal weights past 2**53 read as constructible.
+        argv = ["bounds", "sweep", "--d", "2", "2", "--N", str(2**53), str(2**53 + 1), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads((tmp_path / "bounds_sweep.json").read_text())["rows"]
+        assert [(row["N"], row["ghz_constructible"]) for row in rows] == [(2**53, True), (2**53 + 1, False)]
+        # The gradient scenario's GHZ probe is refused there as a configuration error.
+        assert main(["scenario", "gradient", "--N", str(2**53 + 2), "--out", str(tmp_path)]) == 2
+
     @pytest.mark.parametrize("kappa", ["1e-200", "1e200", "1e-160"])
     def test_kappa_whose_bounds_leave_the_float_range(self, tmp_path, capsys, kappa):
         # Exit 3 (division by zero, overflow) or, at 1e-160, "inf" bounds and a "nan" ratio.
