@@ -382,11 +382,18 @@ def cfim(
     ``phi0`` (by default, or at all zeros, the probe as given). Their
     derivatives are analytic, ``d_k p_m = Tr[E_m (-i)[H_k, rho]]``, with each
     generator contracted on its own sensor's axis. Away from the fiducial
-    point this holds only if each sensor's generators commute, by the rule of
-    :func:`~qsnet.states.joint_eigenbasis`; otherwise
-    :class:`~qsnet.exceptions.NoncommutingGeneratorsError` is raised.
-    Outcomes with probability below the configured floor are skipped, with
-    a ``RuntimeWarning`` giving their number.
+    point this holds only if each sensor's generators commute: each is
+    diagonal in the sensor's :func:`~qsnet.states.joint_eigenbasis` within
+    ``config.COMMUTE_TOL * max(1, max|G|)``, the one commutation rule;
+    otherwise :class:`~qsnet.exceptions.NoncommutingGeneratorsError` is
+    raised.
+
+    An outcome with probability below ``config.CFIM_PROB_FLOOR`` is taken to
+    have ``E_m rho = 0``. With one parameter it counts by its limit
+    ``4 Re Tr[E_m H rho H]``, since ``p_m ~ phi^2 Tr[E_m H rho H]`` near the
+    point. With several parameters that limit depends on the direction of
+    approach (Safranek, PRA 95, 052320 (2017)), and the outcome is skipped.
+    Either way a ``RuntimeWarning`` gives the number of such outcomes.
     """
     dim = net.total_dim
     ops = np.array([require_hermitian(e, tol=1e-9, name=f"effect {m}", dim=dim) for m, e in enumerate(effects)])
@@ -416,13 +423,20 @@ def cfim(
     p0 = np.real(effects_conj @ rho.reshape(-1))
     dp = 2.0 * np.imag(applied @ effects_conj.T)
     kept = p0 >= config.CFIM_PROB_FLOOR
-    skipped = len(ops) - int(np.count_nonzero(kept))
-    if skipped:
+    mat = (dp[:, kept] / p0[kept]) @ dp[:, kept].T
+    low = len(ops) - int(np.count_nonzero(kept))
+    outcomes = f"{low} outcome(s) with probability below {config.CFIM_PROB_FLOOR:g}"
+    if low and len(gens) == 1:
+        # H rho H, with H on the row axis and conj(H) on the column axis.
+        ((site, h),) = gens
+        sandwich = apply_local(h.conj(), len(layout) + site, apply_local(h, site, rho.reshape(layout + layout)))
+        mat += 4.0 * float(np.sum(np.real(effects_conj[~kept] @ sandwich.reshape(-1))))
+        warnings.warn(f"{outcomes} counted by their limit 4 Re Tr[E_m H rho H]", RuntimeWarning, stacklevel=2)
+    elif low:
         warnings.warn(
-            f"{skipped} outcome(s) with probability below {config.CFIM_PROB_FLOOR:g} "
-            "skipped; the classical information may be underestimated",
+            f"{outcomes} skipped: with {len(gens)} parameters their limit depends on the "
+            "direction of approach; the classical information may be underestimated",
             RuntimeWarning,
             stacklevel=2,
         )
-    mat = (dp[:, kept] / p0[kept]) @ dp[:, kept].T
     return (mat + mat.T) / 2

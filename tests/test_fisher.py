@@ -648,18 +648,50 @@ class TestCfim:
 
     def test_skipped_outcomes_are_reported(self):
         # |+> measured in the x basis at phi = 0: the "-" outcome has
-        # probability 0 and is skipped, so the information reads 0 although
-        # its limit along phi -> 0 is 1.
+        # probability 0, and with one parameter it counts by its limit along
+        # phi -> 0, so the information reads 1.
         net = _single_qubit_net()
         w, v = np.linalg.eigh(np.asarray(SIGMA_X))
         effects = [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
         with pytest.warns(RuntimeWarning, match="1 outcome"):
             out = cfim(effects, net, _plus_state())
-        assert_allclose(out, [[0.0]], atol=1e-12)
+        assert_allclose(out, [[1.0]], atol=1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = cfim(effects, net, _plus_state(), phi0=[1e-3])
         assert out[0, 0] == pytest.approx(1.0, abs=1e-5)
+
+    def test_zero_probability_outcome_of_mixed_probe_counts_by_its_limit(self):
+        # One parameter on a qutrit next to a parameter-free qubit. The probe
+        # has no weight on the qutrit's level 2, so the effect on that level
+        # has probability 0 at phi = 0; H moves weight there at order phi^2.
+        rng = np.random.default_rng(5)
+        net = SensorNetwork(
+            (SensorSpec(3, (random_hermitian(3, rng),), identity(3)), SensorSpec(2, (), identity(2)))
+        )
+        level2 = np.kron(np.diag([0.0, 0.0, 1.0]), identity(2))
+        rest = np.eye(6) - level2
+        effects = [rest @ e @ rest for e in random_povm(6, 3, rng)] + [level2]
+        support = np.kron(np.eye(3)[:, :2], identity(2))
+        rho = DensityOperator(support @ random_density(4, (4,), rng).matrix @ support.T, (3, 2))
+        with pytest.warns(RuntimeWarning, match="1 outcome"):
+            out = cfim(effects, net, rho)
+        # Skipping the outcome would read 0.041 here against 0.174.
+        assert_allclose(out, oracle_cfim(effects, net, rho, [1e-4]), rtol=1e-3)
+
+    def test_zero_probability_outcomes_skipped_with_several_parameters(self):
+        # With two parameters the limit of (dp)^2 / p depends on the
+        # direction of approach, so the outcomes are skipped, as the oracle
+        # skips them.
+        net = two_qubit_z_network()
+        w, v = np.linalg.eigh(np.asarray(SIGMA_X))
+        local = [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
+        effects = [np.kron(a, b) for a in local for b in local]
+        plus2 = PureState(np.ones(4) / 2.0, (2, 2))
+        with pytest.warns(RuntimeWarning, match="3 outcome.*skipped: with 2 parameters"):
+            out = cfim(effects, net, plus2)
+        assert_allclose(out, oracle_cfim(effects, net, plus2, [0.0, 0.0]), atol=1e-12)
+        assert_allclose(out, np.zeros((2, 2)), atol=1e-12)
 
     def test_invalid_povm_rejected(self):
         net = _single_qubit_net()
