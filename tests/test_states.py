@@ -85,6 +85,24 @@ class TestJointEigenbasis:
         with pytest.raises(NoncommutingGeneratorsError):
             joint_eigenbasis(sensor)
 
+    def test_one_commutation_rule_at_its_edge(self):
+        # B turned by eps in the (0, 1) plane is off-diagonal by about eps in
+        # A's eigenbasis, against the room 1e-9 * max(1, max|B|); the
+        # commutator [A, B] reads 100 * eps, which no rule measures.
+        def sensor(eps):
+            c, s = np.cos(eps), np.sin(eps)
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            b = rot @ np.diag([1.0, 2.0, 3.0]) @ rot.T
+            return SensorSpec(3, (np.diag([100.0, 0.0, -100.0]), b), identity(3))
+
+        accepted = sensor(1e-10)
+        labels, vectors = joint_eigenbasis(accepted)
+        for j, g in enumerate(accepted.generators):
+            rebuilt = (vectors * labels[:, j]) @ vectors.conj().T
+            assert np.max(np.abs(rebuilt - g)) <= 1e-9 * max(1.0, float(np.max(np.abs(g))))
+        with pytest.raises(NoncommutingGeneratorsError, match="generator 1 is not diagonal"):
+            joint_eigenbasis(sensor(1e-8))
+
     @pytest.mark.parametrize("mu", [(0.2, 0.7, -0.3), (0.2, 0.2, -0.3)], ids=["split", "scalar"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["lam_first", "mu_first"])
     def test_near_degenerate_first_generator_split_by_second(self, mu, reverse):
