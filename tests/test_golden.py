@@ -7,7 +7,9 @@ refactors that followed them. Integers, booleans and strings
 change that reorders float arithmetic on purpose is checked against the
 same files. CSV reports are compared cell by cell under the same rule.
 The first stdout line of each audit and scenario run, its summary, is
-pinned as exact text.
+pinned as exact text. ``qsnet qfim`` reports are pinned for the probes
+under ``tests/golden/qfim_inputs/`` on one network: a qubit sensor with
+two non-commuting generators next to two single-generator qubits (D = 8).
 """
 
 import json
@@ -36,6 +38,13 @@ CSV_CASES = [
     (["scenario", "gradient"], "scenario_gradient.csv"),
     (["scenario", "optical", "--trials", "5"], "scenario_optical.csv"),
     (["bounds", "sweep"], "bounds_sweep.csv"),
+]
+
+# (state file under qfim_inputs/, golden report); the network is bellnet.json.
+QFIM_CASES = [
+    ("haar.json", "qfim_haar.json"),  # Haar-random pure probe
+    ("mixed.json", "qfim_mixed.json"),  # full-rank mixed probe
+    ("bellpure.json", "qfim_bell.json"),  # Bell pair on the two last sensors: singular, undetermined [2, 3]
 ]
 
 SUMMARIES = [
@@ -86,6 +95,15 @@ def test_report_matches_golden(tmp_path, argv, report):
     got = json.loads((tmp_path / report).read_text(encoding="utf-8"))
     want = json.loads((GOLDEN / report).read_text(encoding="utf-8"))
     assert _mismatches(got, want, want.get("tol", 1e-9)) == []
+
+
+@pytest.mark.parametrize("state,report", QFIM_CASES, ids=[name for _, name in QFIM_CASES])
+def test_qfim_report_matches_golden(tmp_path, state, report):
+    inputs = GOLDEN / "qfim_inputs"
+    assert main(["qfim", str(inputs / "bellnet.json"), str(inputs / state), "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "qfim.json").read_text(encoding="utf-8"))
+    want = json.loads((GOLDEN / report).read_text(encoding="utf-8"))
+    assert _mismatches(got, want, 1e-9) == []
 
 
 def _csv_cell(text: str):
