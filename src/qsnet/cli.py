@@ -138,7 +138,7 @@ def _run_bounds(args) -> int:
     else:
         raise FormatError("--N must be a single value or match --d in length")
     comparisons = [
-        compare(located(None, LinearFunctional, np.ones(d) / np.sqrt(d), args.kappa, n, args.mu))
+        compare(located(None, LinearFunctional, located("--d", np.ones, d) / np.sqrt(d), args.kappa, n, args.mu))
         for d, n in zip(args.d, budgets)
     ]
     for c in comparisons:

@@ -34,10 +34,18 @@ def check_int(value, name: str, minimum: int = 1) -> int:
     # An exact int skips the Integral check, an ABC lookup that dominates hot callers.
     plain = type(value) is int
     if not plain and (isinstance(value, bool) or not isinstance(value, Integral)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     if value > 2**63 - 1:
-        raise ValueError(f"{name} must be at most 2**63 - 1, got {value!r}")
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {_shown(value)}")
     return int(value)
+
+
+def _shown(value) -> str:
+    """``repr(value)``, but only the sign and size of an int past 2**64, which
+    can have more digits than Python converts to a string."""
+    if isinstance(value, int) and abs(value).bit_length() > 64:
+        return f"{'-' if value < 0 else ''}a {abs(value).bit_length()}-bit integer"
+    return repr(value)
 
 
 def check_positive(value, name: str) -> float:

@@ -53,11 +53,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_dim(dim: int) -> None:
-    """Raise :class:`DimensionLimitError` if ``dim`` exceeds the cap."""
+def check_dim(factors: Iterable[int]) -> int:
+    """The product of the subsystem dimensions ``factors``, within the cap.
+
+    The product is formed factor by factor and stops at the first factor
+    that takes it past the cap, so no larger number is built or printed.
+    The :class:`DimensionLimitError` names the cap, and the dimension if
+    every factor was taken, or else the part of it formed so far.
+    """
     cap = config.max_dim()
-    if dim > cap:
-        raise DimensionLimitError(f"dimension {dim} exceeds the cap {cap} (QSN_MAX_DIM)")
+    dim = 1
+    rest = iter(factors)
+    for f in rest:
+        dim *= f
+        if dim > cap:
+            if dim >= 2**63:
+                size = "at least 2**63"
+            else:
+                size = f"{dim}" if next(rest, None) is None else f"at least {dim}"
+            raise DimensionLimitError(f"dimension {size} exceeds the cap {cap} (QSN_MAX_DIM)")
+    return dim
 
 
 def layout_ints(values, name: str, minimum: int = 0) -> tuple[int, ...]:
@@ -81,9 +96,9 @@ def _index(value, n: int, name: str) -> int:
 def _check_layout(layout, dim: int) -> tuple[int, ...]:
     """A state's ``layout`` as ``int``s whose product is ``dim``, within the cap."""
     dims = layout_ints(layout, "layout entry", 1)
-    if prod(dims) != dim:
-        raise LayoutError(f"layout {dims} implies dim {prod(dims)}, the state has dim {dim}")
-    check_dim(dim)
+    implied = check_dim(dims)
+    if implied != dim:
+        raise LayoutError(f"layout {dims} implies dim {implied}, the state has dim {dim}")
     return dims
 
 
@@ -152,7 +167,7 @@ def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
     out = factors[0]
     for f in factors[1:]:
         for m, n in zip(out.shape, f.shape):
-            check_dim(m * n)
+            check_dim((m, n))
         out = np.kron(out, f)
     return out
 
@@ -166,7 +181,7 @@ def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
         raise LayoutError(
             f"operator of shape {a.shape} does not fit site {site} with dim {dims[site]}"
         )
-    check_dim(prod(dims))
+    check_dim(dims)
     left = identity(prod(dims[:site]))
     return np.kron(np.kron(left, a), identity(prod(dims[site + 1 :])))
 

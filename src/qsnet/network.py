@@ -82,7 +82,7 @@ class SensorNetwork:
             raise ValueError("a network needs at least one sensor")
         if sum(s.n_params for s in sensors) < 1:
             raise ValueError("a network needs at least one parameter")
-        check_dim(prod(s.dim for s in sensors))
+        check_dim(s.dim for s in sensors)
         object.__setattr__(self, "sensors", sensors)
 
     @property

@@ -11,6 +11,7 @@ counted, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -168,7 +169,7 @@ def _diagonal_family(generator_diagonal, resource_diagonal) -> SensorFamily:
 
     def build(n: int) -> SensorSpec:
         n = check_int(n, "particle count", 0)
-        check_dim(n + 1)
+        check_dim((n + 1,))
         gen, res = (np.diag(entries(n)).astype(complex) for entries in (generator_diagonal, resource_diagonal))
         return SensorSpec(n + 1, (gen,), res)
 
@@ -611,11 +612,13 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
     truncated model, but stop representing an untruncated mode.
     """
     family = truncated_mode_family()
-    designed_probe, net = extremal_product(family, [cfg.mode_cutoff] * cfg.n_modes)
-    # Built before any trial is drawn: a budget below the mode count or over
-    # the dimension cap draws none.
+    # Refused at the cap before the list of counts is built.
+    check_dim(repeat(cfg.mode_cutoff + 1, cfg.n_modes))
+    # Built before any trial is drawn and any sensor decomposed: a budget
+    # below the mode count or over the dimension cap draws none.
     uniform = np.ones(cfg.n_modes) / np.sqrt(cfg.n_modes)
     alloc_state, alloc_net, allocation = located(None, optimal_separable_probe, uniform, cfg.n_particles, family)
+    designed_probe, net = extremal_product(family, [cfg.mode_cutoff] * cfg.n_modes)
 
     fim_designed = qfim_pure(designed_probe, net)
     per_mode_qfi = tuple(float(x) for x in np.diag(fim_designed.matrix))

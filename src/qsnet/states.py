@@ -175,21 +175,25 @@ class SensorFamily:
 def _extremal_sensors(family: SensorFamily, counts) -> tuple[SensorNetwork, list[tuple[np.ndarray, np.ndarray]]]:
     """Network of ``family`` sensors holding ``counts`` particles and each
     sensor's (lowest, highest) generator eigenvector pair. Equal counts share
-    one sensor, built and decomposed once; a generator whose spectral width
-    is not ``kappa * n`` raises ``ValueError``."""
+    one sensor, built and decomposed once; the network is checked against the
+    dimension cap before any sensor is decomposed. A generator whose spectral
+    width is not ``kappa * n`` raises ``ValueError``."""
     ns = [config.check_int(c, "particle count", 0) for c in counts]
     built = {}
     for n in dict.fromkeys(ns):
-        sensor = family.sensor_for(n)
-        if len(sensor.generators) != 1:
+        built[n] = family.sensor_for(n)
+        if len(built[n].generators) != 1:
             raise ValueError("extremal construction needs a single-generator sensor")
+    net = SensorNetwork(tuple(built[n] for n in ns))
+    pairs = {}
+    for n, sensor in built.items():
         w, v = np.linalg.eigh(np.asarray(sensor.generators[0]))
         if abs(w[-1] - w[0] - family.kappa * n) > 1e-9 * max(1.0, family.kappa * n):
             raise ValueError(f"sensor_for({n}) has generator width {float(w[-1] - w[0])!r}, not kappa * n = {family.kappa * n!r}")
         # Ties inside an extremal eigenspace break to the lowest eigh index.
         tie = 1e-9 * max(1.0, float(np.max(np.abs(w))))
-        built[n] = sensor, (v[:, 0], v[:, int(np.nonzero(w >= w[-1] - tie)[0][0])])
-    return SensorNetwork(tuple(built[n][0] for n in ns)), [built[n][1] for n in ns]
+        pairs[n] = v[:, 0], v[:, int(np.nonzero(w >= w[-1] - tie)[0][0])]
+    return net, [pairs[n] for n in ns]
 
 
 def extremal_product(family: SensorFamily, counts) -> tuple[PureState, SensorNetwork]:

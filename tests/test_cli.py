@@ -163,6 +163,16 @@ class TestScenario:
         assert capsys.readouterr().err == "error: dimension 1500001 exceeds the cap 4096 (QSN_MAX_DIM)\n"
         assert calls == []
 
+    def test_optical_over_cap_budget_decomposes_no_sensor(self, tmp_path, monkeypatch, capsys):
+        # 4097 photons over two modes: two eigh of about 2049 x 2049 took
+        # seconds before the allocation's network met the cap.
+        def eigh(a):
+            raise AssertionError("decomposed a sensor")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert main(["scenario", "optical", "--N", "4097", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: dimension 4200450 exceeds the cap 4096 (QSN_MAX_DIM)\n"
+
     def test_optical_json(self, tmp_path):
         code = main(
             ["scenario", "optical", "--trials", "4", "--seed", "11", "--out", str(tmp_path)]
@@ -529,6 +539,31 @@ class TestOutsideNumbers:
         assert [(row["N"], row["ghz_constructible"]) for row in rows] == [(2**53, True), (2**53 + 1, False)]
         # The gradient scenario's GHZ probe is refused there as a configuration error.
         assert main(["scenario", "gradient", "--N", str(2**53 + 2), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("modes", ["7000", "8000", "200000", str(2**63 - 1)])
+    def test_optical_modes_past_the_cap(self, tmp_path, capsys, modes):
+        # 7000 printed a 4,200-digit dimension; 8000 and 200000 could not
+        # print theirs (exit 3), and 2**63 - 1 ran out of memory building
+        # its list of counts.
+        assert main(["scenario", "optical", "--modes", modes, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: dimension at least 16384 exceeds the cap 4096 (QSN_MAX_DIM)\n"
+
+    def test_network_file_past_the_cap(self, tmp_path, capsys, single_qubit_net_file):
+        # 15,000 qubits: the product, 4,516 digits, could not be printed,
+        # and the failure read as a FormatError about integer conversion.
+        doc = read_json(single_qubit_net_file)
+        net = tmp_path / "wide.json"
+        _write(net, {**doc, "sensors": doc["sensors"] * 15000})
+        state = tmp_path / "plus.json"
+        _write(state, vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2)))
+        assert main(["qfim", str(net), str(state), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {net}: network: dimension at least 8192 exceeds the cap 4096 (QSN_MAX_DIM)\n"
+
+    def test_sweep_sensor_count_numpy_cannot_allocate(self, tmp_path, capsys):
+        # np.ones(2**63 - 1) raised numpy's ValueError outside any check: exit 3.
+        assert main(["bounds", "sweep", "--d", str(2**63 - 1), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: --d: ")
 
     @pytest.mark.parametrize("kappa", ["1e-200", "1e200", "1e-160"])
     def test_kappa_whose_bounds_leave_the_float_range(self, tmp_path, capsys, kappa):

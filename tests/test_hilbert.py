@@ -14,6 +14,7 @@ from conftest import layouts, random_hermitian, seeds, tensor_product
 from qsnet import config
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import (
+    check_dim,
     kron_all,
     SIGMA_X,
     SIGMA_Z,
@@ -506,6 +507,32 @@ class TestDimensionCapSetting:
         monkeypatch.setenv("QSN_MAX_DIM", value)
         with pytest.raises(ValueError, match="QSN_MAX_DIM must be a positive integer"):
             config.max_dim()
+
+
+class TestDimensionPastPrinting:
+    """A dimension with more digits than Python converts to a string is
+    refused at the cap, by a message that stays short."""
+
+    def test_huge_factor_names_the_cap(self):
+        with pytest.raises(DimensionLimitError, match=r"^dimension at least 2\*\*63 exceeds the cap 4096 \(QSN_MAX_DIM\)$"):
+            check_dim([10**5000])
+
+    def test_product_stops_at_the_cap(self):
+        with pytest.raises(DimensionLimitError, match=r"^dimension at least 8192 exceeds the cap 4096 "):
+            check_dim([2] * 20000)
+        with pytest.raises(DimensionLimitError, match=r"^dimension 8192 exceeds the cap 4096 "):
+            check_dim([2] * 13)
+        assert check_dim([2] * 12) == 4096
+        assert check_dim([]) == 1
+
+    def test_long_layout_is_refused_at_the_cap(self):
+        with pytest.raises(DimensionLimitError, match="exceeds the cap 4096"):
+            PureState([1, 0], (2,) * 20000)
+
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
+    def test_huge_int_is_named_by_its_size(self, value):
+        with pytest.raises(ValueError, match=r"^n must be .*, got -?a 16610-bit integer$"):
+            config.check_int(value, "n")
 
 
 class TestSpectrum:

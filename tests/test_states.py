@@ -40,7 +40,7 @@ from qsnet import (
     separable_bound,
     separable_surrogate,
 )
-from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
+from qsnet.exceptions import DimensionLimitError, LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity, partial_trace
 from qsnet.sampling import haar_state, haar_unitary, random_density
 from qsnet.scenarios import qubit_ensemble_family, truncated_mode_family
@@ -517,6 +517,16 @@ def _first_minimizer(v, total: int) -> np.ndarray:
 
 
 class TestOptimalSeparableProbe:
+    def test_oversized_probe_refused_before_decomposing(self, monkeypatch):
+        # 4097 photons over two modes need sensors of 2049 and 2050 levels,
+        # whose eigh took seconds before the network met the cap.
+        def eigh(a):
+            raise AssertionError("decomposed a sensor of an oversized network")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(DimensionLimitError):
+            optimal_separable_probe(np.ones(2) / np.sqrt(2), 4097, truncated_mode_family())
+
     def test_uniform_two_sensor_split(self):
         # Oracle: exhaustive enumeration of all compositions of 4 into 2.
         fam = qubit_ensemble_family()
