@@ -43,8 +43,8 @@ def check_int(value, name: str, minimum: int = 1) -> int:
 def _shown(value) -> str:
     """``repr(value)``, but only the sign and size of an int past 2**64, which
     can have more digits than Python converts to a string."""
-    if isinstance(value, int) and abs(value).bit_length() > 64:
-        return f"{'-' if value < 0 else ''}a {abs(value).bit_length()}-bit integer"
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     return repr(value)
 
 

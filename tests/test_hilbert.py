@@ -531,7 +531,7 @@ class TestDimensionPastPrinting:
 
     @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
     def test_huge_int_is_named_by_its_size(self, value):
-        with pytest.raises(ValueError, match=r"^n must be .*, got -?a 16610-bit integer$"):
+        with pytest.raises(ValueError, match=r"^n must be .*, got (an|a negative) integer of 16610 bits$"):
             config.check_int(value, "n")
 
 
