@@ -15,7 +15,7 @@ them, restricts to the support, and the bound is ``inf`` when ``W``
 weighs a direction outside it.
 Each carrier holds its ``spectrum``: the probe's eigenbasis and the
 information matrix's eigenpairs are computed once, when the carrier is
-validated, and every bound, inverse and SLD reads them.
+validated, and every bound, inverse and mixed-state sum reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "BoundReport",
     "qfim_pure",
     "qfim_mixed",
-    "sld_operators",
     "qcrb",
     "block_inverse_residuals",
     "cfim",
@@ -168,38 +167,6 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
 _BLOCK_COLUMNS = 128
 
 
-def _rotate(rows: np.ndarray, basis: np.ndarray, gens, cols: slice, out: np.ndarray) -> None:
-    """Fill ``out[k]`` with the first ``out.shape[1]`` rows and the columns
-    ``cols`` of ``h_k = V^dag H_k V``, the generators in the probe's
-    eigenbasis.
-
-    ``rows`` is ``V^dag`` and ``basis`` is ``V`` with its row axis split
-    into the layout, so each ``H_k`` is contracted on its own site.
-    """
-    dim = rows.shape[0]
-    for k, (site, g) in enumerate(gens):
-        applied = apply_local(g, site, basis[..., cols]).reshape(dim, -1)
-        np.matmul(rows[: out.shape[1]], applied, out=out[k])
-
-
-def _denominators(p: np.ndarray, cutoff: float, stop: int, cols: slice):
-    """SLD denominators ``p_i + p_j`` for the rows ``:stop`` and the columns
-    ``cols``, the mask of those that clear the rank cutoff, and whether a
-    cleared one lies within 100x of it."""
-    denom = p[:stop, None] + p[None, cols]
-    live = denom > cutoff
-    return denom, live, bool(np.any(live & (denom < 100.0 * cutoff)))
-
-
-def _warn_near_cutoff() -> None:
-    warnings.warn(
-        "SLD denominators within 100x of the rank cutoff; "
-        "the information matrix may be ill-determined",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def qfim_mixed(
     rho: DensityOperator, source: SensorNetwork | Sequence[np.ndarray], partition=()
 ) -> QFIM:
@@ -210,8 +177,9 @@ def qfim_mixed(
     ``p`` and the generators ``h_k`` in its eigenbasis,
     ``F_kl = sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) Re(h_k,ij conj h_l,ij)``
     over the pairs whose ``p_i + p_j`` clears the rank cutoff. This is
-    ``Re Tr[rho L_k L_l]`` for the symmetric logarithmic derivatives of
-    :func:`sld_operators`, which are never formed here.
+    ``Re Tr[rho L_k L_l]`` for the symmetric logarithmic derivatives ``L_k``,
+    never formed here. A ``RuntimeWarning`` flags a kept ``p_i + p_j``
+    within 100x of the cutoff.
 
     The summand is symmetric in ``(i, j)`` and zero on the diagonal, so only
     the strict upper triangle ``i < j`` is summed, twice. It is streamed
@@ -235,9 +203,14 @@ def qfim_mixed(
         stop = min(start + width, dim)
         cols = slice(start, stop)
         block = scratch[: d * stop * (stop - start)].reshape(d, stop, -1)
-        _rotate(rows, basis, gens, cols, block)
-        denom, live, close = _denominators(p, cutoff, stop, cols)
-        near |= close
+        # Rows :stop and columns cols of each h_k = V^dag H_k V, with H_k
+        # contracted on its own site of V.
+        for k, (site, g) in enumerate(gens):
+            applied = apply_local(g, site, basis[..., cols]).reshape(dim, -1)
+            np.matmul(rows[:stop], applied, out=block[k])
+        denom = p[:stop, None] + p[None, cols]
+        live = denom > cutoff
+        near |= bool(np.any(live & (denom < 100.0 * cutoff)))
         live &= np.arange(stop)[:, None] < np.arange(start, stop)[None, :]
         # Twice the weight of the full sum, under a square root: X X^T then
         # holds both triangles.
@@ -247,38 +220,12 @@ def qfim_mixed(
         x = block.view(float).reshape(d, -1)
         mat += x @ x.T
     if near:
-        _warn_near_cutoff()
+        warnings.warn(
+            "SLD denominators within 100x of the rank cutoff; the information matrix may be ill-determined",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return QFIM(mat, partition)
-
-
-def sld_operators(
-    rho: DensityOperator, source: SensorNetwork | Sequence[np.ndarray]
-) -> tuple[np.ndarray, ...]:
-    """Symmetric logarithmic derivatives of a mixed probe, one per parameter.
-
-    The parameter derivative at the fiducial point is the analytic
-    commutator ``d rho / d phi_k = -i [H_k, rho]``. The SLDs solve
-    ``d rho = (rho L + L rho) / 2`` in the probe's eigenbasis:
-    ``L_ij = 2 (d rho)_ij / (p_i + p_j)`` wherever ``p_i + p_j`` clears the
-    rank cutoff, zero elsewhere. ``source`` is as for :func:`qfim_mixed`.
-    """
-    if not isinstance(rho, DensityOperator):
-        raise TypeError(f"sld_operators needs a DensityOperator, got {type(rho).__name__}")
-    layout, gens, _ = _local_generators(source, rho)
-    p, v = rho.spectrum
-    dim = rho.dim
-    everything = slice(0, dim)
-    h = np.empty((len(gens), dim, dim), dtype=complex)
-    _rotate(v.conj().T, v.reshape(layout + (dim,)), gens, everything, h)
-    denom, live, near = _denominators(p, _rank_cutoff(p), dim, everything)
-    if near:
-        _warn_near_cutoff()
-    slds = []
-    for h_eig in h:
-        l_eig = np.zeros_like(h_eig)
-        np.divide(-2j * h_eig * (p[None, :] - p[:, None]), denom, out=l_eig, where=live)
-        slds.append(v @ l_eig @ v.conj().T)
-    return tuple(slds)
 
 
 def _weighted_directions(weights, d: int) -> tuple[np.ndarray, np.ndarray]:

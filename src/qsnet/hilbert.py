@@ -98,7 +98,7 @@ def _check_layout(layout, dim: int) -> tuple[int, ...]:
     dims = layout_ints(layout, "layout entry", 1)
     implied = check_dim(dims)
     if implied != dim:
-        raise LayoutError(f"layout {dims} implies dim {implied}, the state has dim {dim}")
+        raise LayoutError(f"layout of length {len(dims)} implies dim {implied}, the state has dim {dim}")
     return dims
 
 
@@ -233,10 +233,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def density(self) -> "DensityOperator":
-        outer = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(outer, self.layout)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,15 @@ class SensorNetwork:
 
     def require_layout(self, state: State) -> None:
         """Raise :class:`LayoutError` unless ``state`` lives on this
-        network's sensor dimensions."""
-        if state.layout != self.dims:
-            raise LayoutError(f"state layout {state.layout} does not match network {self.dims}")
+        network's sensor dimensions, naming the layouts' lengths, not their
+        entries: a layout can be of any length."""
+        ours, theirs = self.dims, state.layout
+        if theirs != ours:
+            first = next((i for i, (a, b) in enumerate(zip(theirs, ours)) if a != b), min(len(theirs), len(ours)))
+            raise LayoutError(
+                f"state layout of length {len(theirs)} (dim {state.dim}) does not match network layout "
+                f"of length {len(ours)} (dim {self.total_dim}); they first differ at position {first}"
+            )
 
 
 def global_generators(net: SensorNetwork) -> list[np.ndarray]:

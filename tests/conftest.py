@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qsnet import SensorNetwork, SensorSpec, config
+from qsnet import DensityOperator, SensorNetwork, SensorSpec, config
 from qsnet.hilbert import SIGMA_Y, SIGMA_Z, kron_all
 from qsnet.sampling import haar_unitary
 
@@ -116,6 +116,11 @@ def two_qubit_z_network() -> SensorNetwork:
 
 def bell_state() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def density(psi) -> DensityOperator:
+    """The pure state ``psi`` as the density operator ``|psi><psi|``."""
+    return DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.layout)
 
 
 # --- dense textbook oracle -----------------------------------------------------

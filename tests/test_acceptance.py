@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import oracle_qfim_pure, random_hermitian, random_povm, sigma_y_effects
+from conftest import density, oracle_qfim_pure, random_hermitian, random_povm, sigma_y_effects
 from qsnet import (
     QFIM,
     LinearFunctional,
@@ -76,7 +76,7 @@ def test_criterion_1_qfim_oracle_equivalence():
         psi = haar_state(net.total_dim, net.dims, rng)
         oracle = oracle_qfim_pure(psi, net)
         fim_pure = qfim_pure(psi, net)
-        fim_sld = qfim_mixed(psi.density(), net)
+        fim_sld = qfim_mixed(density(psi), net)
         for fim in (fim_pure, fim_sld):
             worst = max(worst, float(np.max(np.abs(fim.matrix - oracle))))
     elapsed = time.time() - start

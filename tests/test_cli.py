@@ -305,7 +305,7 @@ class TestInputFailureKinds:
         ("network", "wrong_size", LayoutError, "sensors[0]: generator 0 has shape (1, 1), expected (2, 2)"),
         ("network", "over_cap", DimensionLimitError, "network: dimension 2 exceeds the cap 1 (QSN_MAX_DIM)"),
         ("network", "non_numeric", FormatError, "sensors[0].generators[0]: expected numbers in [re, im] pairs, got str"),
-        ("state", "wrong_size", LayoutError, "layout (2,) implies dim 2, the state has dim 4"),
+        ("state", "wrong_size", LayoutError, "layout of length 1 implies dim 2, the state has dim 4"),
         ("state", "over_cap", DimensionLimitError, "dimension 2 exceeds the cap 1 (QSN_MAX_DIM)"),
         ("state", "non_numeric", FormatError, "state: expected numbers in [re, im] pairs, got str"),
     ]
@@ -358,6 +358,16 @@ class TestInputFailureKinds:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "qfim.json").exists()
+
+    def test_long_layout_is_not_printed(self, tmp_path, capsys):
+        # 5,000 one-dimensional sensors give the state a layout of 5,000
+        # entries; the message names its length, not its entries.
+        sensor = SensorSpec(1, (np.ones((1, 1)),), np.zeros((1, 1)))
+        _write(tmp_path / "net.json", network_to_json(SensorNetwork((sensor,) * 5000)))
+        _write(tmp_path / "state.json", vector_to_json(np.array([1.0, 0.0])))
+        assert main(["qfim", str(tmp_path / "net.json"), str(tmp_path / "state.json"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'state.json'}: layout of length 5000 implies dim 1, the state has dim 2\n"
 
 
 class TestLocalGenerators:

@@ -7,14 +7,13 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
-    LSTSQ_MAX_DIM,
     commuting_network,
-    dense_generators,
+    density,
     full_square_sld_qfim,
     layouts,
     oracle_cfim,
@@ -39,13 +38,11 @@ from qsnet import (
     qcrb,
     qfim_mixed,
     qfim_pure,
-    sld_operators,
     with_collective_ancilla,
 )
 from qsnet import fisher
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
-from qsnet.network import global_generators
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
 
@@ -90,7 +87,7 @@ class TestQfimPure:
             for _ in range(5):
                 psi = haar_state(net.total_dim, net.dims, rng)
                 fim_p = qfim_pure(psi, net)
-                fim_m = qfim_mixed(psi.density(), net)
+                fim_m = qfim_mixed(density(psi), net)
                 assert np.max(np.abs(fim_p.matrix - fim_m.matrix)) <= 1e-9
 
     def test_generator_shape_checked(self):
@@ -142,33 +139,15 @@ class TestQfimMixed:
             # squared.
             assert fim.matrix[0, 0] == pytest.approx(p * p, abs=1e-10)
 
-    def test_sld_defining_equation(self):
-        net = two_qubit_z_network()
-        rng = np.random.default_rng(53)
-        rho = random_density(4, (2, 2), rng)
-        gens = dense_generators(net)
-        slds = sld_operators(rho, net)
-        for g, sld in zip(gens, slds):
-            drho = -1j * (g @ rho.matrix - rho.matrix @ g)
-            residual = drho - (rho.matrix @ sld + sld @ rho.matrix) / 2
-            assert np.max(np.abs(residual)) <= 1e-8
-
     def test_rank_deficient_probe_against_fidelity_oracle(self):
-        # Rank-2 probe on two qubits: the support-restricted SLD solve must
+        # Rank-2 probe on two qubits: the support-restricted SLD sum must
         # agree with the Bures finite-difference oracle along a direction.
         net = two_qubit_z_network()
         bell_a = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         bell_b = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
         mixed = 0.7 * np.outer(bell_a, bell_a) + 0.3 * np.outer(bell_b, bell_b)
         rho = DensityOperator(mixed, (2, 2))
-        gens = dense_generators(net)
-        fim, slds = qfim_mixed(rho, net), sld_operators(rho, net)
-        # The defining equation still holds: a unitary family never moves
-        # weight into the kernel, so the residual vanishes everywhere.
-        for g, sld in zip(gens, slds):
-            drho = -1j * (g @ rho.matrix - rho.matrix @ g)
-            residual = drho - (rho.matrix @ sld + sld @ rho.matrix) / 2
-            assert np.max(np.abs(residual)) <= 1e-8
+        fim = qfim_mixed(rho, net)
         direction = np.array([1.0, -0.5])
         direction /= np.linalg.norm(direction)
         delta = 1e-4
@@ -180,18 +159,12 @@ class TestQfimMixed:
     def test_near_cutoff_eigenvalues_are_reported(self):
         # Denominators just above the rank cutoff are flagged, not silently
         # inverted.
-        net = _single_qubit_net()
+        net = SensorNetwork((SensorSpec(2, (SIGMA_X / 2,), np.diag([0.0, 1.0])),))
         eps = 2e-9
         rho = DensityOperator(np.diag([1.0 - eps, eps]), (2,))
-        with pytest.warns(RuntimeWarning, match="rank cutoff"):
-            qfim_mixed(rho, [np.asarray(SIGMA_X) / 2], net.partition)
-
-    def test_near_cutoff_eigenvalues_are_reported_by_sld_operators(self):
-        net = _single_qubit_net()
-        eps = 2e-9
-        rho = DensityOperator(np.diag([1.0 - eps, eps]), (2,))
-        with pytest.warns(RuntimeWarning, match="SLD denominators within 100x of the rank cutoff"):
-            sld_operators(rho, [np.asarray(SIGMA_X) / 2])
+        with pytest.warns(RuntimeWarning, match="SLD denominators within 100x of the rank cutoff") as caught:
+            qfim_mixed(rho, net)
+        assert [w.filename for w in caught] == [__file__]
 
 
 def _max_rel_dev(got: np.ndarray, want: np.ndarray) -> float:
@@ -227,43 +200,14 @@ class TestLocalGenerators:
         fim = qfim_mixed(rho, net)
         assert fim.partition == net.partition
         assert _max_rel_dev(fim.matrix, oracle_qfim_mixed(rho, net)) <= 1e-12
-        gens = global_generators(net)
-        for local, dense in zip(sld_operators(rho, net), sld_operators(rho, gens)):
-            assert _max_rel_dev(local, dense) <= 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        layouts.filter(lambda dims: prod(dims) <= LSTSQ_MAX_DIM),
-        st.sampled_from(["plain", "doubled", "collective"]),
-        st.booleans(),
-        seeds,
-    )
-    def test_sld_operators_match_least_squares_oracle(self, dims, shape, full_rank, seed):
-        # The doubled and collective shapes square D, so they are drawn only
-        # on layouts that stay within the least-squares oracle's reach.
-        assume(shape == "plain" or prod(dims) ** 2 <= LSTSQ_MAX_DIM)
-        rng = np.random.default_rng(seed)
-        net = random_network(dims, rng)
-        if shape == "doubled":
-            net = doubled(net)
-        elif shape == "collective":
-            net = with_collective_ancilla(net)
-        dim = net.total_dim
-        rank = dim if full_rank else int(rng.integers(1, dim)) if dim > 1 else 1
-        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
-        slds = sld_operators(rho, net)
-        want = oracle_slds(rho, net)
-        assert len(slds) == len(want) == net.n_params
-        for got, expected in zip(slds, want):
-            assert _max_rel_dev(got, expected) <= 1e-10
 
     def test_mixed_matches_sld_trace_form(self):
-        # F_kl = Re Tr[rho L_k L_l] over the operators sld_operators returns.
+        # F_kl = Re Tr[rho L_k L_l] over the least-squares SLDs, which share
+        # no code with qfim_mixed.
         rng = np.random.default_rng(54)
         net = random_network((2, 3), rng)
         rho = random_density(net.total_dim, net.dims, rng)
-        slds = sld_operators(rho, net)
+        slds = oracle_slds(rho, net)
         want = np.array([[np.real(np.trace(rho.matrix @ a @ b)) for b in slds] for a in slds])
         assert _max_rel_dev(qfim_mixed(rho, net).matrix, want) <= 1e-12
 
@@ -273,9 +217,7 @@ class TestLocalGenerators:
         with pytest.raises(LayoutError):
             qfim_pure(psi, net)
         with pytest.raises(LayoutError):
-            qfim_mixed(psi.density(), net)
-        with pytest.raises(LayoutError):
-            sld_operators(psi.density(), net)
+            qfim_mixed(density(psi), net)
 
     def test_partition_with_network_rejected(self):
         net = two_qubit_z_network()
@@ -283,18 +225,18 @@ class TestLocalGenerators:
         with pytest.raises(ValueError, match="partition"):
             qfim_pure(psi, net, net.partition)
         with pytest.raises(ValueError, match="partition"):
-            qfim_mixed(psi.density(), net, ((0,), (1,)))
+            qfim_mixed(density(psi), net, ((0,), (1,)))
 
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
             qfim_pure(_plus_state(), [])
         with pytest.raises(ValueError):
-            qfim_mixed(_plus_state().density(), [])
+            qfim_mixed(density(_plus_state()), [])
 
 
     def test_non_hermitian_generator_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            qfim_mixed(_plus_state().density(), [np.array([[0.0, 1.0], [0.0, 0.0]])])
+            qfim_mixed(density(_plus_state()), [np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
 class TestMixedColumnBlocks:
@@ -561,7 +503,7 @@ class TestCfim:
         net = two_qubit_z_network()
         probe = haar_state(4, (2, 2), rng)
         effects = random_povm(4, 3, rng)
-        want = cfim(effects, net, probe.density())
+        want = cfim(effects, net, density(probe))
         real = DensityOperator.__post_init__
         built = []
 
@@ -836,12 +778,11 @@ class TestMatrixKindRules:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: qfim_pure(_plus_state().density(), _single_qubit_net()), "qfim_pure needs a PureState, got DensityOperator"),
+            (lambda: qfim_pure(density(_plus_state()), _single_qubit_net()), "qfim_pure needs a PureState, got DensityOperator"),
             (lambda: qfim_mixed(_plus_state(), _single_qubit_net()), "qfim_mixed needs a DensityOperator, got PureState"),
             (lambda: qcrb(np.eye(2), [1.0, 1.0]), "qcrb needs a QFIM, got ndarray"),
-            (lambda: sld_operators(_plus_state(), _single_qubit_net()), "sld_operators needs a DensityOperator, got PureState"),
         ],
-        ids=["qfim_pure", "qfim_mixed", "qcrb", "sld_operators"],
+        ids=["qfim_pure", "qfim_mixed", "qcrb"],
     )
     def test_swapped_carrier_rejected(self, call, message):
         with pytest.raises(TypeError) as info:

@@ -274,6 +274,12 @@ class TestStateCarriers:
         with pytest.raises(LayoutError):
             PureState(np.array([1.0, 0.0, 0.0]), (2, 2))
 
+    def test_layout_message_names_length_not_entries(self):
+        # A layout within the cap can have any length when its entries are 1.
+        with pytest.raises(LayoutError) as info:
+            PureState([1, 0, 0, 0], (1,) * 100000)
+        assert str(info.value) == "layout of length 100000 implies dim 1, the state has dim 4"
+
     def test_density_psd_enforced(self):
         with pytest.raises(ValueError):
             DensityOperator(np.diag([1.5, -0.5]), (2,))

@@ -13,7 +13,8 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(qsnet.__path__))
 
 # The package API, by defining module. The dense full-space helpers
 # (``embed_local``, ``global_generators``) stay in ``qsnet.hilbert`` and
-# ``qsnet.network`` for the benchmark sweep and are not part of it.
+# ``qsnet.network`` for the benchmark sweep and are not part of it. The dense
+# SLD operators are built only by the oracles in ``tests/conftest.py``.
 PACKAGE_API = """
     __version__
     PureState DensityOperator partial_trace sensor_marginal expm_i
@@ -21,7 +22,7 @@ PACKAGE_API = """
     network_to_json network_from_json
     SensorFamily joint_eigenbasis separable_surrogate purify local_purification_probe
     extremal_product ghz_probe optimal_separable_probe product_defect
-    QFIM BoundReport qfim_pure qfim_mixed sld_operators qcrb
+    QFIM BoundReport qfim_pure qfim_mixed qcrb
     block_inverse_residuals cfim
     LinearFunctional BoundComparison pnorm separable_bound ghz_bound enhancement_ratio compare
     ScenarioConfig AuditResult GradientReport OpticalReport scenario_config_from_json
@@ -44,5 +45,5 @@ def test_package_exports_are_unique():
 
 def test_package_api_is_pinned():
     assert sorted(qsnet.__all__) == sorted(PACKAGE_API)
-    for name in ("eigh", "embed_local", "global_generators"):
+    for name in ("eigh", "embed_local", "global_generators", "sld_operators"):
         assert not hasattr(qsnet, name)

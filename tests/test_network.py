@@ -14,6 +14,7 @@ from qsnet import (
     encode,
     network_from_json,
     network_to_json,
+    qfim_pure,
     resource_count,
     with_collective_ancilla,
 )
@@ -115,6 +116,20 @@ class TestEncode:
         net = two_qubit_z_network()
         with pytest.raises(LayoutError):
             encode(net, PureState(np.array([1.0, 0.0]), (2,)), [0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ((1,) * 100000 + (2, 2), "length 100002 (dim 4) does not match network layout of length 2 (dim 4); they first differ at position 0"),
+            ((2, 1, 2), "length 3 (dim 4) does not match network layout of length 2 (dim 4); they first differ at position 1"),
+            ((2, 2, 1), "length 3 (dim 4) does not match network layout of length 2 (dim 4); they first differ at position 2"),
+        ],
+        ids=["long", "inner", "suffix"],
+    )
+    def test_layout_mismatch_names_lengths_not_entries(self, layout, message):
+        with pytest.raises(LayoutError) as info:
+            qfim_pure(PureState([1, 0, 0, 0], layout), two_qubit_z_network())
+        assert str(info.value) == f"state layout of {message}"
 
     def test_parameter_count_mismatch(self):
         net = two_qubit_z_network()

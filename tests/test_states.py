@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     bell_state,
     commuting_network,
+    density,
     layouts,
     oracle_qfim_pure,
     seeds,
@@ -283,7 +284,7 @@ class TestPurify:
         rng = np.random.default_rng(seed)
         dim = prod(dims)
         if rank_one:
-            rho = haar_state(dim, dims, rng).density()
+            rho = density(haar_state(dim, dims, rng))
         else:
             rho = random_density(dim, dims, rng)
         p, v = np.linalg.eigh(rho.matrix)
@@ -311,7 +312,7 @@ class TestLocalPurificationProbe:
 
     def test_bell_input_marginals_and_blocks(self):
         net = two_qubit_z_network()
-        rho = PureState(bell_state(), (2, 2)).density()
+        rho = density(PureState(bell_state(), (2, 2)))
         probe = local_purification_probe(rho, net)
         # Each sensor marginal is I/2, purified pairwise.
         for site in (0, 2):
