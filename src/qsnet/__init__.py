@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .bounds import *
 from .exceptions import DimensionLimitError, FormatError, LayoutError, NoncommutingGeneratorsError
 from .fisher import *
-from .hilbert import DensityOperator, PureState, expm_i, partial_trace, sensor_marginal
+from .hilbert import DensityOperator, PureState, partial_trace, sensor_marginal
 from .network import (
     SensorNetwork,
     SensorSpec,
@@ -37,7 +37,6 @@ __all__ = [
     "DensityOperator",
     "partial_trace",
     "sensor_marginal",
-    "expm_i",
     # network
     "SensorSpec",
     "SensorNetwork",

@@ -60,11 +60,11 @@ _AUDIT_READS = {"seed", "trials", "tol"}
 _AUDITS = {
     "t1": (audit_separable_surrogate, 42, 200, _AUDIT_READS),
     "t2": (audit_local_purification, 7, 200, _AUDIT_READS),
-    "prop1": (audit_block_inverse, 3, 1000, _AUDIT_READS | {"max_matrix_dim"}),
+    "prop1": (audit_block_inverse, 3, 1000, _AUDIT_READS),
 }
 _SCENARIOS = {
     "gradient": (gradient_scenario, 0, 1, {"n_particles", "mu", "tol"}),
-    "optical": (optical_phase_scenario, 11, 50, {f.name for f in fields(ScenarioConfig)} - {"max_matrix_dim"}),
+    "optical": (optical_phase_scenario, 11, 50, {f.name for f in fields(ScenarioConfig)}),
 }
 _RUNS = {"audit": _AUDITS, "scenario": _SCENARIOS}
 

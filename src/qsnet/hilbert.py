@@ -9,14 +9,15 @@ read it rather than factoring the matrix again.
 
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
-of rows of pairs. Decoding checks and flattens one nesting level at a time
-(tuples and ndarrays are read like lists) and converts the flat numbers in
-one call, so a D x D density never passes through an object array.
+of rows of pairs. Decoding reads lists only: it checks and flattens one
+nesting level at a time and converts the flat numbers in one call, so a
+D x D density never passes through an object array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
@@ -32,12 +33,10 @@ __all__ = [
     "SIGMA_Z",
     "PureState",
     "DensityOperator",
-    "identity",
     "require_hermitian",
     "commutator",
     "kron_all",
     "embed_local",
-    "expm_i",
     "partial_trace",
     "sensor_marginal",
     "vector_to_json",
@@ -93,22 +92,28 @@ def _index(value, n: int, name: str) -> int:
     return k
 
 
-def _check_layout(layout, dim: int) -> tuple[int, ...]:
-    """A state's ``layout`` as ``int``s whose product is ``dim``, within the cap."""
+_MAX_AXES = 64  # the most axes a numpy array has (numpy 2; numpy 1 allows 32)
+
+
+def _check_layout(layout, dim: int, axes: int) -> tuple[int, ...]:
+    """A state's ``layout`` as ``int``s whose product is ``dim``, within the
+    cap. The state's operations reshape it to ``axes`` array axes per
+    entry, so a layout longer than ``_MAX_AXES // axes`` is refused."""
     dims = layout_ints(layout, "layout entry", 1)
     implied = check_dim(dims)
     if implied != dim:
         raise LayoutError(f"layout of length {len(dims)} implies dim {implied}, the state has dim {dim}")
+    if len(dims) > _MAX_AXES // axes:
+        raise LayoutError(
+            f"layout of length {len(dims)} exceeds {_MAX_AXES // axes} entries: "
+            f"numpy allows {_MAX_AXES} axes, and this state takes {axes} per entry"
+        )
     return dims
 
 
 SIGMA_X = _frozen([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = _frozen([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = _frozen([[1.0, 0.0], [0.0, -1.0]])
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
 
 
 def require_hermitian(
@@ -153,23 +158,17 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, or of a list of vectors.
-
-    The configured dimension cap is checked on every axis of the running
-    product before it is allocated.
-    """
-    if not ops:
-        raise ValueError("empty operator list")
-    factors = [config.check_array(op, f"factor {i}", complex) for i, op in enumerate(ops)]
-    if factors[0].ndim not in (1, 2) or any(f.ndim != factors[0].ndim for f in factors):
-        raise ValueError("kron_all expects matrices only or vectors only")
-    out = factors[0]
-    for f in factors[1:]:
-        for m, n in zip(out.shape, f.shape):
-            check_dim((m, n))
-        out = np.kron(out, f)
-    return out
+def kron_all(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of a list of vectors, checked against the
+    configured dimension cap before it is allocated."""
+    if not vectors:
+        raise ValueError("empty vector list")
+    factors = [config.check_array(v, f"factor {i}", complex) for i, v in enumerate(vectors)]
+    for i, f in enumerate(factors):
+        if f.ndim != 1:
+            raise ValueError(f"factor {i} must be a vector, got shape {f.shape}")
+    check_dim(f.size for f in factors)
+    return reduce(np.kron, factors)
 
 
 def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
@@ -182,8 +181,8 @@ def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
             f"operator of shape {a.shape} does not fit site {site} with dim {dims[site]}"
         )
     check_dim(dims)
-    left = identity(prod(dims[:site]))
-    return np.kron(np.kron(left, a), identity(prod(dims[site + 1 :])))
+    left = np.eye(prod(dims[:site]), dtype=complex)
+    return np.kron(np.kron(left, a), np.eye(prod(dims[site + 1 :]), dtype=complex))
 
 
 def apply_local(op: np.ndarray, site: int, tensor: np.ndarray) -> np.ndarray:
@@ -200,20 +199,6 @@ def apply_local(op: np.ndarray, site: int, tensor: np.ndarray) -> np.ndarray:
     return out.transpose([*range(1, site + 1), 0, *range(site + 1, tensor.ndim)])
 
 
-def expm_i(op, angle: float = 1.0) -> np.ndarray:
-    """Unitary ``exp(-i * angle * op)`` for Hermitian ``op``, via eigh.
-
-    ``angle`` is one finite real number, read by :func:`config.check_array`.
-    """
-    angle = config.check_array(angle, "angle")
-    if angle.ndim:
-        raise ValueError(f"angle must be a single number, got shape {angle.shape}")
-    angle = float(angle)
-    w, v = np.linalg.eigh(require_hermitian(op))
-    phases = np.exp(-1j * angle * w)
-    return (v * phases) @ v.conj().T
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector together with its subsystem layout."""
@@ -223,7 +208,7 @@ class PureState:
 
     def __post_init__(self):
         amps = config.check_array(self.amplitudes, "amplitudes", complex).reshape(-1)
-        layout = _check_layout(self.layout, amps.size)
+        layout = _check_layout(self.layout, amps.size, 1)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1")
@@ -249,7 +234,7 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = require_hermitian(self.matrix, name="density operator")
-        layout = _check_layout(self.layout, mat.shape[0])
+        layout = _check_layout(self.layout, mat.shape[0], 2)
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > config.TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
@@ -303,34 +288,27 @@ def _entry_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _is_sequence(x) -> bool:
-    """Whether numpy's nesting rules would descend into ``x``."""
-    return isinstance(x, (list, tuple)) or (isinstance(x, np.ndarray) and x.ndim > 0)
-
-
 def _entries_from_json(items, ndim: int, where: str) -> np.ndarray:
     """Decode ``ndim`` nested axes of ``[re, im]`` pairs into complex entries.
 
     The nesting levels are checked and flattened one at a time, so no object
     array is built. Shapes follow numpy's rules: a level is an axis only if
-    every item on it is a sequence and all have one length.
+    every item on it is a list and all have one length.
     """
     kind = "vector" if ndim == 1 else "matrix"
     bad_shape = f"{where}: expected a non-empty, non-ragged {kind} of [re, im] pairs"
     flat = [items]
     shape = []
     for _ in range(ndim + 1):
-        if not set(map(type, flat)) <= {list, tuple}:
-            if not all(map(_is_sequence, flat)):
-                raise FormatError(bad_shape)
-            flat = [x.tolist() if isinstance(x, np.ndarray) else x for x in flat]
+        if set(map(type, flat)) != {list}:
+            raise FormatError(bad_shape)
         lengths = set(map(len, flat))
         if len(lengths) != 1:
             raise FormatError(bad_shape)
         shape.append(lengths.pop())
         flat = list(chain.from_iterable(flat))
-    # Pairs of equal-length sequences would be one axis too many.
-    if shape[-1] != 2 or (all(map(_is_sequence, flat)) and len(set(map(len, flat))) == 1):
+    # Pairs of equal-length lists would be one axis too many.
+    if shape[-1] != 2 or (all(isinstance(x, list) for x in flat) and len(set(map(len, flat))) == 1):
         raise FormatError(bad_shape)
     # float() would read a JSON boolean as 1.0 or 0.0; it is not a number.
     for t in set(map(type, flat)):

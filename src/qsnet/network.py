@@ -28,7 +28,6 @@ from .hilbert import (
     apply_local,
     check_dim,
     embed_local,
-    expm_i,
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
@@ -152,7 +151,8 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
         for j, g in enumerate(s.generators):
             exponent += values[offset + j] * g
         offset += s.n_params
-        unitaries.append((site, expm_i(exponent)))
+        w, v = np.linalg.eigh(exponent)
+        unitaries.append((site, (v * np.exp(-1j * w)) @ v.conj().T))
     if isinstance(state, PureState):
         tensor = state.amplitudes.reshape(net.dims)
         for site, u in unitaries:

@@ -61,7 +61,10 @@ __all__ = [
 _COND_GUARD = 1e-2
 
 # Smallest admissible value of each integer field of ScenarioConfig.
-_INT_MINIMUM = dict(seed=0, trials=1, n_particles=1, n_modes=1, mode_cutoff=1, mu=1, max_matrix_dim=2)
+_INT_MINIMUM = dict(seed=0, trials=1, n_particles=1, n_modes=1, mode_cutoff=1, mu=1)
+
+# prop1 draws its matrix dimension uniformly from 2 to this, inclusive.
+_PROP1_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class ScenarioConfig:
     n_modes: int = 2
     mode_cutoff: int = 3
     mu: int = 1
-    max_matrix_dim: int = 12
 
     def __post_init__(self):
         for name, minimum in _INT_MINIMUM.items():
@@ -442,7 +444,7 @@ def audit_block_inverse(cfg: ScenarioConfig) -> AuditResult:
     """
 
     def trial(rng, kind):
-        d = int(rng.integers(2, cfg.max_matrix_dim + 1))
+        d = int(rng.integers(2, _PROP1_MAX_DIM + 1))
         partition = _random_partition(d, rng)
         mat = random_spd(d, rng)
         if kind == "block_diagonal":

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qsnet import DensityOperator, SensorNetwork, SensorSpec, config
-from qsnet.hilbert import SIGMA_Y, SIGMA_Z, kron_all
+from qsnet.hilbert import SIGMA_Y, SIGMA_Z
 from qsnet.sampling import haar_unitary
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
@@ -67,10 +67,9 @@ NOT_NUMERIC_ARRAY = [
 NOT_NUMERIC_COMPLEX_ARRAY = [p for p in NOT_NUMERIC_ARRAY if p.id != "complex"]
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices or two vectors: the two-factor
-    case of ``kron_all``, which checks the dimension cap and finiteness."""
-    return kron_all([a, b])
+def identity(dim: int) -> np.ndarray:
+    """The complex ``dim`` x ``dim`` identity matrix."""
+    return np.eye(dim, dtype=complex)
 
 
 def sign_patterns(d: int) -> list[np.ndarray]:

@@ -90,7 +90,7 @@ def test_criterion_1_qfim_oracle_equivalence():
 
 def test_criterion_2_block_inverse_audit():
     """1000 random positive-definite matrices with random partitions."""
-    result = audit_block_inverse(ScenarioConfig(seed=3, trials=1000, max_matrix_dim=12))
+    result = audit_block_inverse(ScenarioConfig(seed=3, trials=1000))
     general = [r["min_residual"] for r in result.records if r["kind"] == "general"]
     equality = [r["abs_residual"] for r in result.records if r["kind"] == "block_diagonal"]
     ok = len(general) == 1000 and min(general) >= -1e-9 and max(equality) <= 1e-10

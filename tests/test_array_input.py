@@ -37,7 +37,7 @@ COMPLEX_INPUTS = {
     "SensorSpec_resource": (lambda x: SensorSpec(2, (SIGMA_Z,), x), _RESOURCE, "resource operator"),
     "PureState": (lambda x: PureState(x, (2,)), [1.0, 0.0], "amplitudes"),
     "DensityOperator": (lambda x: DensityOperator(x, (2,)), np.diag([1.0, 0.0]), "density operator"),
-    "kron_all": (lambda x: kron_all([x, SIGMA_Z]), SIGMA_X, "factor 0"),
+    "kron_all": (lambda x: kron_all([x, [1.0, 0.0]]), [0.0, 1.0], "factor 0"),
     "embed_local": (lambda x: embed_local(x, 0, (2, 2)), SIGMA_X, "local operator"),
 }
 

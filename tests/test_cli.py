@@ -369,6 +369,27 @@ class TestInputFailureKinds:
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'state.json'}: layout of length 5000 implies dim 1, the state has dim 2\n"
 
+    @pytest.mark.parametrize(
+        "state, longest, axes",
+        [(vector_to_json(np.array([0.0, 1.0])), 64, 1), (matrix_to_json(np.diag([0.25, 0.75])), 32, 2)],
+        ids=["pure", "density"],
+    )
+    def test_layout_past_numpy_axes_exits_two(self, tmp_path, capsys, state, longest, axes):
+        # One-dimensional sensors and a qubit: the longest layout runs, one
+        # entry more is rejected input, not a fault inside numpy.
+        one = SensorSpec(1, (), np.zeros((1, 1)))
+        qubit = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
+        _write(tmp_path / "state.json", state)
+        for length, code in ((longest, 0), (longest + 1, 2)):
+            _write(tmp_path / "net.json", network_to_json(SensorNetwork((one,) * (length - 1) + (qubit,))))
+            argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "state.json"), "--out", str(tmp_path / str(length))]
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'state.json'}: layout of length {longest + 1} exceeds {longest} entries: "
+            f"numpy allows 64 axes, and this state takes {axes} per entry\n"
+        )
+
 
 class TestLocalGenerators:
     def test_hot_paths_build_no_full_space_generator(self, tmp_path, monkeypatch):
@@ -433,14 +454,6 @@ class TestRunConfig:
         assert manifest["seed"] == 11
         assert manifest["config"]["trials"] == 2
 
-    def test_file_max_matrix_dim_reaches_runner(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"max_matrix_dim": 3})
-        code = main(["audit", "prop1", "--config", str(cfg), "--trials", "20", "--out", str(tmp_path)])
-        assert code == 0
-        doc = json.loads((tmp_path / "audit_prop1.json").read_text())
-        assert max(r["d"] for r in doc["records"]) <= 3
-
     def test_flags_win_over_file_and_file_over_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         _write(cfg, {"scenario": "optical", "mode_cutoff": 2, "trials": 9})
@@ -453,11 +466,11 @@ class TestRunConfig:
 
     def test_manifest_config_is_resolved_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        _write(cfg, {"seed": 8, "trials": 15, "tol": 1e-8, "max_matrix_dim": 5})
+        _write(cfg, {"seed": 8, "trials": 15, "tol": 1e-8})
         code = main(["audit", "prop1", "--config", str(cfg), "--trials", "10", "--out", str(tmp_path)])
         assert code == 0
         manifest = json.loads((tmp_path / "audit_prop1_manifest.json").read_text())
-        resolved = ScenarioConfig(seed=8, trials=10, tol=1e-8, max_matrix_dim=5)
+        resolved = ScenarioConfig(seed=8, trials=10, tol=1e-8)
         assert manifest["config"] == asdict(resolved)
         assert manifest["seed"] == 8
 

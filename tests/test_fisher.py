@@ -15,6 +15,7 @@ from conftest import (
     commuting_network,
     density,
     full_square_sld_qfim,
+    identity,
     layouts,
     oracle_cfim,
     oracle_qfim_mixed,
@@ -42,7 +43,7 @@ from qsnet import (
 )
 from qsnet import fisher
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
 

@@ -17,7 +17,7 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(qsnet.__path__))
 # SLD operators are built only by the oracles in ``tests/conftest.py``.
 PACKAGE_API = """
     __version__
-    PureState DensityOperator partial_trace sensor_marginal expm_i
+    PureState DensityOperator partial_trace sensor_marginal
     SensorSpec SensorNetwork encode resource_count doubled with_collective_ancilla
     network_to_json network_from_json
     SensorFamily joint_eigenbasis separable_surrogate purify local_purification_probe
@@ -45,5 +45,5 @@ def test_package_exports_are_unique():
 
 def test_package_api_is_pinned():
     assert sorted(qsnet.__all__) == sorted(PACKAGE_API)
-    for name in ("eigh", "embed_local", "global_generators", "sld_operators"):
+    for name in ("eigh", "embed_local", "expm_i", "global_generators", "sld_operators"):
         assert not hasattr(qsnet, name)

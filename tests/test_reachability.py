@@ -36,16 +36,16 @@ COMMANDS = [
 # - ``scenario_config_from_json`` is reached by ``--config``, ``_entry_to_pair``
 #   by complex JSON entries and ``config._shown`` by integers too large to
 #   print;
-# - ``cfim``, ``encode``, ``_check_phi`` and ``expm_i`` are paper-facing code
-#   that no command calls yet;
-# - ``embed_local``, ``identity`` and ``global_generators`` build dense
-#   full-space generators for tests and the benchmark sweep;
+# - ``cfim``, ``encode`` and ``_check_phi`` are paper-facing code that no
+#   command calls yet;
+# - ``embed_local`` and ``global_generators`` build dense full-space
+#   generators for tests and the benchmark sweep;
 # - the ``*_to_json`` writers write inputs for tests and the benchmark.
 UNREACHED = sorted(
     """
     config._shown
     fisher.cfim
-    hilbert.identity hilbert.embed_local hilbert.expm_i hilbert._entry_to_pair
+    hilbert.embed_local hilbert._entry_to_pair
     hilbert.vector_to_json hilbert.matrix_to_json
     network.global_generators network._check_phi network.encode network.network_to_json
     scenarios.scenario_config_from_json

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import NOT_FINITE_POSITIVE, dense_generators, oracle_qfim_pure
+from conftest import NOT_FINITE_POSITIVE, dense_generators, identity, oracle_qfim_pure
 from qsnet import (
     QFIM,
     ScenarioConfig,
@@ -27,10 +27,10 @@ from qsnet import (
     with_collective_ancilla,
 )
 from qsnet.exceptions import DimensionLimitError, FormatError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState
 from qsnet.reporting import dumps, sha256_of_arrays
 from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
-from qsnet.scenarios import _random_partition, _run_trials, _zero_off_blocks
+from qsnet.scenarios import _PROP1_MAX_DIM, _random_partition, _run_trials, _zero_off_blocks
 
 
 def _dicke_isometry(n: int) -> np.ndarray:
@@ -127,7 +127,7 @@ class TestConfig:
             ScenarioConfig(mu=0)
 
     @pytest.mark.parametrize(
-        "field", ["seed", "trials", "n_particles", "n_modes", "mode_cutoff", "mu", "max_matrix_dim"]
+        "field", ["seed", "trials", "n_particles", "n_modes", "mode_cutoff", "mu"]
     )
     @pytest.mark.parametrize("bad", [2.5, 3.0, True])
     def test_non_integer_field_rejected(self, field, bad):
@@ -326,7 +326,7 @@ class TestBlockInverseAudit:
         record = audit_block_inverse(cfg).records[-1]
         assert record["kind"] == "block_diagonal" and record["draw"] == 203
         rng = trial_rng(cfg.seed, record["draw"])
-        d = int(rng.integers(2, cfg.max_matrix_dim + 1))
+        d = int(rng.integers(2, _PROP1_MAX_DIM + 1))
         partition = _random_partition(d, rng)
         mat = _zero_off_blocks(random_spd(d, rng), partition)
         assert (record["d"], record["n_blocks"]) == (d, len(partition))

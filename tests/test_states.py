@@ -13,6 +13,7 @@ from conftest import (
     bell_state,
     commuting_network,
     density,
+    identity,
     layouts,
     oracle_qfim_pure,
     seeds,
@@ -42,7 +43,7 @@ from qsnet import (
     separable_surrogate,
 )
 from qsnet.exceptions import DimensionLimitError, LayoutError, NoncommutingGeneratorsError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, identity, partial_trace
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, partial_trace
 from qsnet.sampling import haar_state, haar_unitary, random_density
 from qsnet.scenarios import qubit_ensemble_family, truncated_mode_family
 from qsnet.states import SensorFamily
