@@ -11,11 +11,10 @@ Subcommands::
 
 Every subcommand takes ``--out DIR``; all but ``qfim`` (always JSON) take
 ``--format json|csv``. ``audit`` and ``scenario`` also take ``--seed``,
-``--trials``, ``--tol`` and ``--config FILE``, and ``scenario`` takes
-``--N``, ``--mu``, ``--modes`` and ``--cutoff``. Their run settings are
-layered: the subcommand's defaults, then the fields the config file sets,
-then explicit flags. A flag or config field the kind never reads is a
-configuration error. The manifest echoes the resolved settings.
+``--trials`` and ``--tol``, and ``scenario`` takes ``--N``, ``--mu``,
+``--modes`` and ``--cutoff``. Their run settings are layered: the
+subcommand's defaults, then explicit flags. A flag the kind never reads is
+a configuration error. The manifest echoes the resolved settings.
 
 Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on rejected
 input (bad flags, malformed JSON, mismatched dimensions, the dimension cap),
@@ -51,7 +50,6 @@ from .scenarios import (
     audit_separable_surrogate,
     gradient_scenario,
     optical_phase_scenario,
-    scenario_config_from_json,
 )
 
 # (runner, default seed, default trials, the ScenarioConfig fields it reads)
@@ -74,20 +72,13 @@ def _now() -> str:
 
 
 def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
-    """The kind's defaults, then the fields ``--config`` sets, then flags."""
-    cfg = ScenarioConfig(seed=seed, trials=trials)
+    """The kind's defaults, then flags."""
     flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
     flags = {k: v for k, v in flags.items() if v is not None}
     unread = set(flags) - reads
-    if args.config:
-        doc = read_json(args.config)
-        name, cfg = located(args.config, scenario_config_from_json, doc, cfg)
-        if name is not None and name != args.kind:
-            raise FormatError(f"{args.config}: config is for '{name}', not '{args.kind}'")
-        unread |= set(doc) - {"scenario"} - reads
     if unread:
         raise FormatError(f"{args.command} {args.kind} does not read {sorted(unread)}")
-    return located(None, replace, cfg, **flags)
+    return located(None, replace, ScenarioConfig(seed=seed, trials=trials), **flags)
 
 
 def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:
@@ -217,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--tol", type=float, help=f"violation tolerance (default {ScenarioConfig.tol:g})")
-    run.add_argument("--config", help="JSON config file; flags override")
 
     audit = sub.add_parser("audit", parents=[run], help="run a randomized audit")
     audit.add_argument("kind", choices=sorted(_AUDITS))

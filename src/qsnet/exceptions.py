@@ -16,8 +16,8 @@ class NoncommutingGeneratorsError(ValueError):
 
 
 class FormatError(ValueError):
-    """A malformed or out-of-range value from a file, a flag, a config field or
-    QSN_MAX_DIM. A failure read from a file keeps its kind (:class:`LayoutError`,
+    """A malformed or out-of-range value from a file, a flag or QSN_MAX_DIM.
+    A failure read from a file keeps its kind (:class:`LayoutError`,
     :class:`DimensionLimitError`) and names the file and field (:func:`located`)."""
 
 

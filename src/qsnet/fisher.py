@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -362,8 +363,10 @@ def cfim(
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
         rho = state.matrix
-    rows = rho.reshape(layout + (dim,))
-    applied = np.stack([apply_local(h, site, rows).reshape(-1) for site, h in gens])
+    # Each generator acts on its sensor's row axis of a three-axis view, so
+    # no reshape grows with the layout length.
+    views = [(h, (prod(layout[:site]), layout[site], -1)) for site, h in gens]
+    applied = np.stack([apply_local(h, 1, rho.reshape(shape)).reshape(-1) for h, shape in views])
     # Tr[E_m X] = <E_m, X> for Hermitian E_m, so p_m = Re <E_m, rho> and
     # d_k p_m = -i Tr[E_m [H_k, rho]] = 2 Im Tr[E_m H_k rho].
     effects_conj = ops.reshape(len(ops), -1).conj()
@@ -374,9 +377,9 @@ def cfim(
     low = len(ops) - int(np.count_nonzero(kept))
     outcomes = f"{low} outcome(s) with probability below {config.CFIM_PROB_FLOOR:g}"
     if low and len(gens) == 1:
-        # H rho H, with H on the row axis and conj(H) on the column axis.
-        ((site, h),) = gens
-        sandwich = apply_local(h.conj(), len(layout) + site, apply_local(h, site, rho.reshape(layout + layout)))
+        # H rho H = H (H rho)^dagger, as H and rho are Hermitian.
+        ((h, shape),) = views
+        sandwich = apply_local(h, 1, applied[0].reshape(dim, dim).conj().T.reshape(shape))
         mat += 4.0 * float(np.sum(np.real(effects_conj[~kept] @ sandwich.reshape(-1))))
         warnings.warn(f"{outcomes} counted by their limit 4 Re Tr[E_m H rho H]", RuntimeWarning, stacklevel=2)
     elif low:

@@ -10,7 +10,7 @@ counted, never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "AuditResult",
     "GradientReport",
     "OpticalReport",
-    "scenario_config_from_json",
     "qubit_ensemble_family",
     "truncated_mode_family",
     "audit_separable_surrogate",
@@ -89,34 +88,6 @@ class ScenarioConfig:
         """Tighter tolerance for exact structural checks (product form,
         forced equality cases)."""
         return self.tol / 10.0
-
-
-def scenario_config_from_json(
-    obj, base: ScenarioConfig = ScenarioConfig()
-) -> tuple[str | None, ScenarioConfig]:
-    """Override the fields of ``base`` that a JSON document sets; fields the
-    document omits keep their ``base`` values.
-
-    Only what JSON adds is checked here: the document must be an object,
-    its optional ``"scenario"`` entry a string, and every other key a
-    :class:`ScenarioConfig` field. The values are checked by
-    :class:`ScenarioConfig` itself; a value it refuses raises
-    :class:`FormatError` with the same message as in the Python API.
-
-    The ``"scenario"`` entry names the audit or experiment the config is
-    meant for; it is returned alongside the config so callers can
-    cross-check it against what they are about to run.
-    """
-    if not isinstance(obj, dict):
-        raise FormatError("scenario config must be a JSON object")
-    settings = dict(obj)
-    name = settings.pop("scenario", None)
-    unknown = sorted(set(settings) - {f.name for f in fields(ScenarioConfig)})
-    if unknown:
-        raise FormatError(f"scenario config: unknown fields {unknown}")
-    if name is not None and not isinstance(name, str):
-        raise FormatError("scenario config: 'scenario' must be a string")
-    return name, located("scenario config", replace, base, **settings)
 
 
 @dataclass(frozen=True)

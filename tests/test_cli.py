@@ -83,28 +83,9 @@ class TestAudit:
     def test_unknown_kind_is_config_error(self, tmp_path):
         assert main(["audit", "t9", "--out", str(tmp_path)]) == 2
 
-    def test_config_file_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"scenario": "prop1", "seed": 8, "trials": 15})
-        code = main(["audit", "prop1", "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == 0
-        doc = json.loads((tmp_path / "audit_prop1.json").read_text())
-        assert doc["seed"] == 8
-        # Explicit flags override the file.
-        code = main(["audit", "prop1", "--config", str(cfg), "--seed", "2", "--out", str(tmp_path)])
-        assert code == 0
-        doc = json.loads((tmp_path / "audit_prop1.json").read_text())
-        assert doc["seed"] == 2
-
-    def test_config_scenario_mismatch_is_config_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"scenario": "t2", "trials": 5})
-        assert main(["audit", "prop1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-
-    def test_config_unknown_field_is_config_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"scenario": "prop1", "wrong": 1})
-        assert main(["audit", "prop1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    def test_config_option_is_refused(self, tmp_path, capsys):
+        assert main(["audit", "t1", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 class TestScenario:
@@ -434,30 +415,24 @@ class TestInternalFault:
 
 
 class TestRunConfig:
-    """Run settings layer: kind defaults, then the config file, then flags."""
+    """Run settings layer: kind defaults, then flags."""
 
-    def test_file_without_seed_keeps_audit_default_seed(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"tol": 1e-9})
-        code = main(["audit", "prop1", "--config", str(cfg), "--trials", "20", "--out", str(tmp_path)])
+    def test_flags_without_seed_keep_audit_default_seed(self, tmp_path):
+        code = main(["audit", "prop1", "--tol", "1e-9", "--trials", "20", "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "audit_prop1.json").read_text())
         assert doc["seed"] == 3
         assert doc["trials"] == 24  # 20 general trials plus 4 block-diagonal ones
 
-    def test_file_without_seed_keeps_optical_default_seed(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"tol": 1e-9})
-        code = main(["scenario", "optical", "--config", str(cfg), "--trials", "2", "--out", str(tmp_path)])
+    def test_flags_without_seed_keep_optical_default_seed(self, tmp_path):
+        code = main(["scenario", "optical", "--tol", "1e-9", "--trials", "2", "--out", str(tmp_path)])
         assert code == 0
         manifest = json.loads((tmp_path / "scenario_optical_manifest.json").read_text())
         assert manifest["seed"] == 11
         assert manifest["config"]["trials"] == 2
 
-    def test_flags_win_over_file_and_file_over_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"scenario": "optical", "mode_cutoff": 2, "trials": 9})
-        code = main(["scenario", "optical", "--config", str(cfg), "--trials", "3", "--out", str(tmp_path)])
+    def test_flags_win_over_defaults(self, tmp_path):
+        code = main(["scenario", "optical", "--cutoff", "2", "--trials", "3", "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "scenario_optical.json").read_text())
         assert (doc["cutoff"], doc["surrogate_trials"], doc["modes"]) == (2, 3, 2)
@@ -465,10 +440,8 @@ class TestRunConfig:
         assert manifest["config"] == asdict(ScenarioConfig(seed=11, trials=3, mode_cutoff=2))
 
     def test_manifest_config_is_resolved_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"seed": 8, "trials": 15, "tol": 1e-8})
-        code = main(["audit", "prop1", "--config", str(cfg), "--trials", "10", "--out", str(tmp_path)])
-        assert code == 0
+        argv = ["audit", "prop1", "--seed", "8", "--tol", "1e-8", "--trials", "10", "--out", str(tmp_path)]
+        assert main(argv) == 0
         manifest = json.loads((tmp_path / "audit_prop1_manifest.json").read_text())
         resolved = ScenarioConfig(seed=8, trials=10, tol=1e-8)
         assert manifest["config"] == asdict(resolved)
@@ -514,12 +487,6 @@ class TestOutsideNumbers:
     )
     def test_non_finite_flag(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("tol", [float("nan"), 10**400], ids=["nan", "huge_int"])
-    def test_config_tol(self, tmp_path, tol):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"tol": tol})
-        assert main(["audit", "t1", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_state_entry_too_large_for_float(self, tmp_path, single_qubit_net_file):
         state = tmp_path / "huge.json"
@@ -704,14 +671,10 @@ class TestJsonInput:
         assert mixed.matrix.tobytes() == rho.tobytes()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("kind", ["state", "network", "config"])
+    @pytest.mark.parametrize("kind", ["state", "network"])
     def test_non_finite_literal(self, tmp_path, single_qubit_net_file, capsys, literal, kind):
         bad = tmp_path / f"{kind}.json"
-        if kind == "config":
-            bad.write_text(f'{{"tol":\n  {literal}}}', encoding="utf-8")
-            argv = ["audit", "t1", "--trials", "2", "--config", str(bad)]
-            where = "line 2 column 3"
-        elif kind == "network":
+        if kind == "network":
             bad.write_text(single_qubit_net_file.read_text().replace("0.5", literal, 1), encoding="utf-8")
             argv = ["qfim", str(bad), str(single_qubit_net_file)]
             where = "line 1 column"
@@ -740,7 +703,7 @@ class TestJsonInput:
     @pytest.mark.parametrize("bad", ["network", "state"])
     def test_build_error_names_the_file(self, tmp_path, single_qubit_net_file, capsys, bad):
         # A document that parses but does not build gets the file name in
-        # front, as a --config error does.
+        # front, as a parse error does.
         net, state = single_qubit_net_file, tmp_path / "state.json"
         if bad == "network":
             doc = json.loads(net.read_text(encoding="utf-8"))
@@ -762,14 +725,6 @@ class TestJsonInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: invalid JSON at line 1 column ")
         assert err.count(str(bad)) == 1
-
-    def test_seed_beyond_64_bits_is_not_an_integer(self, tmp_path, capsys):
-        # Integers past 2**64 - 1 parse as floats, which no integer field takes.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"seed": 18446744073709551616}', encoding="utf-8")
-        assert main(["audit", "t1", "--trials", "2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{cfg}: scenario config: seed must be an integer >= 0, got 1.8446744073709552e+19" in err
 
 
 class TestCollectorPause:
@@ -830,7 +785,7 @@ class TestCollectorPause:
 
 
 class TestUnreadSettings:
-    """A flag or config field the kind never reads is a configuration error."""
+    """A flag the kind never reads is a configuration error."""
 
     def test_gradient_flags_named(self, tmp_path, capsys):
         argv = ["scenario", "gradient", "--modes", "5", "--cutoff", "7", "--seed", "9", "--trials", "3"]
@@ -838,26 +793,9 @@ class TestUnreadSettings:
         assert "['mode_cutoff', 'n_modes', 'seed', 'trials']" in capsys.readouterr().err
         assert not (tmp_path / "scenario_gradient.json").exists()
 
-    @pytest.mark.parametrize(
-        "command, kind, doc",
-        [
-            ("audit", "t1", {"max_matrix_dim": 5}),
-            ("audit", "t2", {"mu": 2}),
-            ("audit", "prop1", {"n_particles": 6}),
-            ("scenario", "gradient", {"seed": 1}),
-            ("scenario", "optical", {"max_matrix_dim": 5}),
-        ],
-    )
-    def test_config_field(self, tmp_path, capsys, command, kind, doc):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, doc)
-        assert main([command, kind, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert repr(sorted(doc)) in capsys.readouterr().err
-
     def test_read_settings_accepted(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        _write(cfg, {"scenario": "gradient", "n_particles": 6, "mu": 2, "tol": 1e-8})
-        assert main(["scenario", "gradient", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        argv = ["scenario", "gradient", "--N", "6", "--mu", "2", "--tol", "1e-8"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
 
 
 class TestDecomposeOnce:

@@ -44,6 +44,7 @@ from qsnet import (
 from qsnet import fisher
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState
+from qsnet.network import global_generators
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
 
@@ -211,6 +212,21 @@ class TestLocalGenerators:
         slds = oracle_slds(rho, net)
         want = np.array([[np.real(np.trace(rho.matrix @ a @ b)) for b in slds] for a in slds])
         assert _max_rel_dev(qfim_mixed(rho, net).matrix, want) <= 1e-12
+
+    def test_sequence_form_matches_network(self):
+        # Dense full-space generators with the network's partition, the
+        # form the benchmark sweep times, give the network's matrix.
+        rng = np.random.default_rng(57)
+        qubit = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))
+        net = SensorNetwork((qubit, SensorSpec(3, (random_hermitian(3, rng),), identity(3))))
+        psi = haar_state(6, net.dims, rng)
+        rho = random_density(6, net.dims, rng)
+        for fim, want in [
+            (qfim_pure(psi, global_generators(net), net.partition), qfim_pure(psi, net)),
+            (qfim_mixed(rho, global_generators(net), net.partition), qfim_mixed(rho, net)),
+        ]:
+            assert fim.partition == net.partition == ((0, 1), (2,))
+            assert _max_rel_dev(fim.matrix, want.matrix) <= 1e-12
 
     def test_state_layout_must_match_network(self):
         net = two_qubit_z_network()
@@ -603,6 +619,20 @@ class TestCfim:
             warnings.simplefilter("error")
             out = cfim(effects, net, _plus_state(), phi0=[1e-3])
         assert out[0, 0] == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("idle", [0, 40, 63])
+    def test_long_pure_layout(self, idle):
+        # Idle one-dimensional sensors in front of the qubit lengthen the
+        # layout to 64 entries, the most a PureState takes, and change
+        # nothing else.
+        idle_sensor = SensorSpec(1, (), np.zeros((1, 1)))
+        net = SensorNetwork((idle_sensor,) * idle + _single_qubit_net().sensors)
+        w, v = np.linalg.eigh(np.asarray(SIGMA_X))
+        effects = [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
+        probe = PureState(_plus_state().amplitudes, net.dims)
+        with pytest.warns(RuntimeWarning, match="1 outcome.*counted by their limit"):
+            out = cfim(effects, net, probe)
+        assert_allclose(out, [[1.0]], atol=1e-12)
 
     def test_zero_probability_outcome_of_mixed_probe_counts_by_its_limit(self):
         # One parameter on a qutrit next to a parameter-free qubit. The probe

@@ -25,7 +25,7 @@ PACKAGE_API = """
     QFIM BoundReport qfim_pure qfim_mixed qcrb
     block_inverse_residuals cfim
     LinearFunctional BoundComparison pnorm separable_bound ghz_bound enhancement_ratio compare
-    ScenarioConfig AuditResult GradientReport OpticalReport scenario_config_from_json
+    ScenarioConfig AuditResult GradientReport OpticalReport
     qubit_ensemble_family truncated_mode_family audit_separable_surrogate
     audit_local_purification audit_block_inverse gradient_scenario optical_phase_scenario
     DimensionLimitError LayoutError NoncommutingGeneratorsError FormatError

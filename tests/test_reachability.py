@@ -33,9 +33,8 @@ COMMANDS = [
 ]
 
 # Definitions none of the commands enters, as ``module.name``:
-# - ``scenario_config_from_json`` is reached by ``--config``, ``_entry_to_pair``
-#   by complex JSON entries and ``config._shown`` by integers too large to
-#   print;
+# - ``_entry_to_pair`` is reached by complex JSON entries and
+#   ``config._shown`` by integers too large to print;
 # - ``cfim``, ``encode`` and ``_check_phi`` are paper-facing code that no
 #   command calls yet;
 # - ``embed_local`` and ``global_generators`` build dense full-space
@@ -48,7 +47,6 @@ UNREACHED = sorted(
     hilbert.embed_local hilbert._entry_to_pair
     hilbert.vector_to_json hilbert.matrix_to_json
     network.global_generators network._check_phi network.encode network.network_to_json
-    scenarios.scenario_config_from_json
     """.split()
 )
 

@@ -26,7 +26,7 @@ from qsnet import (
     truncated_mode_family,
     with_collective_ancilla,
 )
-from qsnet.exceptions import DimensionLimitError, FormatError
+from qsnet.exceptions import DimensionLimitError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState
 from qsnet.reporting import dumps, sha256_of_arrays
 from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
@@ -148,53 +148,8 @@ class TestConfig:
     def test_real_tol_stored_as_float(self, tol):
         assert type(ScenarioConfig(tol=tol).tol) is float
 
-    def test_json_tol_too_large_for_float(self):
-        from qsnet import scenario_config_from_json
-
-        with pytest.raises(FormatError):
-            scenario_config_from_json({"tol": 10**400})
-
     def test_structure_tol_derived(self):
         assert ScenarioConfig(tol=1e-9).structure_tol == pytest.approx(1e-10)
-
-    def test_json_round_trip(self):
-        from qsnet import scenario_config_from_json
-
-        name, cfg = scenario_config_from_json(
-            {"scenario": "t1", "seed": 5, "trials": 17, "tol": 1e-8}
-        )
-        assert name == "t1"
-        assert (cfg.seed, cfg.trials, cfg.tol) == (5, 17, 1e-8)
-
-    def test_json_unknown_field_rejected(self):
-        from qsnet import scenario_config_from_json
-        from qsnet.exceptions import FormatError
-
-        with pytest.raises(FormatError, match="unknown fields"):
-            scenario_config_from_json({"seed": 1, "bogus": 2})
-
-    def test_json_type_checked(self):
-        from qsnet import scenario_config_from_json
-        from qsnet.exceptions import FormatError
-
-        with pytest.raises(FormatError):
-            scenario_config_from_json({"trials": "many"})
-        with pytest.raises(FormatError):
-            scenario_config_from_json({"trials": True})
-
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ([{"seed": 1}], "scenario config must be a JSON object"),
-            ({"scenario": 3}, "scenario config: 'scenario' must be a string"),
-        ],
-        ids=["not-object", "scenario-name"],
-    )
-    def test_json_shape_checked(self, doc, message):
-        from qsnet import scenario_config_from_json
-
-        with pytest.raises(FormatError, match=message):
-            scenario_config_from_json(doc)
 
 
 class TestSurrogateAudit:
