@@ -10,6 +10,7 @@ counted, never silently dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -131,6 +132,13 @@ def _finish(name, cfg, violation, structure, regenerated, records) -> AuditResul
         passed=bool(violation <= cfg.tol and structure <= cfg.structure_tol),
         records=tuple(records),
     )
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, or NaN if any is NaN. Python's ``max`` skips
+    a NaN that does not come first, so a check that computed NaN would pass."""
+    values = tuple(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 # --- sensor families ---------------------------------------------------------
@@ -281,8 +289,8 @@ def _run_trials(cfg: ScenarioConfig, trial, first_draw: int = 0) -> tuple[float,
             regenerated += 1
             continue
         record, checks, defect = out
-        violation = max((violation, *checks))
-        structure = max(structure, defect)
+        violation = _worst((violation, *checks))
+        structure = _worst((structure, defect))
         records.append({"trial": len(records), "draw": draw - 1, **record})
     return violation, structure, regenerated, records
 
@@ -507,7 +515,7 @@ def gradient_scenario(cfg: ScenarioConfig) -> GradientReport:
         "ratio_vs_enhancement": abs(ratio - closed.ratio),
     }
     passed = (
-        max(defects.values()) <= cfg.tol
+        _worst(defects.values()) <= cfg.tol
         and sum_sensitivity <= cfg.structure_tol
         and both_ent.singular
         and not both_sep.singular
@@ -619,7 +627,7 @@ def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:
         violation <= cfg.tol
         and structure <= cfg.structure_tol
         and vacuum_flagged
-        and max(abs(q - cfg.mode_cutoff**2) for q in per_mode_qfi) <= cfg.tol
+        and _worst(abs(q - cfg.mode_cutoff**2) for q in per_mode_qfi) <= cfg.tol
         and alloc_bound >= analytic - cfg.tol
     )
     return OpticalReport(

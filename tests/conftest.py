@@ -8,7 +8,11 @@ only the rank-cutoff constants and the classical probability floor from
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,16 @@ from hypothesis import strategies as st
 from qsnet import DensityOperator, SensorNetwork, SensorSpec, config
 from qsnet.hilbert import SIGMA_Y, SIGMA_Z
 from qsnet.sampling import haar_unitary
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh process that imports qsnet from this
+    checkout's sources, with stdout and stderr piped and read as text."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of
 # dimension 1 to 4.

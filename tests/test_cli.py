@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import run_python
 from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli, scenarios
 from qsnet.cli import main
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
@@ -205,6 +206,20 @@ class TestBoundsSweep:
         assert f"error: --N must be an integer >= 1, got {n}" in capsys.readouterr().err
         assert not (tmp_path / "bounds_sweep.json").exists()
 
+    @pytest.mark.parametrize("d", ["4097", "100000000000"])
+    def test_sensor_count_past_the_cap(self, tmp_path, monkeypatch, capsys, d):
+        # Refused before np.ones(d) is built: at 10**11 numpy's allocation
+        # failure exited 3.
+        monkeypatch.delenv("QSN_MAX_DIM", raising=False)
+        assert main(["bounds", "sweep", "--d", "2", d, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --d: {d} sensors exceed the cap 4096 (QSN_MAX_DIM)\n"
+        assert not (tmp_path / "bounds_sweep.json").exists()
+
+    def test_sensor_count_under_a_raised_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QSN_MAX_DIM", "5000")
+        assert main(["bounds", "sweep", "--d", "4097", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("d=4097 N=4097: ")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -390,6 +405,14 @@ class TestLocalGenerators:
         argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "rho.json"), "--out", str(tmp_path)]
         assert main(argv) == 0
         assert len(json.loads((tmp_path / "qfim.json").read_text())["qfim"]) == 4
+
+
+class TestFrozenHeap:
+    @pytest.mark.parametrize("module,frozen", [("qsnet.cli", True), ("qsnet", False)])
+    def test_only_the_cli_import_freezes(self, module, frozen):
+        run = run_python("-c", f"import {module}, gc; print(gc.get_freeze_count())")
+        assert run.returncode == 0, run.stderr
+        assert (int(run.stdout) > 0) is frozen, run.stdout
 
 
 class TestInternalFault:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 from qsnet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -134,6 +135,19 @@ def test_csv_report_matches_golden(tmp_path, argv, report):
 def test_summary_line_matches_golden(tmp_path, capsys, argv, line):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == line
+
+
+def test_piped_console_run_writes_everything_at_exit(tmp_path):
+    # Importing qsnet.cli freezes the heap; a process that exits with it
+    # frozen still flushes its piped stdout and writes its report.
+    argv = ["audit", "t2", "--trials", "5"]
+    run = run_python("-m", "qsnet.cli", *argv, "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    summary = dict((tuple(a), line) for a, line in SUMMARIES)[tuple(argv)]
+    assert run.stdout == f"{summary}\nreport: {tmp_path / 'audit_t2.json'}\n"
+    got = json.loads((tmp_path / "audit_t2.json").read_text(encoding="utf-8"))
+    want = json.loads((GOLDEN / "audit_t2.json").read_text(encoding="utf-8"))
+    assert _mismatches(got, want, want.get("tol", 1e-9)) == []
 
 
 def test_comparison_catches_drift():

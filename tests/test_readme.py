@@ -1,11 +1,10 @@
 """The README's quick start runs as written and prints what its comments
 say."""
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,10 +14,7 @@ def test_quick_start_prints_what_its_comments_say():
     block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
     # Each print's comment starts with the exact text it prints.
     expected = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run(
-        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=300
-    )
+    run = run_python("-c", block)
     assert run.returncode == 0, run.stderr
     printed = run.stdout.splitlines()
     assert len(printed) == len(expected)

@@ -1,7 +1,9 @@
 """Randomized audits and canned scenarios: correctness, determinism,
 regeneration semantics, sensor families."""
 
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qsnet import (
     audit_block_inverse,
     audit_local_purification,
     audit_separable_surrogate,
+    compare,
     gradient_scenario,
     local_purification_probe,
     optical_phase_scenario,
@@ -23,6 +26,7 @@ from qsnet import (
     qcrb,
     qfim_mixed,
     qubit_ensemble_family,
+    scenarios,
     truncated_mode_family,
     with_collective_ancilla,
 )
@@ -30,7 +34,7 @@ from qsnet.exceptions import DimensionLimitError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState
 from qsnet.reporting import dumps, sha256_of_arrays
 from qsnet.sampling import haar_state, haar_unitary, random_density, random_spd, trial_rng
-from qsnet.scenarios import _PROP1_MAX_DIM, _random_partition, _run_trials, _zero_off_blocks
+from qsnet.scenarios import _PROP1_MAX_DIM, _finish, _random_partition, _run_trials, _zero_off_blocks
 
 
 def _dicke_isometry(n: int) -> np.ndarray:
@@ -261,6 +265,22 @@ class TestTrialLoop:
         violation, structure, _, records = _run_trials(ScenarioConfig(trials=2), trial)
         assert violation == -np.inf and structure == 0.25 and len(records) == 2
 
+    @pytest.mark.parametrize("where", ["check", "defect"])
+    def test_nan_fails_the_run(self, where):
+        # Python's max skips a NaN that does not come first: the run passed
+        # with max_violation -inf.
+        cfg = ScenarioConfig(trials=3)
+
+        def trial(rng):
+            if where == "check":
+                return {}, (0.0, math.nan), 0.0
+            return {}, (0.0,), math.nan
+
+        result = _finish("probe", cfg, *_run_trials(cfg, trial))
+        key = "max_violation" if where == "check" else "max_structure_defect"
+        assert not result.passed and math.isnan(getattr(result, key))
+        assert f'"{key}":"nan"' in dumps(result.to_jsonable())
+
 
 class TestBlockInverseAudit:
     def test_run_passes_with_equality_cases(self):
@@ -321,6 +341,13 @@ class TestGradientScenario:
         ten = gradient_scenario(ScenarioConfig(n_particles=4, mu=10))
         assert ten.var_entangled == pytest.approx(one.var_entangled / 10.0, rel=1e-12)
         assert ten.ratio == pytest.approx(one.ratio, rel=1e-12)
+
+    def test_nan_defect_fails(self, monkeypatch):
+        # A NaN closed-form ratio makes the last defect NaN, which max skipped.
+        monkeypatch.setattr(scenarios, "compare", lambda f: replace(compare(f), ratio=math.nan))
+        report = gradient_scenario(ScenarioConfig(n_particles=4))
+        assert math.isnan(report.defects["ratio_vs_enhancement"])
+        assert not report.passed
 
 
 class TestOpticalScenario:
