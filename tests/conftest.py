@@ -11,6 +11,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import prod
 from pathlib import Path
 
@@ -30,6 +31,26 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     checkout's sources, with stdout and stderr piped and read as text."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def profiled_calls(run):
+    """``run()`` under ``sys.setprofile``: its result and a ``Counter`` of the
+    code object of every Python function call it made (each generator resume
+    counts as a call)."""
+    codes = []
+    add = codes.append
+
+    def profile(frame, event, arg):
+        if event == "call":
+            add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, Counter(codes)
 
 
 # Random sensor layouts for the dense oracle tests: 1 to 4 sensors, each of

@@ -9,8 +9,9 @@ this test, and so does a pinned one that a command starts to reach.
 
 import ast
 import os
-import sys
 from pathlib import Path
+
+from conftest import profiled_calls
 
 import qsnet
 from qsnet.cli import main
@@ -74,19 +75,10 @@ def _definitions() -> dict[tuple[str, int], str]:
 
 
 def test_unreached_definitions_are_pinned(tmp_path):
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = [main([*argv, "--out", str(tmp_path / str(k))]) for k, argv in enumerate(COMMANDS)]
-    finally:
-        sys.setprofile(previous)
+    codes, calls = profiled_calls(
+        lambda: [main([*argv, "--out", str(tmp_path / str(k))]) for k, argv in enumerate(COMMANDS)]
+    )
     assert codes == [0] * len(COMMANDS)
-    reached = {(os.path.realpath(name), line) for name, line in entered}
+    reached = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in calls}
     unreached = sorted(name for key, name in _definitions().items() if key not in reached)
     assert unreached == UNREACHED

@@ -6,32 +6,39 @@ not. Each run below goes once through ``cli.main`` at its default
 settings (``qsnet qfim`` on the golden network ``bellnet.json`` with each
 golden probe under ``tests/golden/qfim_inputs/``), with
 ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` counted and each carrier's
-``__post_init__`` (one per construction) counted. A change that moves a
-count on purpose updates the number here and says why.
+``__post_init__`` (one per construction) counted. The first column counts
+the interpreter's work: the calls of named functions defined in
+``src/qsnet`` (methods included), from ``sys.setprofile``. Comprehension,
+generator-expression and lambda frames are left out, so Python 3.12's
+inlined comprehensions do not move it. A change that moves a count on
+purpose updates the number here and says why.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import profiled_calls
 
+import qsnet
 from qsnet import QFIM, SensorNetwork, SensorSpec
 from qsnet.cli import main
 from qsnet.hilbert import DensityOperator, PureState
 
 QFIM_INPUTS = Path(__file__).resolve().parent / "golden" / "qfim_inputs"
+SRC = Path(qsnet.__file__).resolve().parent
 CARRIERS = (QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 
-# run: (eigh, eigvalsh, QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
+# run: (calls, eigh, eigvalsh, QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 COUNTS = {
-    "audit t1": (1083, 0, 483, 483, 0, 871, 283),
-    "audit t2": (1317, 0, 614, 903, 703, 1218, 614),
-    "audit prop1": (5878, 4678, 1200, 0, 0, 0, 0),
-    "scenario optical": (206, 0, 103, 103, 0, 2, 2),
-    "scenario gradient": (6, 0, 2, 2, 0, 2, 2),
-    "qfim mixed.json": (5, 3, 1, 0, 1, 3, 1),
-    "qfim haar.json": (4, 3, 1, 1, 0, 3, 1),
-    "qfim bellpure.json": (1, 0, 1, 1, 0, 3, 1),
+    "audit t1": (56796, 1083, 0, 483, 483, 0, 871, 283),
+    "audit t2": (78598, 1317, 0, 614, 903, 703, 1218, 614),
+    "audit prop1": (54845, 5878, 4678, 1200, 0, 0, 0, 0),
+    "scenario optical": (7956, 206, 0, 103, 103, 0, 2, 2),
+    "scenario gradient": (341, 6, 0, 2, 2, 0, 2, 2),
+    "qfim mixed.json": (213, 5, 3, 1, 0, 1, 3, 1),
+    "qfim haar.json": (208, 4, 3, 1, 1, 0, 3, 1),
+    "qfim bellpure.json": (191, 1, 0, 1, 1, 0, 3, 1),
 }
 
 
@@ -52,13 +59,23 @@ def _counted(monkeypatch, owner, name, counts, key):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def _named_src_calls(calls) -> int:
+    return sum(
+        n
+        for code, n in calls.items()
+        if not code.co_name.startswith("<") and Path(code.co_filename).resolve().parent == SRC
+    )
+
+
 @pytest.mark.parametrize("run", list(COUNTS))
 def test_default_run_work_counts(run, monkeypatch, tmp_path, capsys):
-    counts = dict.fromkeys(("eigh", "eigvalsh", *(c.__name__ for c in CARRIERS)), 0)
+    counts = dict.fromkeys(("calls", "eigh", "eigvalsh", *(c.__name__ for c in CARRIERS)), 0)
     for name in ("eigh", "eigvalsh"):
         _counted(monkeypatch, np.linalg, name, counts, name)
     for carrier in CARRIERS:
         _counted(monkeypatch, carrier, "__post_init__", counts, carrier.__name__)
-    assert main([*_argv(run), "--out", str(tmp_path)]) == 0
+    code, calls = profiled_calls(lambda: main([*_argv(run), "--out", str(tmp_path)]))
+    assert code == 0
     capsys.readouterr()
+    counts["calls"] = _named_src_calls(calls)
     assert tuple(counts.values()) == COUNTS[run], dict(counts)
