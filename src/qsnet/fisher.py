@@ -3,11 +3,16 @@
 Quantum Fisher information matrices (QFIM) for pure probes come from the
 covariance form ``F_mn = 2<{H_m, H_n}> - 4<H_m><H_n>`` evaluated at the
 fiducial parameter point; mixed probes use the symmetric logarithmic
-derivative (SLD) form in the probe's eigenbasis. That sum runs over the
-strict upper triangle of eigenvalue pairs, in blocks of eigenbasis columns,
-so its scratch stays at one ``D x D`` matrix plus ``d * D * _BLOCK_COLUMNS``
-complex entries for ``d`` parameters. A network's generators act on their
-own sensor's axis of the probe, never as full-space matrices. The scalar
+derivative (SLD) form in the probe's eigenbasis. There each generator is
+its eigen-row factor ``H = w_0 I + B^dag B`` from one ``eigh`` on its own
+sensor: ``B`` has ``n - 1`` rows on an ``n``-level sensor, so the products
+that rotate it into the eigenbasis have inner dimension ``(n-1)/n * D``.
+The sum runs over the strict upper triangle of eigenvalue pairs, in blocks
+of eigenbasis columns, so its scratch stays at one factor of at most
+``(n-1)/n * D * D`` plus ``d * D * _BLOCK_COLUMNS`` complex entries for
+``d`` parameters. A network's generators act on their own sensor's axis of
+the probe, never as full-space matrices; a sequence of full-space
+generators pays a ``D x D`` ``eigh`` each for its factor. The scalar
 Cramer-Rao bound for any positive-semidefinite weighting ``W`` is
 ``Tr[W F^+] / mu``; a linear functional ``v . phi`` is ``W = v v^T``.
 Singular matrices are never silently pseudo-inverted: the report flags
@@ -164,7 +169,7 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
 
 
 # Columns of the probe's eigenbasis handled per step of the mixed-state sum:
-# its scratch holds len(generators) * D * _BLOCK_COLUMNS complex entries.
+# its blocks hold len(generators) * D * _BLOCK_COLUMNS complex entries.
 _BLOCK_COLUMNS = 128
 
 
@@ -183,11 +188,19 @@ def qfim_mixed(
     within 100x of the cutoff.
 
     The summand is symmetric in ``(i, j)`` and zero on the diagonal, so only
-    the strict upper triangle ``i < j`` is summed, twice. It is streamed
-    over blocks of ``_BLOCK_COLUMNS`` eigenbasis columns: beyond the probe,
-    the scratch is one ``D x D`` matrix plus ``d * D * _BLOCK_COLUMNS``
-    complex entries for ``d`` parameters, never ``d`` full ``D x D``
-    generators.
+    the strict upper triangle ``i < j`` is summed, twice. Off the diagonal
+    ``h_k = C_k^dag C_k``: the local ``eigh`` of ``H_k`` gives
+    ``H_k = w_0 I + B_k^dag B_k`` with ``B_k = sqrt(w - w_0) u^dag`` over
+    its eigenpairs above the lowest, and ``C_k`` is ``B_k`` contracted on
+    its sensor's axis of the eigenbasis ``V``, with ``(n-1)/n * D`` rows on
+    an ``n``-level sensor (none on a one-dimensional one, and zeros for a
+    scalar ``H_k``). The sum is streamed over blocks of ``_BLOCK_COLUMNS``
+    eigenbasis columns, each building one ``C_k`` at a time for the columns
+    it needs: beyond the probe, the scratch is one factor of at most
+    ``(n-1)/n * D * D`` plus ``d * D * _BLOCK_COLUMNS`` complex entries
+    for ``d`` parameters, never ``d`` full ``D x D`` generators or
+    factors. A full-space generator is one ``D``-level sensor: its factor
+    costs a ``D x D`` ``eigh``.
     """
     if not isinstance(rho, DensityOperator):
         raise TypeError(f"qfim_mixed needs a DensityOperator, got {type(rho).__name__}")
@@ -196,7 +209,12 @@ def qfim_mixed(
     cutoff = _rank_cutoff(p)
     dim, d = rho.dim, len(gens)
     width = min(_BLOCK_COLUMNS, dim)
-    rows, basis = v.conj().T, v.reshape(layout + (dim,))
+    # Each B_k with a (before, n, after, D) view of V, H_k's site second.
+    factors = []
+    for site, g in gens:
+        w, u = np.linalg.eigh(g)
+        b = np.sqrt(w[1:] - w[0])[:, None] * u[:, 1:].conj().T
+        factors.append((b, v.reshape(prod(layout[:site]), layout[site], -1, dim)))
     scratch = np.empty(d * dim * width, dtype=complex)
     mat = np.zeros((d, d))
     near = False
@@ -204,11 +222,13 @@ def qfim_mixed(
         stop = min(start + width, dim)
         cols = slice(start, stop)
         block = scratch[: d * stop * (stop - start)].reshape(d, stop, -1)
-        # Rows :stop and columns cols of each h_k = V^dag H_k V, with H_k
-        # contracted on its own site of V.
-        for k, (site, g) in enumerate(gens):
-            applied = apply_local(g, site, basis[..., cols]).reshape(dim, -1)
-            np.matmul(rows[:stop], applied, out=block[k])
+        # Rows :stop and columns cols of conj(h_k) = C_k^T conj(C_k): only the
+        # narrow columns are conjugated, and conjugating every h_k leaves
+        # Re(h_k conj h_l) as it is. The rows of C_k come out in (before,
+        # after, n - 1) order, which C_k^T C_k does not see.
+        for k, (b, view) in enumerate(factors):
+            c = np.matmul(b, view[..., :stop].transpose(0, 2, 1, 3)).reshape(-1, stop)
+            np.matmul(c.T, c[:, cols].conj(), out=block[k])
         denom = p[:stop, None] + p[None, cols]
         live = denom > cutoff
         near |= bool(np.any(live & (denom < 100.0 * cutoff)))

@@ -281,8 +281,10 @@ class TestMixedColumnBlocks:
 
     def test_scratch_stays_below_bound(self):
         # 8 qubits with sigma_z/2 and sigma_x/2 each: D = 256, 16 parameters.
-        # Holding every rotated generator would take 16 D^2 entries, and
-        # their stacked copy as many again.
+        # The streamed sum peaks near 9.4 D^2 entries: 8 D^2 of blocks, one
+        # factor of at most D^2 / 2 and its conjugated columns. Holding all
+        # 16 factors (8 D^2) on top would read about 17 D^2, and every
+        # rotated generator 16 D^2 and more.
         sensor = SensorSpec(2, (SIGMA_Z / 2, SIGMA_X / 2), np.diag([0.0, 1.0]))
         net = SensorNetwork((sensor,) * 8)
         dim = net.total_dim
@@ -293,7 +295,54 @@ class TestMixedColumnBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * dim * dim * np.dtype(complex).itemsize
+        assert peak < 12 * dim * dim * np.dtype(complex).itemsize
+
+
+def _edge_network(case: str, rng) -> SensorNetwork:
+    """Networks whose generators stress the eigen-row factor of ``qfim_mixed``."""
+    qubit_z = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
+    qubit_x = SensorSpec(2, (SIGMA_X / 2,), np.diag([0.0, 1.0]))
+    if case == "scalar":
+        # Parameters 1 and 3 are c * I: no information, and no NaN.
+        pair = SensorSpec(2, (SIGMA_Z / 2, 0.7 * identity(2)), np.diag([0.0, 1.0]))
+        return SensorNetwork((pair, qubit_x, SensorSpec(2, (-1.3 * identity(2),), np.diag([0.0, 1.0]))))
+    if case == "degenerate_lowest":
+        return SensorNetwork((SensorSpec(3, (np.diag([-1.0, -1.0, 2.0]),), identity(3)), qubit_x))
+    if case == "negative_definite":
+        g = random_hermitian(3, rng)
+        g -= (np.linalg.eigvalsh(g)[-1] + 0.5) * identity(3)
+        return SensorNetwork((SensorSpec(3, (g,), identity(3)), qubit_z))
+    if case == "one_dimensional":
+        point = SensorSpec(1, (np.array([[0.8]]),), np.zeros((1, 1)))
+        return SensorNetwork((point, qubit_x, SensorSpec(3, (random_hermitian(3, rng),), identity(3))))
+    # A qutrit with two non-commuting generators, next to a qubit.
+    qutrit = SensorSpec(3, (random_hermitian(3, rng), random_hermitian(3, rng)), identity(3))
+    return SensorNetwork((qutrit, qubit_z))
+
+
+class TestFactorEdgeCases:
+    """``qfim_mixed`` factors each generator as ``w_0 I + B^dag B`` from its
+    local ``eigh``; the least-squares SLDs of ``conftest`` share no code with
+    that factor."""
+
+    @pytest.mark.parametrize("columns", [fisher._BLOCK_COLUMNS, 3])
+    @pytest.mark.parametrize("full_rank", [True, False])
+    @pytest.mark.parametrize(
+        "case", ["scalar", "degenerate_lowest", "negative_definite", "one_dimensional", "noncommuting_qutrit"]
+    )
+    def test_matches_sld_oracle(self, monkeypatch, case, full_rank, columns):
+        monkeypatch.setattr(fisher, "_BLOCK_COLUMNS", columns)
+        rng = np.random.default_rng(81)
+        net = _edge_network(case, rng)
+        dim = net.total_dim
+        rank = dim if full_rank else 2
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = DensityOperator(g @ g.conj().T / np.sum(np.abs(g) ** 2), net.dims)
+        fim = qfim_mixed(rho, net)
+        assert _max_rel_dev(fim.matrix, oracle_qfim_mixed(rho, net)) <= 1e-12
+        if case == "scalar":
+            assert not np.any(fim.matrix[[1, 3]]) and not np.any(fim.matrix[:, [1, 3]])
+            assert np.any(fim.matrix[0])
 
 
 class TestQcrb:
