@@ -8,19 +8,21 @@ golden probe under ``tests/golden/qfim_inputs/``), with
 ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` counted and each carrier's
 ``__post_init__`` (one per construction) counted. The first column counts
 the interpreter's work: the calls of named functions defined in
-``src/qsnet`` (methods included), from ``sys.setprofile``. Comprehension,
-generator-expression and lambda frames are left out, so Python 3.12's
-inlined comprehensions do not move it. A change that moves a count on
-purpose updates the number here and says why. So ``qfim_mixed`` factors
-each generator from one ``eigh`` on its own sensor and calls no
-``apply_local``: each call adds one ``eigh`` and removes one named call
-per parameter (722 in ``audit t2``, 4 in ``qfim mixed.json``).
+``src/qsnet`` (methods included), from ``sys.setprofile``. Frames named
+``<...>`` (comprehensions, generator expressions, lambdas) are left out,
+so Python 3.12's inlined comprehensions do not move it. A change that
+moves a count on purpose updates the number here and says why. For
+example, ``qfim_mixed`` factors each generator from one ``eigh`` on its
+own sensor and calls no ``apply_local``: each call makes one ``eigh`` more
+and one named call fewer per parameter (722 of each in ``audit t2``, 4 in
+``qfim mixed.json``).
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+
 from conftest import profiled_calls
 
 import qsnet
