@@ -20,7 +20,9 @@ them, restricts to the support, and the bound is ``inf`` when ``W``
 weighs a direction outside it.
 Each carrier holds its ``spectrum``: the probe's eigenbasis and the
 information matrix's eigenpairs are computed once, when the carrier is
-validated, and every bound, inverse and mixed-state sum reads them.
+validated, and every bound, inverse and mixed-state sum reads them. The
+network's layout (``dims``, ``partition``) is likewise kept by
+:class:`~qsnet.network.SensorNetwork` from its own validation.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ even when a sensor's generators do not commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import prod
+from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
@@ -73,39 +72,37 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class SensorNetwork:
+    """Ordered sensors. The validator computes their layout once and keeps
+    it: ``dims``, ``total_dim`` (within the cap) and ``partition``, the
+    global parameter indices of each sensor, ancilla sensors skipped."""
+
     sensors: tuple[SensorSpec, ...]
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
+    partition: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sensors = tuple(self.sensors)
         if not sensors:
             raise ValueError("a network needs at least one sensor")
-        if sum(s.n_params for s in sensors) < 1:
+        partition, start = [], 0
+        for i, s in enumerate(sensors):
+            if not isinstance(s, SensorSpec):
+                raise TypeError(f"sensor {i} must be a SensorSpec, got {type(s).__name__}")
+            if s.n_params:
+                partition.append(tuple(range(start, start + s.n_params)))
+                start += s.n_params
+        if not partition:
             raise ValueError("a network needs at least one parameter")
-        check_dim(s.dim for s in sensors)
+        dims = tuple(s.dim for s in sensors)
+        object.__setattr__(self, "total_dim", check_dim(dims))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "sensors", sensors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.sensors)
-
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
+        object.__setattr__(self, "partition", tuple(partition))
 
     @property
     def n_params(self) -> int:
-        return sum(s.n_params for s in self.sensors)
-
-    @property
-    def partition(self) -> tuple[tuple[int, ...], ...]:
-        """Global parameter indices per sensor, ancilla sensors skipped."""
-        blocks = []
-        start = 0
-        for s in self.sensors:
-            if s.n_params:
-                blocks.append(tuple(range(start, start + s.n_params)))
-                start += s.n_params
-        return tuple(blocks)
+        return self.partition[-1][-1] + 1
 
     def require_layout(self, state: State) -> None:
         """Raise :class:`LayoutError` unless ``state`` lives on this
@@ -143,14 +140,13 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
     values = _check_phi(net, phi)
     net.require_layout(state)
     unitaries = []
-    offset = 0
+    blocks = iter(net.partition)
     for site, s in enumerate(net.sensors):
         if s.n_params == 0:
             continue
         exponent = np.zeros((s.dim, s.dim), dtype=complex)
-        for j, g in enumerate(s.generators):
-            exponent += values[offset + j] * g
-        offset += s.n_params
+        for j, g in zip(next(blocks), s.generators):
+            exponent += values[j] * g
         w, v = np.linalg.eigh(exponent)
         unitaries.append((site, (v * np.exp(-1j * w)) @ v.conj().T))
     if isinstance(state, PureState):

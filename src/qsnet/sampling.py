@@ -58,9 +58,9 @@ def random_density(dim: int, layout, rng: np.random.Generator) -> DensityOperato
     return DensityOperator(mat @ mat.conj().T, tuple(layout))
 
 
-def random_spd(d: int, rng: np.random.Generator, shift: float = 0.1) -> np.ndarray:
-    """Well-conditioned symmetric positive-definite matrix (Wishart plus a
-    multiple of the identity)."""
+def random_spd(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Well-conditioned symmetric positive-definite matrix (Wishart plus
+    ``0.1`` times the identity)."""
     g = rng.standard_normal((d, d))
-    mat = g.T @ g / d + shift * np.eye(d)
+    mat = g.T @ g / d + 0.1 * np.eye(d)
     return (mat + mat.T) / 2

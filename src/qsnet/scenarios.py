@@ -282,7 +282,7 @@ def _run_trials(cfg: ScenarioConfig, trial, first_draw: int = 0) -> tuple[float,
     draw = first_draw
     while len(records) < cfg.trials:
         if draw >= first_draw + 10 * cfg.trials:
-            raise RuntimeError("regeneration cap exceeded; loosen the conditioning guard")
+            raise RuntimeError(f"regeneration cap exceeded: draws {first_draw} to {draw - 1} accepted {len(records)} of {cfg.trials} trials")
         out = trial(trial_rng(cfg.seed, draw))
         draw += 1
         if out is None:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -285,3 +286,50 @@ def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.n
     w, v = np.linalg.eigh(total)
     inv_root = (v / np.sqrt(w)) @ v.conj().T
     return [inv_root @ a @ inv_root for a in raw]
+
+
+# --- exact-arithmetic referee -------------------------------------------------
+# Every float is a rational, so ``Fraction`` holds a float input without
+# rounding and the checks below decide signs exactly.
+
+
+def exact_inverse(mat) -> list[list[Fraction]]:
+    """Inverse of a nonsingular real matrix by Gauss-Jordan elimination in
+    exact rationals."""
+    n = len(mat)
+    rows = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def exact_psd_class(mat) -> str:
+    """``"zero"``, ``"definite"``, ``"singular"`` (PSD, not definite) or
+    ``"indefinite"`` for an exact symmetric matrix.
+
+    Symmetric elimination: a negative pivot, or a zero pivot with a non-zero
+    entry beside it, shows a direction of negative curvature; a zero pivot
+    on a zero row is a null direction of a PSD matrix.
+    """
+    a = [list(row) for row in mat]
+    if not any(any(row) for row in a):
+        return "zero"
+    singular = False
+    for k, row in enumerate(a):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
+            return "indefinite"
+        if pivot == 0:
+            singular = True
+            continue
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / pivot
+            a[i][k + 1 :] = [x - factor * y for x, y in zip(a[i][k + 1 :], row[k + 1 :])]
+    return "singular" if singular else "definite"

@@ -419,7 +419,7 @@ class TestInternalFault:
     @pytest.mark.parametrize(
         "exc",
         [
-            RuntimeError("regeneration cap exceeded; loosen the conditioning guard"),
+            RuntimeError("regeneration cap exceeded: draws 0 to 99 accepted 3 of 10 trials"),
             ValueError("operands could not be broadcast together"),
         ],
         ids=["RuntimeError", "ValueError"],

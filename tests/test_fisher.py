@@ -390,7 +390,9 @@ class TestQcrb:
         rng = np.random.default_rng(55)
         for _ in range(10):
             base = random_spd(4, rng)
-            bump = random_spd(4, rng, shift=0.0)
+            g = rng.standard_normal((4, 4))
+            bump = g.T @ g / 4
+            bump = (bump + bump.T) / 2
             w = rng.uniform(0.0, 1.0, 4)
             w[0] += 0.1
             before = qcrb(QFIM(base), w, 1).bound

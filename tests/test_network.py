@@ -57,6 +57,19 @@ class TestStructure:
         with pytest.raises(ValueError):
             SensorNetwork((ancilla,))
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((1, 2), "sensor 0 must be a SensorSpec, got int"),
+            (("qubit",), "sensor 0 must be a SensorSpec, got str"),
+            ((SensorSpec(2, (SIGMA_Z / 2,), identity(2)), SIGMA_Z), "sensor 1 must be a SensorSpec, got ndarray"),
+        ],
+        ids=["int", "str", "matrix"],
+    )
+    def test_non_sensor_entry_rejected(self, entries, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            SensorNetwork(entries)
+
 
 class TestGlobalGenerators:
     def test_embeddings(self):

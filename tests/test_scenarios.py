@@ -1,15 +1,19 @@
 """Randomized audits and canned scenarios: correctness, determinism,
 regeneration semantics, sensor families."""
 
+import json
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import NOT_FINITE_POSITIVE, dense_generators, identity, oracle_qfim_pure
+from conftest import NOT_FINITE_POSITIVE, dense_generators, exact_inverse, exact_psd_class, identity, oracle_qfim_pure
 from qsnet import (
     QFIM,
     ScenarioConfig,
@@ -250,7 +254,8 @@ class TestTrialLoop:
     def test_regeneration_cap_counts_from_first_draw(self, first_draw):
         cfg = ScenarioConfig(seed=2, trials=4)
         trial, seen = _draw_counting_trial(first_draw, lambda draw: False)
-        with pytest.raises(RuntimeError, match="regeneration cap exceeded"):
+        message = f"regeneration cap exceeded: draws {first_draw} to {first_draw + 39} accepted 0 of 4 trials"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
             _run_trials(cfg, trial, first_draw=first_draw)
         assert list(seen) == list(range(first_draw, first_draw + 40))
         # The last draws under the cap are still taken.
@@ -312,6 +317,44 @@ class TestBlockInverseAudit:
         assert dumps(audit_block_inverse(cfg).to_jsonable()) == dumps(
             audit_block_inverse(cfg).to_jsonable()
         )
+
+    @pytest.mark.parametrize(
+        "mat, kind",
+        [
+            ([[2, 1], [1, 2]], "definite"),
+            ([[1, 1], [1, 1]], "singular"),
+            ([[0, 0], [0, 0]], "zero"),
+            ([[1, 2], [2, 1]], "indefinite"),
+            ([[0, 1], [1, 0]], "indefinite"),
+            ([[1, 0], [0, -1e-300]], "indefinite"),
+        ],
+    )
+    def test_exact_referee_classes(self, mat, kind):
+        assert exact_psd_class([[Fraction(x) for x in row] for row in mat]) == kind
+
+    def test_golden_draws_hold_exactly(self):
+        # Rebuild every drawn matrix of the golden report and decide each
+        # block difference [F^-1]_kk - [F_kk]^-1 in exact rationals, where
+        # float roundoff cannot blur the sign.
+        golden = json.loads((Path(__file__).resolve().parent / "golden" / "audit_prop1.json").read_text())
+        classes = {"general": Counter(), "block_diagonal": Counter()}
+        for record in golden["records"]:
+            rng = trial_rng(golden["seed"], record["draw"])
+            d = int(rng.integers(2, _PROP1_MAX_DIM + 1))
+            partition = _random_partition(d, rng)
+            mat = random_spd(d, rng)
+            if record["kind"] == "block_diagonal":
+                mat = _zero_off_blocks(mat, partition)
+            assert sha256_of_arrays(mat) == record["inputs_sha256"]
+            inverse = exact_inverse(mat)
+            for blk in partition:
+                block_inverse = exact_inverse(mat[np.ix_(blk, blk)])
+                diff = [[inverse[i][j] - block_inverse[a][b] for b, j in enumerate(blk)] for a, i in enumerate(blk)]
+                classes[record["kind"]][exact_psd_class(diff)] += 1
+        assert classes == {
+            "general": Counter(definite=61, singular=5, zero=5),
+            "block_diagonal": Counter(zero=12),
+        }
 
 
 class TestGradientScenario:

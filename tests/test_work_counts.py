@@ -15,7 +15,10 @@ moves a count on purpose updates the number here and says why. For
 example, ``qfim_mixed`` factors each generator from one ``eigh`` on its
 own sensor and calls no ``apply_local``: each call makes one ``eigh`` more
 and one named call fewer per parameter (722 of each in ``audit t2``, 4 in
-``qfim mixed.json``).
+``qfim mixed.json``). A ``SensorNetwork`` keeps the ``dims``, ``total_dim``
+and ``partition`` its validator computes, so reading them is an attribute
+lookup, not a call: ``audit t2`` lost 3,463 ``dims``, 828 ``total_dim``, 614
+``partition`` and 3,221 ``n_params`` calls that way, and each ``qfim`` run 10.
 """
 
 from pathlib import Path
@@ -36,14 +39,14 @@ CARRIERS = (QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 
 # run: (calls, eigh, eigvalsh, QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 COUNTS = {
-    "audit t1": (56796, 1083, 0, 483, 483, 0, 871, 283),
-    "audit t2": (77876, 2039, 0, 614, 903, 703, 1218, 614),
+    "audit t1": (48402, 1083, 0, 483, 483, 0, 871, 283),
+    "audit t2": (69750, 2039, 0, 614, 903, 703, 1218, 614),
     "audit prop1": (54845, 5878, 4678, 1200, 0, 0, 0, 0),
-    "scenario optical": (7956, 206, 0, 103, 103, 0, 2, 2),
-    "scenario gradient": (341, 6, 0, 2, 2, 0, 2, 2),
-    "qfim mixed.json": (209, 9, 3, 1, 0, 1, 3, 1),
-    "qfim haar.json": (208, 4, 3, 1, 1, 0, 3, 1),
-    "qfim bellpure.json": (191, 1, 0, 1, 1, 0, 3, 1),
+    "scenario optical": (6430, 206, 0, 103, 103, 0, 2, 2),
+    "scenario gradient": (329, 6, 0, 2, 2, 0, 2, 2),
+    "qfim mixed.json": (199, 9, 3, 1, 0, 1, 3, 1),
+    "qfim haar.json": (198, 4, 3, 1, 1, 0, 3, 1),
+    "qfim bellpure.json": (181, 1, 0, 1, 1, 0, 3, 1),
 }
 
 
