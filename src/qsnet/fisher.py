@@ -162,8 +162,7 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
         raise TypeError(f"qfim_pure needs a PureState, got {type(psi).__name__}")
     layout, gens, partition = _local_generators(source, psi, partition)
     amps = psi.amplitudes
-    tensor = amps.reshape(layout)
-    applied = np.stack([apply_local(h, site, tensor).reshape(-1) for site, h in gens])
+    applied = np.stack([apply_local(h, site, amps, layout).reshape(-1) for site, h in gens])
     means = np.real(applied @ amps.conj())
     gram = applied.conj() @ applied.T
     mat = 4.0 * (np.real(gram) - np.outer(means, means))
@@ -211,7 +210,8 @@ def qfim_mixed(
     cutoff = _rank_cutoff(p)
     dim, d = rho.dim, len(gens)
     width = min(_BLOCK_COLUMNS, dim)
-    # Each B_k with a (before, n, after, D) view of V, H_k's site second.
+    # Each B_k with a (before, n, after, D) view of V, H_k's site second. Not
+    # apply_local: V's column blocks are not contiguous, and it would copy them.
     factors = []
     for site, g in gens:
         w, u = np.linalg.eigh(g)
@@ -385,10 +385,8 @@ def cfim(
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
         rho = state.matrix
-    # Each generator acts on its sensor's row axis of a three-axis view, so
-    # no reshape grows with the layout length.
-    views = [(h, (prod(layout[:site]), layout[site], -1)) for site, h in gens]
-    applied = np.stack([apply_local(h, 1, rho.reshape(shape)).reshape(-1) for h, shape in views])
+    # Each generator acts on its sensor's row axis; the columns trail.
+    applied = np.stack([apply_local(h, site, rho, layout).reshape(-1) for site, h in gens])
     # Tr[E_m X] = <E_m, X> for Hermitian E_m, so p_m = Re <E_m, rho> and
     # d_k p_m = -i Tr[E_m [H_k, rho]] = 2 Im Tr[E_m H_k rho].
     effects_conj = ops.reshape(len(ops), -1).conj()
@@ -400,8 +398,8 @@ def cfim(
     outcomes = f"{low} outcome(s) with probability below {config.CFIM_PROB_FLOOR:g}"
     if low and len(gens) == 1:
         # H rho H = H (H rho)^dagger, as H and rho are Hermitian.
-        ((h, shape),) = views
-        sandwich = apply_local(h, 1, applied[0].reshape(dim, dim).conj().T.reshape(shape))
+        ((site, h),) = gens
+        sandwich = apply_local(h, site, applied[0].reshape(dim, dim).conj().T, layout)
         mat += 4.0 * float(np.sum(np.real(effects_conj[~kept] @ sandwich.reshape(-1))))
         warnings.warn(f"{outcomes} counted by their limit 4 Re Tr[E_m H rho H]", RuntimeWarning, stacklevel=2)
     elif low:

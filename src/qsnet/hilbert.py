@@ -5,7 +5,8 @@ Plain complex ndarrays carry every operator. :class:`PureState` and
 checks on top; both freeze their arrays, so instances are safe to share.
 A density operator holds its ``spectrum`` from the one eigendecomposition
 that validates it; purification and the mixed-state Fisher information
-read it rather than factoring the matrix again.
+read it rather than factoring the matrix again. One-site operators act
+through :func:`apply_local` on a flat array read as its layout's subsystems.
 
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
@@ -185,18 +186,19 @@ def embed_local(op, site: int, layout: Sequence[int]) -> np.ndarray:
     return np.kron(np.kron(left, a), np.eye(prod(dims[site + 1 :]), dtype=complex))
 
 
-def apply_local(op: np.ndarray, site: int, tensor: np.ndarray) -> np.ndarray:
-    """Contract a one-site operator with axis ``site`` of a state tensor.
+def apply_local(op: np.ndarray, site: int, array: np.ndarray, layout: Sequence[int]) -> np.ndarray:
+    """Contract a one-site operator with subsystem ``site`` of a flat array.
 
-    Equals ``embed_local(op, site, layout) @ state`` on the flattened axes
-    of the layout, without building the full-space operator; the caller
-    checks the shapes. It is ``np.tensordot(op, tensor, (1, site))`` with
-    the axis moved back, the same single ``dot``, without its overhead.
+    ``array`` is read in C order as the subsystems of ``layout``, then any
+    trailing entries such as a density's columns; the caller checks shapes.
+    Returns the ``(before, n, rest)`` view of ``embed_local(op, site, layout)
+    @ array`` without that operator: the one ``dot`` on the site axis moved
+    first of ``np.tensordot(op, tensor, (1, site))``, without its overhead.
     """
-    rest = [*range(site), *range(site + 1, tensor.ndim)]
-    moved = tensor.transpose([site, *rest])
-    out = np.dot(op, moved.reshape(op.shape[1], -1)).reshape(moved.shape)
-    return out.transpose([*range(1, site + 1), 0, *range(site + 1, tensor.ndim)])
+    before = prod(layout[:site])
+    moved = array.reshape(before, layout[site], -1).transpose(1, 0, 2)
+    out = np.dot(op, moved.reshape(layout[site], -1))
+    return out.reshape(len(op), before, -1).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -150,15 +150,15 @@ def encode(net: SensorNetwork, state: State, phi) -> State:
         w, v = np.linalg.eigh(exponent)
         unitaries.append((site, (v * np.exp(-1j * w)) @ v.conj().T))
     if isinstance(state, PureState):
-        tensor = state.amplitudes.reshape(net.dims)
+        amps = state.amplitudes
         for site, u in unitaries:
-            tensor = apply_local(u, site, tensor)
-        return PureState(tensor.reshape(-1), state.layout)
-    n = len(net.dims)
-    tensor = state.matrix.reshape(net.dims + net.dims)
+            amps = apply_local(u, site, amps, net.dims)
+        return PureState(amps.reshape(-1), state.layout)
+    # A density's columns follow its rows as a second copy of the layout.
+    both, mat = net.dims + net.dims, state.matrix
     for site, u in unitaries:
-        tensor = apply_local(u.conj(), n + site, apply_local(u, site, tensor))
-    return DensityOperator(tensor.reshape(state.dim, state.dim), state.layout)
+        mat = apply_local(u.conj(), len(net.dims) + site, apply_local(u, site, mat, both), both)
+    return DensityOperator(mat.reshape(state.dim, -1), state.layout)
 
 
 def resource_count(net: SensorNetwork, state: State) -> float:
@@ -169,14 +169,11 @@ def resource_count(net: SensorNetwork, state: State) -> float:
     """
     net.require_layout(state)
     if isinstance(state, PureState):
-        tensor = state.amplitudes.reshape(net.dims)
-        terms = (np.vdot(tensor, apply_local(s.resource_op, k, tensor)) for k, s in enumerate(net.sensors))
+        amps = state.amplitudes
+        terms = (np.vdot(amps, apply_local(s.resource_op, k, amps, net.dims)) for k, s in enumerate(net.sensors))
     else:
-        rows = state.matrix.reshape(net.dims + (state.dim,))
-        terms = (
-            np.trace(apply_local(s.resource_op, k, rows).reshape(state.dim, state.dim))
-            for k, s in enumerate(net.sensors)
-        )
+        rows = (apply_local(s.resource_op, k, state.matrix, net.dims) for k, s in enumerate(net.sensors))
+        terms = (np.trace(r.reshape(net.total_dim, -1)) for r in rows)
     return float(sum(np.real(t) for t in terms))
 
 

@@ -573,13 +573,11 @@ class OpticalReport(Report):
 def _top_level_weights(psi: PureState) -> np.ndarray:
     """Per-mode probability of sitting at the truncation level."""
     dims = psi.layout
-    tensor = np.abs(psi.amplitudes.reshape(dims)) ** 2
-    weights = []
-    for m, dim in enumerate(dims):
-        sl = [slice(None)] * len(dims)
-        sl[m] = dim - 1
-        weights.append(float(np.sum(tensor[tuple(sl)])))
-    return np.array(weights)
+    probs = np.abs(psi.amplitudes) ** 2
+    # Mode m's top level is a slice of the (before, n, after) view, as
+    # apply_local reads the state; no one-axis-per-mode tensor is built.
+    tops = (probs.reshape(math.prod(dims[:m]), n, -1)[:, -1] for m, n in enumerate(dims))
+    return np.array([float(np.sum(top)) for top in tops])
 
 
 def optical_phase_scenario(cfg: ScenarioConfig) -> OpticalReport:

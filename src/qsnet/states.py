@@ -118,12 +118,11 @@ def separable_surrogate(psi: PureState, net: SensorNetwork) -> PureState:
     generators the relative phases cannot affect the Fisher matrix.
     """
     net.require_layout(psi)
-    tensor = psi.amplitudes.reshape(net.dims)
     factors = []
     for site, sensor in enumerate(net.sensors):
         _, vectors = joint_eigenbasis(sensor)
-        rows = np.moveaxis(apply_local(vectors.conj().T, site, tensor), site, 0)
-        factors.append(vectors @ np.linalg.norm(rows.reshape(sensor.dim, -1), axis=1))
+        rows = apply_local(vectors.conj().T, site, psi.amplitudes, net.dims)
+        factors.append(vectors @ np.linalg.norm(rows, axis=(0, 2)))
     return PureState(kron_all(factors), net.dims)
 
 

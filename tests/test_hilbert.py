@@ -3,6 +3,7 @@ state carriers, JSON wire format."""
 
 from functools import reduce
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -508,6 +509,30 @@ class TestApplyLocal:
         tensor = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
         op = rng.standard_normal((dims[site],) * 2) + 1j * rng.standard_normal((dims[site],) * 2)
         want = np.moveaxis(np.tensordot(op, tensor, (1, site)), 0, site)
-        got = apply_local(op, site, tensor)
-        assert got.shape == want.shape
+        got = apply_local(op, site, tensor.reshape(-1), dims)
+        assert got.shape == (prod(dims[:site]), dims[site], prod(dims[site + 1 :]))
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts, st.data(), seeds)
+    def test_density_columns_trail(self, dims, data, seed):
+        # A density's columns are the trailing entries: the operator acts on
+        # its rows, as the dense embedding multiplies from the left.
+        site = data.draw(st.integers(min_value=0, max_value=len(dims) - 1))
+        rng = np.random.default_rng(seed)
+        rho = random_density(prod(dims), dims, rng).matrix
+        op = rng.standard_normal((dims[site],) * 2) + 1j * rng.standard_normal((dims[site],) * 2)
+        got = apply_local(op, site, rho, dims)
+        assert got.shape == (prod(dims[:site]), dims[site], prod(dims[site + 1 :]) * len(rho))
+        assert_allclose(got.reshape(rho.shape), embed_local(op, site, dims) @ rho, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("site", [0, 35, 70])
+    def test_layout_past_numpy_axes(self, site):
+        # 70 one-dimensional sensors and a qubit: 71 entries, more than the
+        # 64 axes a numpy array has, read through one three-axis view.
+        dims = (1,) * 70 + (2,)
+        op = SIGMA_X if site == 70 else np.array([[2.0 - 1.0j]])
+        x = np.array([0.6, 0.8j])
+        got = apply_local(op, site, x, dims)
+        assert got.shape == (1, dims[site], 2 // dims[site])
+        assert_allclose(got.reshape(-1), embed_local(op, site, dims) @ x, rtol=0, atol=0)

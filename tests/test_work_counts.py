@@ -19,6 +19,10 @@ and one named call fewer per parameter (722 of each in ``audit t2``, 4 in
 and ``partition`` its validator computes, so reading them is an attribute
 lookup, not a call: ``audit t2`` lost 3,463 ``dims``, 828 ``total_dim``, 614
 ``partition`` and 3,221 ``n_params`` calls that way, and each ``qfim`` run 10.
+``resource_count`` contracts a density through ``apply_local`` on its flat
+matrix and reads the network's ``total_dim`` attribute, not the state's
+``dim`` property: ``audit t2``'s 200 density calls on 496 sensors in all
+lost 200 + 2 x 496 = 1,192 ``dim`` calls that way.
 """
 
 from pathlib import Path
@@ -40,7 +44,7 @@ CARRIERS = (QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 # run: (calls, eigh, eigvalsh, QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 COUNTS = {
     "audit t1": (48402, 1083, 0, 483, 483, 0, 871, 283),
-    "audit t2": (69750, 2039, 0, 614, 903, 703, 1218, 614),
+    "audit t2": (68558, 2039, 0, 614, 903, 703, 1218, 614),
     "audit prop1": (54845, 5878, 4678, 1200, 0, 0, 0, 0),
     "scenario optical": (6430, 206, 0, 103, 103, 0, 2, 2),
     "scenario gradient": (329, 6, 0, 2, 2, 0, 2, 2),
