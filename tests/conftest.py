@@ -293,11 +293,36 @@ def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.n
 # rounding and the checks below decide signs exactly.
 
 
+def exact_qfim_pure(amplitudes, generators) -> list[list[Fraction]]:
+    """``4 Re(<H_m H_n> - <H_m><H_n>)`` in exact rationals, the formula
+    ``qfim_pure`` evaluates, for float amplitudes and full-space float
+    generators. A complex entry is a ``(re, im)`` pair of ``Fraction``s."""
+    psi = [(Fraction(z.real), Fraction(z.imag)) for z in amplitudes]
+
+    def apply(h):
+        out = []
+        for row in h:
+            re = im = Fraction(0)
+            for a, (pr, pi) in zip(row, psi):
+                ar, ai = Fraction(a.real), Fraction(a.imag)
+                re += ar * pr - ai * pi
+                im += ar * pi + ai * pr
+            out.append((re, im))
+        return out
+
+    def re_inner(u, v):
+        return sum(ur * vr + ui * vi for (ur, ui), (vr, vi) in zip(u, v))
+
+    applied = [apply(h) for h in generators]
+    means = [re_inner(psi, a) for a in applied]
+    return [[4 * (re_inner(a, b) - ma * mb) for b, mb in zip(applied, means)] for a, ma in zip(applied, means)]
+
+
 def exact_inverse(mat) -> list[list[Fraction]]:
-    """Inverse of a nonsingular real matrix by Gauss-Jordan elimination in
-    exact rationals."""
+    """Inverse of a nonsingular real matrix, of floats or ``Fraction``s, by
+    Gauss-Jordan elimination in exact rationals."""
     n = len(mat)
-    rows = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]

@@ -1,9 +1,12 @@
 """Fisher-information machinery: pure and SLD-based matrices, weighted
 bounds, block inequality, classical information of measurements."""
 
+import json
 import tracemalloc
 import warnings
+from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from numpy.testing import assert_allclose
 from conftest import (
     commuting_network,
     density,
+    exact_inverse,
+    exact_qfim_pure,
     full_square_sld_qfim,
     identity,
     layouts,
@@ -43,8 +48,8 @@ from qsnet import (
 )
 from qsnet import fisher
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState
-from qsnet.network import global_generators
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, vector_from_json
+from qsnet.network import global_generators, network_from_json
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
 
@@ -489,6 +494,53 @@ class TestWeightMatrix:
     def test_invalid_matrix_refused(self, weights, message):
         with pytest.raises(ValueError, match=message):
             qcrb(QFIM(np.eye(2)), weights)
+
+
+QFIM_INPUTS = Path(__file__).resolve().parent / "golden" / "qfim_inputs"
+EPS = np.finfo(float).eps
+
+
+def _golden_probe(name: str) -> tuple[SensorNetwork, PureState]:
+    net = network_from_json(json.loads((QFIM_INPUTS / "bellnet.json").read_text()))
+    return net, PureState(vector_from_json(json.loads((QFIM_INPUTS / name).read_text())), net.dims)
+
+
+class TestExactReferee:
+    """``qfim_pure`` and ``qcrb`` on the golden ``qfim`` probes against the
+    same formulas in exact rationals, from the float amplitudes and the
+    embedded float generators: every float is a rational."""
+
+    @staticmethod
+    def _checked(name: str):
+        """The float and exact matrices, after checking that they agree
+        within ``8 eps`` of the largest exact entry."""
+        net, psi = _golden_probe(name)
+        exact = exact_qfim_pure(psi.amplitudes, global_generators(net))
+        fim = fisher.qfim_pure(psi, net)
+        scale = max(abs(x) for row in exact for x in row)
+        defect = max(abs(Fraction(f) - x) for frow, xrow in zip(fim.matrix, exact) for f, x in zip(frow, xrow))
+        assert defect <= 8 * EPS * scale, float(defect / scale)
+        return fim, exact
+
+    @pytest.mark.parametrize("name", ["haar.json", "bellpure.json"])
+    def test_qfim_pure_within_eps(self, name):
+        self._checked(name)
+
+    def test_qcrb_within_eps_times_condition(self):
+        # haar.json is invertible: its bound with unit weights is Tr F^-1,
+        # perturbed by about cond(F) times the matrix's relative error.
+        fim, exact = self._checked("haar.json")
+        eigenvalues = fim.spectrum[0]
+        cond = float(eigenvalues[-1] / eigenvalues[0])
+        trace = sum(row[k] for k, row in enumerate(exact_inverse(exact)))
+        bound = qcrb(fim, np.ones(fim.d)).bound
+        assert abs(Fraction(bound) - trace) <= 16 * EPS * cond * trace
+
+    def test_doubled_kernel_is_caught(self, monkeypatch):
+        original = fisher.qfim_pure
+        monkeypatch.setattr(fisher, "qfim_pure", lambda psi, net: QFIM(2 * original(psi, net).matrix, net.partition))
+        with pytest.raises(AssertionError):
+            self._checked("haar.json")
 
 
 class TestBlockInverse:
