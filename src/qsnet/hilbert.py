@@ -98,8 +98,8 @@ _MAX_AXES = 64  # the most axes a numpy array has (numpy 2; numpy 1 allows 32)
 
 def _check_layout(layout, dim: int, axes: int) -> tuple[int, ...]:
     """A state's ``layout`` as ``int``s whose product is ``dim``, within the
-    cap. The state's operations reshape it to ``axes`` array axes per
-    entry, so a layout longer than ``_MAX_AXES // axes`` is refused."""
+    cap. ``partial_trace`` and ``product_defect`` take ``axes`` array axes
+    per entry, so a layout longer than ``_MAX_AXES // axes`` is refused."""
     dims = layout_ints(layout, "layout entry", 1)
     implied = check_dim(dims)
     if implied != dim:

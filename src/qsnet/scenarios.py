@@ -574,8 +574,8 @@ def _top_level_weights(psi: PureState) -> np.ndarray:
     """Per-mode probability of sitting at the truncation level."""
     dims = psi.layout
     probs = np.abs(psi.amplitudes) ** 2
-    # Mode m's top level is a slice of the (before, n, after) view, as
-    # apply_local reads the state; no one-axis-per-mode tensor is built.
+    # Mode m's top level is a slice of its (before, n, after) view, so no
+    # array takes one axis per mode.
     tops = (probs.reshape(math.prod(dims[:m]), n, -1)[:, -1] for m, n in enumerate(dims))
     return np.array([float(np.sum(top)) for top in tops])
 
