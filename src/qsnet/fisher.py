@@ -162,7 +162,11 @@ def qfim_pure(psi: PureState, source: SensorNetwork | Sequence[np.ndarray], part
         raise TypeError(f"qfim_pure needs a PureState, got {type(psi).__name__}")
     layout, gens, partition = _local_generators(source, psi, partition)
     amps = psi.amplitudes
-    applied = np.stack([apply_local(h, site, amps, layout).reshape(-1) for site, h in gens])
+    # Each applied generator is copied once, from its view into its row.
+    applied = np.empty((len(gens), amps.size), dtype=complex)
+    for row, (site, h) in zip(applied, gens):
+        out = apply_local(h, site, amps, layout)
+        row.reshape(out.shape)[...] = out
     means = np.real(applied @ amps.conj())
     gram = applied.conj() @ applied.T
     mat = 4.0 * (np.real(gram) - np.outer(means, means))
@@ -385,8 +389,12 @@ def cfim(
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
         rho = state.matrix
-    # Each generator acts on its sensor's row axis; the columns trail.
-    applied = np.stack([apply_local(h, site, rho, layout).reshape(-1) for site, h in gens])
+    # Each generator acts on its sensor's row axis; the columns trail. Each
+    # result is copied once, from its view into its row.
+    applied = np.empty((len(gens), rho.size), dtype=complex)
+    for row, (site, h) in zip(applied, gens):
+        out = apply_local(h, site, rho, layout)
+        row.reshape(out.shape)[...] = out
     # Tr[E_m X] = <E_m, X> for Hermitian E_m, so p_m = Re <E_m, rho> and
     # d_k p_m = -i Tr[E_m [H_k, rho]] = 2 Im Tr[E_m H_k rho].
     effects_conj = ops.reshape(len(ops), -1).conj()

@@ -5,7 +5,11 @@ Plain complex ndarrays carry every operator. :class:`PureState` and
 checks on top; both freeze their arrays, so instances are safe to share.
 A density operator holds its ``spectrum`` from the one eigendecomposition
 that validates it; purification and the mixed-state Fisher information
-read it rather than factoring the matrix again. One-site operators act
+read it rather than factoring the matrix again. That eigendecomposition is
+LAPACK's ``zheevd`` from numpy's own LAPACK, called with the workspace its
+blocked back-transformation needs (see :func:`psd_spectrum`), or
+``np.linalg.eigh`` where numpy's LAPACK does not export that routine under
+its one bound name. One-site operators act
 through :func:`apply_local` on a flat array read as its layout's subsystems.
 
 Matrices exchanged with the outside world use a JSON encoding where every
@@ -17,6 +21,7 @@ D x D density never passes through an object array.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -145,10 +150,58 @@ def check_floor(eigenvalues: np.ndarray, name: str, floor: float) -> None:
         raise ValueError(f"{name} has eigenvalue {lo:.3e} < 0")
 
 
+# LAPACK's zheevd through its LAPACKE wrapper, from the library that
+# np.linalg.eigh itself calls. Only this ILP64 name is bound (numpy's bundled
+# scipy-openblas64 exports it): a guessed name of another integer width would
+# corrupt memory. Where it is missing, np.linalg.eigh runs instead.
+try:
+    _zheevd = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_zheevd_work64_
+except (OSError, AttributeError):
+    _zheevd = None
+else:
+    _zheevd.restype = ctypes.c_int64
+    _zheevd.argtypes = (
+        (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        + (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64) + (ctypes.c_void_p, ctypes.c_int64) * 2
+    )
+
+
 def psd_spectrum(a: np.ndarray, name: str, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ascending eigenvalues and eigenvector columns of the
-    Hermitian ``a`` from one ``eigh``, checked by :func:`check_floor`."""
-    spectrum = np.linalg.eigh(a)
+    """Read-only ascending eigenvalues and C-contiguous eigenvector columns
+    of the Hermitian ``a`` from one eigendecomposition, checked by
+    :func:`check_floor`.
+
+    Complex input goes to the bound LAPACK ``zheevd`` (lower triangle, as
+    ``np.linalg.eigh`` reads it) with ``64 N`` more workspace than the
+    ``N^2 + 2 N`` that ``np.linalg.eigh`` gives it, so its back-transformation
+    runs blocked: about half the time at ``N = 512``. Small input is not
+    blocked either way, and the result is ``np.linalg.eigh``'s bit for bit
+    (pinned for every ``N`` up to 64; a default audit's densities are at most
+    27 x 27). Real input, and complex input where numpy's LAPACK does not
+    export the symbol, go to ``np.linalg.eigh``; ``dsyevd`` blocks at its
+    minimum workspace.
+    """
+    if _zheevd is None or a.dtype != complex:
+        spectrum = np.linalg.eigh(a)
+    else:
+        n = len(a)
+        if a.shape != (n, n):
+            raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+        # The transpose's C-order copy is a's Fortran-order copy; zheevd
+        # overwrites it with the eigenvector columns. One buffer of 8-byte
+        # words holds the eigenvalues, then the complex, real and int64 work.
+        vectors = a.T.copy()
+        lwork, lrwork, liwork = n * n + 2 * n + 64 * n, 1 + 5 * n + 2 * n * n, 3 + 5 * n
+        words = np.empty(n + 2 * lwork + lrwork + liwork)
+        w = words.ctypes.data
+        work, rwork, iwork = w + 8 * n, w + 8 * (n + 2 * lwork), w + 8 * (n + 2 * lwork + lrwork)
+        # 102: column-major; "V": eigenvectors too; "L": the lower triangle.
+        info = _zheevd(102, b"V", b"L", n, vectors.ctypes.data, max(1, n), w, work, lwork, rwork, lrwork, iwork, liwork)
+        if info:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (zheevd info {info})")
+        eigenvalues = words[:n].copy()
+        del words  # the workspace goes before the eigenvectors are copied
+        spectrum = eigenvalues, vectors.T.copy()
     check_floor(spectrum[0], name, floor)
     for part in spectrum:
         part.setflags(write=False)

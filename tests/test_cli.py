@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import run_python
-from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli, scenarios
+from qsnet import ScenarioConfig, SensorNetwork, SensorSpec, cli, hilbert, scenarios
 from qsnet.cli import main
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, matrix_to_json, vector_to_json
@@ -841,6 +841,16 @@ class TestDecomposeOnce:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        # The probe's spectrum comes from the bound LAPACK zheevd where there
+        # is one; its fourth argument is the order.
+        if hilbert._zheevd is not None:
+            bound = hilbert._zheevd
+
+            def counted_zheevd(*args):
+                shapes.append((args[3], args[3]))
+                return bound(*args)
+
+            monkeypatch.setattr(hilbert, "_zheevd", counted_zheevd)
         argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "rho.json"), "--out", str(tmp_path)]
         assert main(argv) == 0
         assert json.loads((tmp_path / "qfim.json").read_text())["residuals"] is not None

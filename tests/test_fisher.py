@@ -46,7 +46,7 @@ from qsnet import (
     qfim_pure,
     with_collective_ancilla,
 )
-from qsnet import fisher
+from qsnet import fisher, hilbert
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, vector_from_json
 from qsnet.network import global_generators, network_from_json
@@ -654,6 +654,8 @@ class TestCfim:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        # A re-validated density would be decomposed by the bound zheevd.
+        monkeypatch.setattr(hilbert, "_zheevd", lambda *args: calls.append(args[3]) or 0)
         got = cfim(effects, net, probe, phi0)
         assert calls == []
         assert_allclose(got, want, rtol=1e-6, atol=1e-6 * float(np.max(np.abs(want))))

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import identity, layouts, random_hermitian, seeds
-from qsnet import config
+from qsnet import config, hilbert
 from qsnet.exceptions import DimensionLimitError, FormatError, LayoutError
+from qsnet.fisher import qfim_mixed
 from qsnet.hilbert import (
     check_dim,
     kron_all,
@@ -32,6 +33,7 @@ from qsnet.hilbert import (
     vector_from_json,
     vector_to_json,
 )
+from qsnet.network import SensorNetwork, SensorSpec
 from qsnet.sampling import haar_state, random_density
 
 
@@ -484,6 +486,88 @@ class TestSpectrum:
             rho.spectrum = (p, v)
         assert_allclose((v * p) @ v.conj().T, rho.matrix, atol=1e-12)
         assert_allclose(p, np.linalg.eigvalsh(rho.matrix), atol=1e-12)
+
+
+def _ginibre_density(dim: int, rng) -> np.ndarray:
+    """``G G^dag / tr`` from a square complex Ginibre ``G``, full rank, as
+    the bench's ``qfim_mixed_mid`` draws its probes."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return rho / rho.trace().real
+
+
+@pytest.fixture
+def zheevd_sizes(monkeypatch):
+    """The order of each call of the bound ``zheevd``, in call order."""
+    if hilbert._zheevd is None:
+        pytest.skip("numpy's LAPACK does not export scipy_LAPACKE_zheevd_work64_")
+    sizes = []
+    bound = hilbert._zheevd
+
+    def counted(*args):
+        sizes.append(args[3])
+        return bound(*args)
+
+    monkeypatch.setattr(hilbert, "_zheevd", counted)
+    return sizes
+
+
+class TestZheevd:
+    """The density spectrum from the bound ``zheevd`` with blocked workspace."""
+
+    def test_bit_identical_to_numpy_up_to_64(self, zheevd_sizes):
+        # Every density a default audit draws is at most 27 x 27, and the
+        # golden qfim probe mixed.json is 8 x 8.
+        rng = np.random.default_rng(40)
+        for n in range(1, 65):
+            rho = DensityOperator(_ginibre_density(n, rng), (n,))
+            p, v = rho.spectrum
+            want_p, want_v = np.linalg.eigh(rho.matrix)
+            assert p.tobytes() == want_p.tobytes() and v.tobytes() == want_v.tobytes(), n
+            assert v.flags.c_contiguous and not v.flags.writeable and not p.flags.writeable
+        assert zheevd_sizes == list(range(1, 65))
+
+    def test_nine_qubits_agree_with_numpy(self, zheevd_sizes, monkeypatch):
+        # D = 512, where the blocked back-transformation runs: the
+        # eigenvalues match numpy's, the eigenvectors to roundoff.
+        layout = (2,) * 9
+        rho = DensityOperator(_ginibre_density(512, np.random.default_rng(512)), layout)
+        assert zheevd_sizes == [512]
+        p, v = rho.spectrum
+        assert p.tobytes() == np.linalg.eigh(rho.matrix)[0].tobytes()
+        assert v.flags.c_contiguous
+        eps = np.finfo(float).eps
+        assert np.abs(rho.matrix @ v - v * p).max() <= 16 * eps * p[-1]
+        assert np.abs(v.conj().T @ v - np.eye(512)).max() <= 64 * eps
+        net = SensorNetwork((SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0])),) * 9)
+        fast = qfim_mixed(rho, net).matrix
+        monkeypatch.setattr(hilbert, "_zheevd", None)
+        slow = qfim_mixed(DensityOperator(rho.matrix, layout), net).matrix
+        assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+    def test_unbound_runs_numpy(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_zheevd", None)
+        rho = DensityOperator(_ginibre_density(512, np.random.default_rng(512)), (2,) * 9)
+        p, v = rho.spectrum
+        want_p, want_v = np.linalg.eigh(rho.matrix)
+        assert p.tobytes() == want_p.tobytes() and v.tobytes() == want_v.tobytes()
+
+    def test_real_input_runs_numpy(self, zheevd_sizes):
+        mat = np.diag([2.0, 1.0, 3.0])
+        p, v = hilbert.psd_spectrum(mat, "matrix", 0.0)
+        assert zheevd_sizes == []
+        assert p.tolist() == [1.0, 2.0, 3.0] and not v.flags.writeable
+
+    def test_non_square_refused_before_lapack(self, zheevd_sizes):
+        with pytest.raises(ValueError, match=r"matrix must be a square matrix, got shape \(2, 3\)"):
+            hilbert.psd_spectrum(np.zeros((2, 3), dtype=complex), "matrix", 0.0)
+        assert zheevd_sizes == []
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_zheevd", lambda *args: 1)
+        with pytest.raises(np.linalg.LinAlgError, match=r"did not converge \(zheevd info 1\)"):
+            DensityOperator(np.diag([0.5, 0.5]), (2,))
 
 
 class TestNonFiniteEntries:

@@ -12,6 +12,7 @@ from qsnet import (
     SensorSpec,
     doubled,
     encode,
+    hilbert,
     network_from_json,
     network_to_json,
     qfim_pure,
@@ -239,6 +240,7 @@ class TestResources:
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(hilbert, "_zheevd", forbidden)
         for state in (psi, rho):
             assert np.isfinite(resource_count(net, state))
 

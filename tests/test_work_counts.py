@@ -5,7 +5,9 @@ eigendecompositions a run makes and how many carriers it validates does
 not. Each run below goes once through ``cli.main`` at its default
 settings (``qsnet qfim`` on the golden network ``bellnet.json`` with each
 golden probe under ``tests/golden/qfim_inputs/``), with
-``np.linalg.eigh`` and ``np.linalg.eigvalsh`` counted and each carrier's
+``np.linalg.eigh`` and ``np.linalg.eigvalsh`` counted (the ``eigh`` column
+also counts ``hilbert.psd_spectrum``'s bound LAPACK ``zheevd``, which
+decomposes each complex density in its place) and each carrier's
 ``__post_init__`` (one per construction) counted. The first column counts
 the interpreter's work: the calls of named functions defined in
 ``src/qsnet`` (methods included), from ``sys.setprofile``. Frames named
@@ -33,7 +35,7 @@ import pytest
 from conftest import profiled_calls
 
 import qsnet
-from qsnet import QFIM, SensorNetwork, SensorSpec
+from qsnet import QFIM, SensorNetwork, SensorSpec, hilbert
 from qsnet.cli import main
 from qsnet.hilbert import DensityOperator, PureState
 
@@ -84,6 +86,8 @@ def test_default_run_work_counts(run, monkeypatch, tmp_path, capsys):
     counts = dict.fromkeys(("calls", "eigh", "eigvalsh", *(c.__name__ for c in CARRIERS)), 0)
     for name in ("eigh", "eigvalsh"):
         _counted(monkeypatch, np.linalg, name, counts, name)
+    if hilbert._zheevd is not None:
+        _counted(monkeypatch, hilbert, "_zheevd", counts, "eigh")
     for carrier in CARRIERS:
         _counted(monkeypatch, carrier, "__post_init__", counts, carrier.__name__)
     code, calls = profiled_calls(lambda: main([*_argv(run), "--out", str(tmp_path)]))
