@@ -11,6 +11,8 @@ blocked back-transformation needs (see :func:`psd_spectrum`), or
 ``np.linalg.eigh`` where numpy's LAPACK does not export that routine under
 its one bound name. One-site operators act
 through :func:`apply_local` on a flat array read as its layout's subsystems.
+No operation takes an array axis per layout entry, so a layout may be of
+any length: entries of dimension 1 take none.
 
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
@@ -98,22 +100,12 @@ def _index(value, n: int, name: str) -> int:
     return k
 
 
-_MAX_AXES = 64  # the most axes a numpy array has (numpy 2; numpy 1 allows 32)
-
-
-def _check_layout(layout, dim: int, axes: int) -> tuple[int, ...]:
-    """A state's ``layout`` as ``int``s whose product is ``dim``, within the
-    cap. ``partial_trace`` and ``product_defect`` take ``axes`` array axes
-    per entry, so a layout longer than ``_MAX_AXES // axes`` is refused."""
+def _check_layout(layout, dim: int) -> tuple[int, ...]:
+    """A state's ``layout`` as ``int``s whose product is ``dim``, within the cap."""
     dims = layout_ints(layout, "layout entry", 1)
     implied = check_dim(dims)
     if implied != dim:
         raise LayoutError(f"layout of length {len(dims)} implies dim {implied}, the state has dim {dim}")
-    if len(dims) > _MAX_AXES // axes:
-        raise LayoutError(
-            f"layout of length {len(dims)} exceeds {_MAX_AXES // axes} entries: "
-            f"numpy allows {_MAX_AXES} axes, and this state takes {axes} per entry"
-        )
     return dims
 
 
@@ -263,7 +255,7 @@ class PureState:
 
     def __post_init__(self):
         amps = config.check_array(self.amplitudes, "amplitudes", complex).reshape(-1)
-        layout = _check_layout(self.layout, amps.size, 1)
+        layout = _check_layout(self.layout, amps.size)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1")
@@ -289,7 +281,7 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = require_hermitian(self.matrix, name="density operator")
-        layout = _check_layout(self.layout, mat.shape[0], 2)
+        layout = _check_layout(self.layout, mat.shape[0])
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > config.TRACE_TOL:
             raise ValueError(f"density operator trace {tr!r} is not 1")
@@ -310,20 +302,23 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
     """Reduced density operator after discarding the listed subsystems."""
     dims = state.layout
     n = len(dims)
-    dropped = sorted({_index(i, n, "subsystem index") for i in discard})
-    kept = [i for i in range(n) if i not in dropped]
+    gone = {_index(i, n, "subsystem index") for i in discard}
+    kept = [i for i in range(n) if i not in gone]
     if not kept:
         raise LayoutError("tracing out every subsystem leaves a scalar, not a state")
+    dropped = sorted(gone)
     keep_dim = prod(dims[i] for i in kept)
     drop_dim = prod(dims[i] for i in dropped)
+    # Entries of dimension 1 take no axis; the rest, each at least 2, take at most log2(D).
+    shape = [d for d in dims if d > 1]
+    axis = dict(zip([i for i in range(n) if dims[i] > 1], range(n)))
+    perm = [axis[i] for i in kept + dropped if i in axis]
     if isinstance(state, PureState):
-        tensor = state.amplitudes.reshape(dims)
-        mat = tensor.transpose(kept + dropped).reshape(keep_dim, drop_dim)
+        mat = state.amplitudes.reshape(shape).transpose(perm).reshape(keep_dim, drop_dim)
         reduced = mat @ mat.conj().T
     else:
-        perm = kept + dropped
-        tensor = state.matrix.reshape(dims + dims)
-        tensor = tensor.transpose(perm + [n + p for p in perm])
+        tensor = state.matrix.reshape(shape + shape)
+        tensor = tensor.transpose(perm + [len(shape) + p for p in perm])
         tensor = tensor.reshape(keep_dim, drop_dim, keep_dim, drop_dim)
         reduced = np.einsum("ijkj->ik", tensor)
     return DensityOperator(reduced, tuple(dims[i] for i in kept))

@@ -253,11 +253,14 @@ def product_defect(psi: PureState, groups=None) -> float:
     if len(groups) == 1:
         return 0.0
     worst = 0.0
-    tensor = psi.amplitudes.reshape(dims)
+    # Entries of dimension 1 take no axis, as in ``partial_trace``.
+    tensor = psi.amplitudes.reshape([d for d in dims if d > 1])
+    axis = dict(zip([i for i in range(n) if dims[i] > 1], range(n)))
     for group in groups:
         rest = [i for i in range(n) if i not in group]
         gdim = prod(dims[i] for i in group)
-        mat = tensor.transpose(list(group) + rest).reshape(gdim, psi.dim // gdim)
+        order = [axis[i] for i in list(group) + rest if i in axis]
+        mat = tensor.transpose(order).reshape(gdim, psi.dim // gdim)
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv.size > 1:
             worst = max(worst, float(sv[1]))

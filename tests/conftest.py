@@ -13,7 +13,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -293,29 +293,90 @@ def random_povm(dim: int, n_effects: int, rng: np.random.Generator) -> list[np.n
 # rounding and the checks below decide signs exactly.
 
 
+def _exact_matrix(mat) -> list[list[tuple[Fraction, Fraction]]]:
+    """A complex float matrix with each entry a ``(re, im)`` pair of ``Fraction``s."""
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(mat, dtype=complex)]
+
+
+def _exact_product(a, b):
+    """The product of two matrices of ``(re, im)`` pairs, exactly."""
+    cols = list(zip(*b))
+    return [
+        [
+            (
+                sum(ar * br - ai * bi for (ar, ai), (br, bi) in zip(row, col)),
+                sum(ar * bi + ai * br for (ar, ai), (br, bi) in zip(row, col)),
+            )
+            for col in cols
+        ]
+        for row in a
+    ]
+
+
 def exact_qfim_pure(amplitudes, generators) -> list[list[Fraction]]:
     """``4 Re(<H_m H_n> - <H_m><H_n>)`` in exact rationals, the formula
     ``qfim_pure`` evaluates, for float amplitudes and full-space float
-    generators. A complex entry is a ``(re, im)`` pair of ``Fraction``s."""
-    psi = [(Fraction(z.real), Fraction(z.imag)) for z in amplitudes]
-
-    def apply(h):
-        out = []
-        for row in h:
-            re = im = Fraction(0)
-            for a, (pr, pi) in zip(row, psi):
-                ar, ai = Fraction(a.real), Fraction(a.imag)
-                re += ar * pr - ai * pi
-                im += ar * pi + ai * pr
-            out.append((re, im))
-        return out
+    generators."""
+    psi = _exact_matrix(np.reshape(amplitudes, (-1, 1)))
 
     def re_inner(u, v):
-        return sum(ur * vr + ui * vi for (ur, ui), (vr, vi) in zip(u, v))
+        return sum(ur * vr + ui * vi for ((ur, ui),), ((vr, vi),) in zip(u, v))
 
-    applied = [apply(h) for h in generators]
+    applied = [_exact_product(_exact_matrix(h), psi) for h in generators]
     means = [re_inner(psi, a) for a in applied]
     return [[4 * (re_inner(a, b) - ma * mb) for b, mb in zip(applied, means)] for a, ma in zip(applied, means)]
+
+
+def _sqrt_above(x: Fraction) -> Fraction:
+    """A rational at least ``sqrt(x)``, above it by at most ``2^-64 / den``."""
+    scale = 2**64 * x.denominator
+    return Fraction(isqrt(x.numerator * x.denominator * 4**64) + 1, scale)
+
+
+def exact_sld_referee(matrix, generators, slds, c) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """``F(L)_kl = Re Tr[d_k rho L_l]`` and a bound ``B_kl`` on
+    ``|F_kl - F(L)_kl|`` in exact rationals, for the full-rank density
+    ``matrix``, its full-space float ``generators`` and float SLDs ``slds``
+    from any solver. ``F`` is the exact QFIM and ``d_k rho = -i [H_k, rho]``.
+
+    Each ``L_l`` leaves the residual ``R_l = rho L_l + L_l rho - 2 d_l rho``.
+    The map ``X -> rho X + X rho`` has smallest singular value
+    ``2 lambda_min(rho)``, so ``B_kl = ||d_k rho||_F ||R_l||_F / (2 c)`` for
+    any ``c <= lambda_min(rho)``. That ``rho - c I`` is positive definite is
+    checked exactly on its real embedding ``[[A, -B], [B, A]]``.
+    """
+    rho = _exact_matrix(matrix)
+    n = len(rho)
+    c = Fraction(c)
+    shifted = [[(a - c if i == j else a) for j, (a, _) in enumerate(row)] for i, row in enumerate(rho)]
+    imag = [[b for _, b in row] for row in rho]
+    embedding = [shifted[i] + [-b for b in imag[i]] for i in range(n)]
+    embedding += [imag[i] + shifted[i] for i in range(n)]
+    assert exact_psd_class(embedding) == "definite", "c is not below the smallest eigenvalue"
+
+    def norm2(a):
+        return sum(re * re + im * im for row in a for re, im in row)
+
+    derivatives = []
+    for h in map(_exact_matrix, generators):
+        # -i (x + i y) = y - i x, entry by entry of H rho - rho H.
+        derivatives.append(
+            [[(y - w, v - x) for (x, y), (v, w) in zip(a, b)] for a, b in zip(_exact_product(h, rho), _exact_product(rho, h))]
+        )
+    ls = [_exact_matrix(sld) for sld in slds]
+    residuals = [
+        [
+            [(a + x - 2 * p, b + y - 2 * q) for (a, b), (x, y), (p, q) in zip(ra, rb, rd)]
+            for ra, rb, rd in zip(_exact_product(rho, sld), _exact_product(sld, rho), d)
+        ]
+        for d, sld in zip(derivatives, ls)
+    ]
+    information = [
+        [sum(x * u - y * v for row, col in zip(d, zip(*sld)) for (x, y), (u, v) in zip(row, col)) for sld in ls]
+        for d in derivatives
+    ]
+    bounds = [[_sqrt_above(norm2(d) * norm2(r)) / (2 * c) for r in residuals] for d in derivatives]
+    return information, bounds
 
 
 def exact_inverse(mat) -> list[list[Fraction]]:

@@ -366,25 +366,26 @@ class TestInputFailureKinds:
         assert err == f"error: {tmp_path / 'state.json'}: layout of length 5000 implies dim 1, the state has dim 2\n"
 
     @pytest.mark.parametrize(
-        "state, longest, axes",
-        [(vector_to_json(np.array([0.0, 1.0])), 64, 1), (matrix_to_json(np.diag([0.25, 0.75])), 32, 2)],
+        "state, information",
+        [
+            (vector_to_json(np.array([1.0, 1.0]) / np.sqrt(2)), 1.0),
+            (matrix_to_json(np.array([[0.5, 0.3], [0.3, 0.5]])), 0.36),
+        ],
         ids=["pure", "density"],
     )
-    def test_layout_past_numpy_axes_exits_two(self, tmp_path, capsys, state, longest, axes):
-        # One-dimensional sensors and a qubit: the longest layout runs, one
-        # entry more is rejected input, not a fault inside numpy.
+    def test_layout_past_numpy_axes_exits_zero(self, tmp_path, state, information):
+        # 70 one-dimensional sensors and a qubit: 71 layout entries, more than
+        # the 64 axes a numpy array has. The report is the qubit's own.
         one = SensorSpec(1, (), np.zeros((1, 1)))
         qubit = SensorSpec(2, (SIGMA_Z / 2,), np.diag([0.0, 1.0]))
         _write(tmp_path / "state.json", state)
-        for length, code in ((longest, 0), (longest + 1, 2)):
-            _write(tmp_path / "net.json", network_to_json(SensorNetwork((one,) * (length - 1) + (qubit,))))
-            argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "state.json"), "--out", str(tmp_path / str(length))]
-            assert main(argv) == code
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: {tmp_path / 'state.json'}: layout of length {longest + 1} exceeds {longest} entries: "
-            f"numpy allows 64 axes, and this state takes {axes} per entry\n"
-        )
+        for idle in (0, 70):
+            _write(tmp_path / "net.json", network_to_json(SensorNetwork((one,) * idle + (qubit,))))
+            argv = ["qfim", str(tmp_path / "net.json"), str(tmp_path / "state.json"), "--out", str(tmp_path / str(idle))]
+            assert main(argv) == 0
+        report = (tmp_path / "70" / "qfim.json").read_bytes()
+        assert report == (tmp_path / "0" / "qfim.json").read_bytes()
+        assert json.loads(report)["qfim"] == [[pytest.approx(information, abs=1e-12)]]
 
 
 class TestLocalGenerators:

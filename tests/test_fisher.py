@@ -18,7 +18,9 @@ from conftest import (
     commuting_network,
     density,
     exact_inverse,
+    exact_psd_class,
     exact_qfim_pure,
+    exact_sld_referee,
     full_square_sld_qfim,
     identity,
     layouts,
@@ -48,7 +50,7 @@ from qsnet import (
 )
 from qsnet import fisher, hilbert
 from qsnet.exceptions import LayoutError, NoncommutingGeneratorsError
-from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, vector_from_json
+from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, matrix_from_json, vector_from_json
 from qsnet.network import global_generators, network_from_json
 from qsnet.sampling import haar_state, random_density, random_spd, trial_rng
 
@@ -542,6 +544,66 @@ class TestExactReferee:
         with pytest.raises(AssertionError):
             self._checked("haar.json")
 
+    @pytest.fixture(scope="class")
+    def mixed_referee(self):
+        """The golden ``mixed.json`` on ``bellnet.json`` (D = 8, 4 parameters,
+        smallest eigenvalue 1.85e-3) and its exact SLD referee, from the
+        least-squares SLDs of the dense oracle."""
+        net = network_from_json(json.loads((QFIM_INPUTS / "bellnet.json").read_text()))
+        rho = DensityOperator(matrix_from_json(json.loads((QFIM_INPUTS / "mixed.json").read_text())), net.dims)
+        c = np.linalg.eigvalsh(rho.matrix)[0] * (1 - 1e-6)
+        return net, rho, exact_sld_referee(rho.matrix, global_generators(net), oracle_slds(rho, net), c)
+
+    @staticmethod
+    def _certified_mixed(mixed_referee):
+        """Check that ``qfim_mixed`` is within ``1e-12`` of ``max(1, max|F(L)|)``
+        of the exact QFIM: its distance to ``F(L)`` plus the referee's bound.
+        The bound is about ``eps / lambda_min`` (1.2e-13 here)."""
+        net, rho, (information, bounds) = mixed_referee
+        fim = fisher.qfim_mixed(rho, net).matrix
+        scale = max(1, max(abs(x) for row in information for x in row))
+        error = max(
+            abs(Fraction(f) - x) + b
+            for frow, xrow, brow in zip(fim, information, bounds)
+            for f, x, b in zip(frow, xrow, brow)
+        )
+        assert error <= Fraction(1e-12) * scale, float(error / scale)
+
+    def test_qfim_mixed_certified(self, mixed_referee):
+        self._certified_mixed(mixed_referee)
+
+    def test_doubled_mixed_kernel_is_caught(self, monkeypatch, mixed_referee):
+        original = fisher.qfim_mixed
+        monkeypatch.setattr(fisher, "qfim_mixed", lambda rho, net: QFIM(2 * original(rho, net).matrix, net.partition))
+        with pytest.raises(AssertionError):
+            self._certified_mixed(mixed_referee)
+
+    @pytest.mark.parametrize("name", ["haar.json", "mixed.json"])
+    def test_block_inverse_residuals_exact(self, name):
+        # The two invertible golden probes. Each block difference
+        # D_k = [F^-1]_kk - [F_kk]^-1 of the float F has an exact class,
+        # which must match the sign of its float residual (every one is
+        # positive here, 9.3e-5 the smallest), and an exact smallest
+        # eigenvalue within 1e-12 of that residual: D_k - (r - 1e-12) I is
+        # positive definite and D_k - (r + 1e-12) I is not.
+        net = network_from_json(json.loads((QFIM_INPUTS / "bellnet.json").read_text()))
+        entries = json.loads((QFIM_INPUTS / name).read_text())
+        if name == "mixed.json":
+            fim = qfim_mixed(DensityOperator(matrix_from_json(entries), net.dims), net)
+        else:
+            fim = qfim_pure(PureState(vector_from_json(entries), net.dims), net)
+        inverse = exact_inverse(fim.matrix)
+        for block, residual in zip(fim.partition, block_inverse_residuals(fim)):
+            inner = exact_inverse([[fim.matrix[i, j] for j in block] for i in block])
+            diff = [[inverse[i][j] - inner[a][b] for b, j in enumerate(block)] for a, i in enumerate(block)]
+
+            def shifted(t):
+                return exact_psd_class([[x - t * (a == b) for b, x in enumerate(row)] for a, row in enumerate(diff)])
+
+            assert residual > 0 and shifted(0) == "definite"
+            assert shifted(Fraction(residual) - Fraction(1e-12)) == "definite"
+            assert shifted(Fraction(residual) + Fraction(1e-12)) == "indefinite"
+
 
 class TestBlockInverse:
     def test_hand_case(self):
@@ -725,11 +787,10 @@ class TestCfim:
             out = cfim(effects, net, _plus_state(), phi0=[1e-3])
         assert out[0, 0] == pytest.approx(1.0, abs=1e-5)
 
-    @pytest.mark.parametrize("idle", [0, 40, 63])
+    @pytest.mark.parametrize("idle", [0, 40, 63, 70])
     def test_long_pure_layout(self, idle):
         # Idle one-dimensional sensors in front of the qubit lengthen the
-        # layout to 64 entries, the most a PureState takes, and change
-        # nothing else.
+        # layout and change nothing else.
         idle_sensor = SensorSpec(1, (), np.zeros((1, 1)))
         net = SensorNetwork((idle_sensor,) * idle + _single_qubit_net().sensors)
         w, v = np.linalg.eigh(np.asarray(SIGMA_X))

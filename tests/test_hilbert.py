@@ -453,26 +453,46 @@ class TestDimensionPastPrinting:
 
 
 class TestLayoutLength:
-    """numpy arrays have at most 64 axes. A pure state's layout may hold 64
-    entries, and a density operator's 32, since its operations reshape it
-    to two axes per entry; one entry more is a :class:`LayoutError`."""
+    """Entries of dimension 1 take no array axis, so a layout may be longer
+    than the 64 axes a numpy array has. Each reduced state equals, bit for
+    bit, the one from the same state with its 1-entries dropped."""
+
+    @staticmethod
+    def _check_marginals(state, short):
+        # Three entries above 1 among the 1-entries: (2, 3, 2) in order.
+        big = [i for i, d in enumerate(state.layout) if d > 1]
+        # Some 1-entries are discarded and some kept beside the entry left.
+        ones = [i for i in range(0, len(state.layout), 3) if state.layout[i] == 1]
+        for r in range(len(big)):
+            got = partial_trace(state, big[:r] + big[r + 1 :] + ones)
+            want = partial_trace(short, [k for k in range(len(big)) if k != r])
+            assert tuple(d for d in got.layout if d > 1) == want.layout
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+            np.testing.assert_array_equal(sensor_marginal(state, big[r]).matrix, want.matrix)
+        for kept in ([0, 2], [1, 2]):
+            got = partial_trace(state, [big[k] for k in range(len(big)) if k not in kept])
+            want = partial_trace(short, [k for k in range(len(big)) if k not in kept])
+            assert tuple(d for d in got.layout if d > 1) == want.layout
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+        one = sensor_marginal(state, big[0] + 1)
+        assert one.layout == (1,)
+        assert_allclose(one.matrix, [[1.0]], atol=1e-12)
+
+    @staticmethod
+    def _layout(length: int) -> tuple[int, ...]:
+        dims = [1] * length
+        dims[1], dims[length // 2], dims[-1] = 2, 3, 2
+        return tuple(dims)
 
     def test_pure_state_limit(self):
-        psi = PureState([0, 1], (1,) * 63 + (2,))
-        assert_allclose(partial_trace(psi, range(63)).matrix, np.diag([0.0, 1.0]), atol=0)
-        message = "layout of length 65 exceeds 64 entries: numpy allows 64 axes, and this state takes 1 per entry"
-        with pytest.raises(LayoutError) as info:
-            PureState([0, 1], (1,) * 64 + (2,))
-        assert str(info.value) == message
+        amps = haar_state(12, (2, 3, 2), np.random.default_rng(3)).amplitudes
+        psi = PureState(amps, self._layout(65))
+        self._check_marginals(psi, PureState(amps, (2, 3, 2)))
 
     def test_density_operator_limit(self):
-        rho = DensityOperator(np.diag([0.25, 0.75]), (1,) * 31 + (2,))
-        # Tracing reshapes the matrix to 64 axes.
-        assert_allclose(partial_trace(rho, range(31)).matrix, np.diag([0.25, 0.75]), atol=0)
-        message = "layout of length 33 exceeds 32 entries: numpy allows 64 axes, and this state takes 2 per entry"
-        with pytest.raises(LayoutError) as info:
-            DensityOperator(np.diag([0.25, 0.75]), (1,) * 32 + (2,))
-        assert str(info.value) == message
+        mat = random_density(12, (2, 3, 2), np.random.default_rng(4)).matrix
+        rho = DensityOperator(mat, self._layout(33))
+        self._check_marginals(rho, DensityOperator(mat, (2, 3, 2)))
 
 
 class TestSpectrum:

@@ -672,6 +672,20 @@ class TestProductDefectGroups:
             product_defect(psi, groups=[(bad,), (1,)])
         assert product_defect(psi, groups=[(np.int64(0),), (1,)]) > 0.5
 
+    def test_long_layout_with_split_group(self):
+        # A (2, 3, 2) state among 67 one-dimensional entries; the group takes
+        # the outer two and some 1-entries, the rest between them.
+        amps = haar_state(12, (2, 3, 2), np.random.default_rng(8)).amplitudes
+        dims = [1] * 70
+        dims[3], dims[35], dims[66] = 2, 3, 2
+        psi = PureState(amps, tuple(dims))
+        group = (66, 0, 3, 50)
+        rest = tuple(i for i in range(70) if i not in group)
+        short = PureState(amps, (2, 3, 2))
+        defect = product_defect(psi, groups=[group, rest])
+        assert defect == product_defect(short, groups=[(2, 0), (1,)]) > 0.1
+        assert product_defect(psi) == product_defect(short)
+
 
 class TestPaperComparison:
     # Ids name d alone where N = 2d.
