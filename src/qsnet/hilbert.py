@@ -10,9 +10,9 @@ LAPACK's ``zheevd`` from numpy's own LAPACK, called with the workspace its
 blocked back-transformation needs (see :func:`psd_spectrum`), or
 ``np.linalg.eigh`` where numpy's LAPACK does not export that routine under
 its one bound name. One-site operators act
-through :func:`apply_local` on a flat array read as its layout's subsystems.
-No operation takes an array axis per layout entry, so a layout may be of
-any length: entries of dimension 1 take none.
+through :func:`apply_local` on a flat array read as its layout's subsystems;
+every split into some subsystems and the rest goes through ``_regroup``, the
+one rule that gives entries of dimension 1 no axis (so any layout length fits).
 
 Matrices exchanged with the outside world use a JSON encoding where every
 entry is a ``[re, im]`` pair: a vector is a list of pairs, a matrix a list
@@ -298,6 +298,22 @@ class DensityOperator:
 State = PureState | DensityOperator
 
 
+def _regroup(array: np.ndarray, layout: Sequence[int], first: Sequence[int], copies: int = 1) -> np.ndarray:
+    """``array`` read in C order as ``copies`` copies of ``layout`` (a density's
+    rows, then its columns), each with the entries ``first`` in front in the
+    order given and the others after them in ascending order: a ``(a, D // a)
+    * copies`` array, ``a`` the product of the ``first`` dimensions. Entries of
+    dimension 1 take no axis, so a copy takes at most ``log2(D)``."""
+    big = [i for i, d in enumerate(layout) if d > 1]
+    axis = dict(zip(big, range(len(big))))
+    head = [axis[i] for i in first if i in axis]
+    order = head + sorted(set(range(len(big))).difference(head))
+    shape = [layout[i] for i in big]
+    a = prod(shape[k] for k in head)
+    tensor = array.reshape(shape * copies).transpose([c * len(big) + k for c in range(copies) for k in order])
+    return tensor.reshape((a, prod(shape) // a) * copies)
+
+
 def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
     """Reduced density operator after discarding the listed subsystems."""
     dims = state.layout
@@ -306,21 +322,11 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityOperator:
     kept = [i for i in range(n) if i not in gone]
     if not kept:
         raise LayoutError("tracing out every subsystem leaves a scalar, not a state")
-    dropped = sorted(gone)
-    keep_dim = prod(dims[i] for i in kept)
-    drop_dim = prod(dims[i] for i in dropped)
-    # Entries of dimension 1 take no axis; the rest, each at least 2, take at most log2(D).
-    shape = [d for d in dims if d > 1]
-    axis = dict(zip([i for i in range(n) if dims[i] > 1], range(n)))
-    perm = [axis[i] for i in kept + dropped if i in axis]
     if isinstance(state, PureState):
-        mat = state.amplitudes.reshape(shape).transpose(perm).reshape(keep_dim, drop_dim)
+        mat = _regroup(state.amplitudes, dims, kept)
         reduced = mat @ mat.conj().T
     else:
-        tensor = state.matrix.reshape(shape + shape)
-        tensor = tensor.transpose(perm + [len(shape) + p for p in perm])
-        tensor = tensor.reshape(keep_dim, drop_dim, keep_dim, drop_dim)
-        reduced = np.einsum("ijkj->ik", tensor)
+        reduced = np.einsum("ijkj->ik", _regroup(state.matrix, dims, kept, copies=2))
     return DensityOperator(reduced, tuple(dims[i] for i in kept))
 
 

@@ -353,7 +353,10 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
     doubled space must reproduce the diagonal information blocks of a
     global purification, its weighted scalar bound must not exceed the
     global purification's, and it must consume at most twice the probe's
-    resources (ancilla resources counted like sensor resources).
+    resources (ancilla resources counted like sensor resources). Tracing out
+    the purifying ancilla cannot add information, so ``loewner_margin``, the
+    smallest eigenvalue of the global purification's QFIM minus the probe's,
+    must not be negative.
     """
 
     def trial(rng):
@@ -369,6 +372,7 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
         probe = local_purification_probe(rho, net)
         fim_local = qfim_pure(probe, dnet)
         block_defect = _block_defect(fim_global, fim_local)
+        loewner_margin = float(np.linalg.eigvalsh(fim_global.matrix - fim_rho.matrix)[0])
         weights = rng.uniform(0.0, 1.0, net.n_params)
         bound_global = qcrb(fim_global, weights, 1).bound
         bound_local = qcrb(fim_local, weights, 1).bound
@@ -381,6 +385,7 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
             "dims": list(net.dims),
             "n_params": net.n_params,
             "block_defect": block_defect,
+            "loewner_margin": loewner_margin,
             "pair_product_defect": defect,
             "bound_global_purification": bound_global,
             "bound_local_purification": bound_local,
@@ -389,7 +394,8 @@ def audit_local_purification(cfg: ScenarioConfig) -> AuditResult:
             "resources_doubled": res_local,
             "resource_violation": res_local - 2.0 * res_orig,
         }
-        return record, (block_defect, record["bound_violation"], record["resource_violation"]), defect
+        checks = (block_defect, record["bound_violation"], record["resource_violation"], -loewner_margin)
+        return record, checks, defect
 
     return _finish("local_purification", cfg, *_run_trials(cfg, trial))
 

@@ -22,6 +22,7 @@ from .exceptions import LayoutError, NoncommutingGeneratorsError
 from .hilbert import (
     DensityOperator,
     PureState,
+    _regroup,
     apply_local,
     kron_all,
     layout_ints,
@@ -250,18 +251,10 @@ def product_defect(psi: PureState, groups=None) -> float:
         raise LayoutError(f"groups {groups} contain an empty group")
     if sorted(i for g in groups for i in g) != list(range(n)):
         raise LayoutError(f"groups {groups} do not partition {n} subsystems")
-    if len(groups) == 1:
-        return 0.0
     worst = 0.0
-    # Entries of dimension 1 take no axis, as in ``partial_trace``.
-    tensor = psi.amplitudes.reshape([d for d in dims if d > 1])
-    axis = dict(zip([i for i in range(n) if dims[i] > 1], range(n)))
     for group in groups:
-        rest = [i for i in range(n) if i not in group]
-        gdim = prod(dims[i] for i in group)
-        order = [axis[i] for i in list(group) + rest if i in axis]
-        mat = tensor.transpose(order).reshape(gdim, psi.dim // gdim)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.size > 1:
-            worst = max(worst, float(sv[1]))
+        # A group of dimension 1, or of the whole layout, has no second Schmidt coefficient.
+        if prod(dims[i] for i in group) > 1:
+            sv = np.linalg.svd(_regroup(psi.amplitudes, dims, group), compute_uv=False)
+            worst = max(worst, float(sv[1]) if sv.size > 1 else 0.0)
     return worst

@@ -313,18 +313,38 @@ def _exact_product(a, b):
     ]
 
 
-def exact_qfim_pure(amplitudes, generators) -> list[list[Fraction]]:
+def exact_qfim_pure(amplitudes, layout, generators) -> list[list[Fraction]]:
     """``4 Re(<H_m H_n> - <H_m><H_n>)`` in exact rationals, the formula
-    ``qfim_pure`` evaluates, for float amplitudes and full-space float
-    generators."""
-    psi = _exact_matrix(np.reshape(amplitudes, (-1, 1)))
+    ``qfim_pure`` evaluates, for float amplitudes on ``layout`` and float
+    one-site generators given as ``(site, h)`` pairs. Each ``h`` acts on its
+    own subsystem of the amplitudes, with no full-space embedding."""
+    psi = [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(amplitudes, dtype=complex).reshape(-1)]
+
+    def apply(site, h):
+        before, n = prod(layout[:site]), layout[site]
+        after = len(psi) // (before * n)
+        out = []
+        for b, row, a in itertools.product(range(before), _exact_matrix(h), range(after)):
+            col = [psi[(b * n + j) * after + a] for j in range(n)]
+            out.append(
+                (
+                    sum(hr * pr - hi * pi for (hr, hi), (pr, pi) in zip(row, col)),
+                    sum(hr * pi + hi * pr for (hr, hi), (pr, pi) in zip(row, col)),
+                )
+            )
+        return out
 
     def re_inner(u, v):
-        return sum(ur * vr + ui * vi for ((ur, ui),), ((vr, vi),) in zip(u, v))
+        return sum(ur * vr + ui * vi for (ur, ui), (vr, vi) in zip(u, v))
 
-    applied = [_exact_product(_exact_matrix(h), psi) for h in generators]
+    applied = [apply(site, h) for site, h in generators]
     means = [re_inner(psi, a) for a in applied]
     return [[4 * (re_inner(a, b) - ma * mb) for b, mb in zip(applied, means)] for a, ma in zip(applied, means)]
+
+
+def network_generators(net: SensorNetwork) -> list[tuple[int, np.ndarray]]:
+    """Each parameter's generator as a ``(site, h)`` pair, in global parameter order."""
+    return [(site, g) for site, sensor in enumerate(net.sensors) for g in sensor.generators]
 
 
 def _sqrt_above(x: Fraction) -> Fraction:

@@ -21,6 +21,7 @@ from qsnet.cli import main
 
 _SURROGATE = scenarios.separable_surrogate
 _QFIM_PURE = scenarios.qfim_pure
+_QFIM_MIXED = scenarios.qfim_mixed
 _RESIDUALS = scenarios.block_inverse_residuals
 _QCRB = scenarios.qcrb
 
@@ -53,6 +54,11 @@ def _sensor_blocks_only(psi, net):
     return QFIM(mat, fim.partition)
 
 
+def _doubled_mixed_qfim(rho, net):
+    fim = _QFIM_MIXED(rho, net)
+    return QFIM(2.0 * fim.matrix, fim.partition)
+
+
 def _unweighted_qcrb(fim, weights, mu=1):
     return _QCRB(fim, np.ones(fim.d), mu)
 
@@ -64,6 +70,7 @@ FAULTS = [
     ("residuals_minus_1e-8", "block_inverse_residuals", lambda fim: _RESIDUALS(fim) - 1e-8, ["audit prop1"]),
     ("qfim_times_2", "qfim_pure", _doubled_qfim, ["scenario optical", "scenario gradient"]),
     ("sensor_blocks_only", "qfim_pure", _sensor_blocks_only, ["scenario gradient"]),
+    ("mixed_qfim_times_2", "qfim_mixed", _doubled_mixed_qfim, ["audit t2"]),
     ("unweighted_qcrb", "qcrb", _unweighted_qcrb, ["scenario gradient"]),
 ]
 

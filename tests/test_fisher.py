@@ -24,6 +24,7 @@ from conftest import (
     full_square_sld_qfim,
     identity,
     layouts,
+    network_generators,
     oracle_cfim,
     oracle_qfim_mixed,
     oracle_qfim_pure,
@@ -507,17 +508,29 @@ def _golden_probe(name: str) -> tuple[SensorNetwork, PureState]:
     return net, PureState(vector_from_json(json.loads((QFIM_INPUTS / name).read_text())), net.dims)
 
 
+def _doubled(mat, partition):
+    return 2 * mat
+
+
+def _sensor_blocks_only(mat, partition):
+    """``mat`` with every entry outside the diagonal blocks of ``partition`` zeroed."""
+    out = np.zeros_like(mat)
+    for blk in partition:
+        out[np.ix_(blk, blk)] = mat[np.ix_(blk, blk)]
+    return out
+
+
 class TestExactReferee:
     """``qfim_pure`` and ``qcrb`` on the golden ``qfim`` probes against the
     same formulas in exact rationals, from the float amplitudes and the
-    embedded float generators: every float is a rational."""
+    float generators on their sites: every float is a rational."""
 
     @staticmethod
     def _checked(name: str):
         """The float and exact matrices, after checking that they agree
         within ``8 eps`` of the largest exact entry."""
         net, psi = _golden_probe(name)
-        exact = exact_qfim_pure(psi.amplitudes, global_generators(net))
+        exact = exact_qfim_pure(psi.amplitudes, net.dims, network_generators(net))
         fim = fisher.qfim_pure(psi, net)
         scale = max(abs(x) for row in exact for x in row)
         defect = max(abs(Fraction(f) - x) for frow, xrow in zip(fim.matrix, exact) for f, x in zip(frow, xrow))
@@ -538,9 +551,10 @@ class TestExactReferee:
         bound = qcrb(fim, np.ones(fim.d)).bound
         assert abs(Fraction(bound) - trace) <= 16 * EPS * cond * trace
 
-    def test_doubled_kernel_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("spoil", [_doubled, _sensor_blocks_only], ids=["doubled", "sensor_blocks_only"])
+    def test_faulty_kernel_is_caught(self, monkeypatch, spoil):
         original = fisher.qfim_pure
-        monkeypatch.setattr(fisher, "qfim_pure", lambda psi, net: QFIM(2 * original(psi, net).matrix, net.partition))
+        monkeypatch.setattr(fisher, "qfim_pure", lambda psi, net: QFIM(spoil(original(psi, net).matrix, net.partition), net.partition))
         with pytest.raises(AssertionError):
             self._checked("haar.json")
 

@@ -40,12 +40,16 @@ COMMANDS = [
 #   command calls yet;
 # - ``embed_local`` and ``global_generators`` build dense full-space
 #   generators for tests and the benchmark sweep;
-# - the ``*_to_json`` writers write inputs for tests and the benchmark.
+# - the ``*_to_json`` writers write inputs for tests and the benchmark;
+# - ``PureState.dim`` is read where a pure state meets full-space
+#   generators (tests and the benchmark sweep), by ``encode`` and in a
+#   layout-mismatch message; since ``product_defect`` regroups through
+#   ``hilbert._regroup``, no command reads a pure state's size from it.
 UNREACHED = sorted(
     """
     config._shown
     fisher.cfim
-    hilbert.embed_local hilbert._entry_to_pair
+    hilbert.embed_local hilbert._entry_to_pair hilbert.PureState.dim
     hilbert.vector_to_json hilbert.matrix_to_json
     network.global_generators network._check_phi network.encode network.network_to_json
     """.split()

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import NOT_FINITE_POSITIVE, dense_generators, exact_inverse, exact_psd_class, identity, oracle_qfim_pure
+from conftest import (
+    NOT_FINITE_POSITIVE,
+    dense_generators,
+    exact_inverse,
+    exact_psd_class,
+    exact_qfim_pure,
+    identity,
+    network_generators,
+    oracle_qfim_pure,
+)
 from qsnet import (
     QFIM,
     ScenarioConfig,
@@ -31,6 +40,7 @@ from qsnet import (
     qfim_mixed,
     qubit_ensemble_family,
     scenarios,
+    separable_surrogate,
     truncated_mode_family,
     with_collective_ancilla,
 )
@@ -179,6 +189,28 @@ class TestSurrogateAudit:
         a = audit_separable_surrogate(ScenarioConfig(seed=1, trials=5))
         b = audit_separable_surrogate(ScenarioConfig(seed=2, trials=5))
         assert dumps(a.to_jsonable()) != dumps(b.to_jsonable())
+
+    def test_golden_bounds_hold_exactly(self):
+        # Rebuild each record of the golden report from its draw and decide
+        # bound_surrogate <= bound_original in exact rationals, on the floats
+        # the audit drew; the surrogate comes from eigh and is taken as
+        # drawn. With W = diag(w) and F invertible, a bound is
+        # sum_k w_k [F^-1]_kk. The written floats agree to 1e-9 relative.
+        golden = json.loads((Path(__file__).resolve().parent / "golden" / "audit_t1.json").read_text())
+        for record in golden["records"]:
+            rng = trial_rng(golden["seed"], record["draw"])
+            net = scenarios._random_commuting_network(rng)
+            psi = haar_state(net.total_dim, net.dims, rng)
+            weights = rng.uniform(0.0, 1.0, net.n_params)
+            assert scenarios._network_hash(net, psi.amplitudes, weights) == record["inputs_sha256"]
+            bounds = []
+            for state in (psi, separable_surrogate(psi, net)):
+                inverse = exact_inverse(exact_qfim_pure(state.amplitudes, net.dims, network_generators(net)))
+                bounds.append(sum(Fraction(w) * inverse[k][k] for k, w in enumerate(weights)))
+            original, surrogate = bounds
+            assert surrogate <= original
+            for key, exact in (("bound_original", original), ("bound_surrogate", surrogate)):
+                assert abs(Fraction(record[key]) - exact) <= Fraction(1e-9) * exact
 
 
 def _noncommuting_network() -> SensorNetwork:

@@ -41,6 +41,7 @@ from qsnet import (
     sensor_marginal,
     separable_bound,
     separable_surrogate,
+    states,
 )
 from qsnet.exceptions import DimensionLimitError, LayoutError, NoncommutingGeneratorsError
 from qsnet.hilbert import SIGMA_X, SIGMA_Z, DensityOperator, PureState, partial_trace
@@ -685,6 +686,37 @@ class TestProductDefectGroups:
         defect = product_defect(psi, groups=[group, rest])
         assert defect == product_defect(short, groups=[(2, 0), (1,)]) > 0.1
         assert product_defect(psi) == product_defect(short)
+
+    def test_single_group_is_a_product(self):
+        # One group holding every entry leaves nothing to split from.
+        psi = PureState(bell_state(), (2, 2))
+        assert product_defect(psi) > 0.5
+        assert product_defect(psi, groups=[(1, 0)]) == 0.0
+
+    def test_groups_of_dimension_one_are_skipped(self, monkeypatch):
+        # Default groups on 5,000 one-dimensional entries and a qubit: only
+        # the qubit's group has a second Schmidt coefficient to look for, so
+        # it is the only one regrouped.
+        regroup = states._regroup
+        firsts = []
+
+        def counted(array, layout, first, copies=1):
+            firsts.append(tuple(first))
+            return regroup(array, layout, first, copies)
+
+        monkeypatch.setattr(states, "_regroup", counted)
+        rng = np.random.default_rng(9)
+        amps = haar_state(2, (2,), rng).amplitudes
+        defect = product_defect(PureState(amps, (1,) * 5000 + (2,)))
+        assert firsts == [(5000,)]
+        assert defect == product_defect(PureState(amps, (2,)))
+        # Two entangled qubits among the 1-entries: one call each, and the
+        # defect of the short layout bit for bit.
+        amps = haar_state(4, (2, 2), rng).amplitudes
+        firsts.clear()
+        defect = product_defect(PureState(amps, (1,) * 2500 + (2,) + (1,) * 2500 + (2,)))
+        assert firsts == [(2500,), (5001,)]
+        assert defect == product_defect(PureState(amps, (2, 2))) > 0.1
 
 
 class TestPaperComparison:

@@ -24,7 +24,13 @@ lookup, not a call: ``audit t2`` lost 3,463 ``dims``, 828 ``total_dim``, 614
 ``resource_count`` contracts a density through ``apply_local`` on its flat
 matrix and reads the network's ``total_dim`` attribute, not the state's
 ``dim`` property: ``audit t2``'s 200 density calls on 496 sensors in all
-lost 200 + 2 x 496 = 1,192 ``dim`` calls that way.
+lost 200 + 2 x 496 = 1,192 ``dim`` calls that way. ``partial_trace`` and
+``product_defect`` regroup a state through the one ``hilbert._regroup``:
+``audit t2`` makes one such call per sensor marginal (496 in all), and in
+``product_defect`` it replaces a ``dim`` call, so no other row moves.
+``audit t2``'s Loewner check makes one ``eigvalsh`` call per accepted
+trial, and writing its ``loewner_margin`` one named call more per record
+(200 of each).
 """
 
 from pathlib import Path
@@ -46,7 +52,7 @@ CARRIERS = (QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 # run: (calls, eigh, eigvalsh, QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 COUNTS = {
     "audit t1": (48402, 1083, 0, 483, 483, 0, 871, 283),
-    "audit t2": (68558, 2039, 0, 614, 903, 703, 1218, 614),
+    "audit t2": (69254, 2039, 200, 614, 903, 703, 1218, 614),
     "audit prop1": (54845, 5878, 4678, 1200, 0, 0, 0, 0),
     "scenario optical": (6430, 206, 0, 103, 103, 0, 2, 2),
     "scenario gradient": (329, 6, 0, 2, 2, 0, 2, 2),
