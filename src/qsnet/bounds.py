@@ -93,21 +93,26 @@ class LinearFunctional:
         return self.v.size
 
     def ghz_allocation(self) -> np.ndarray:
-        """Integer per-sensor particle counts ``N |v| / ||v||_1``.
+        """Integer per-sensor particle counts ``N |v_k| / sum_j |v_j|``.
 
-        Raises ``ValueError`` naming the first sensor whose count is more
-        than 1e-9 from an integer: no GHZ probe of this toolkit then
-        certifies the closed-form bound. A budget past ``2**53`` raises too,
-        as for :meth:`separable_allocation`.
+        The rule is decided exactly on the float entries as given: each
+        count is a rational (``fractions.Fraction``), so no rounding error
+        grows with ``N``. Raises ``ValueError`` naming the first sensor
+        whose count is more than 1e-9 from an integer: no GHZ probe of this
+        toolkit then certifies the closed-form bound. A budget past
+        ``2**53`` raises too, as for :meth:`separable_allocation`.
         """
+        from fractions import Fraction
+
         self._require_exact_budget()
-        tilde = self.n_particles * np.abs(self.v) / pnorm(self.v, 1.0)
-        counts = np.rint(tilde)
-        off = np.flatnonzero(np.abs(tilde - counts) > 1e-9)
-        if off.size:
-            k = int(off[0])
-            raise ValueError(f"allocation N*|v|/||v||_1 is not integral at sensor {k}: {float(tilde[k])!r}")
-        return counts.astype(int)
+        magnitudes = [Fraction(abs(x)) for x in self.v.tolist()]
+        total = sum(magnitudes)
+        tilde = [self.n_particles * m / total for m in magnitudes]
+        counts = [round(t) for t in tilde]
+        for k, (t, c) in enumerate(zip(tilde, counts)):
+            if abs(t - c) > 1e-9:
+                raise ValueError(f"allocation N*|v|/||v||_1 is not integral at sensor {k}: {float(t)!r}")
+        return np.array(counts)
 
     def separable_allocation(self) -> np.ndarray:
         """Integer per-sensor particle counts of the best separable probe.
@@ -142,7 +147,8 @@ class LinearFunctional:
         return w
 
     def _require_exact_budget(self) -> None:
-        # Both allocations count particles in floats, exact only up to 2**53.
+        # The separable allocation counts particles in floats, exact only up
+        # to 2**53; the GHZ allocation takes the same budgets.
         if self.n_particles > 2**53:
             raise ValueError(f"particle budget {self.n_particles} is past 2**53, where float counts are inexact")
 

@@ -10,11 +10,10 @@ Subcommands::
     qsnet qfim NETWORK STATE       information matrix and bound for a probe
 
 Every subcommand takes ``--out DIR``; all but ``qfim`` (always JSON) take
-``--format json|csv``. ``audit`` and ``scenario`` also take ``--seed``,
-``--trials`` and ``--tol``, and ``scenario`` takes ``--N``, ``--mu``,
-``--modes`` and ``--cutoff``. Their run settings are layered: the
-subcommand's defaults, then explicit flags. A flag the kind never reads is
-a configuration error. The manifest echoes the resolved settings.
+``--format json|csv``. Each ``audit`` and ``scenario`` kind takes exactly
+the run settings it reads, after the kind, and its ``--help`` lists them;
+any other flag is refused. Run settings are layered: the kind's defaults,
+then explicit flags. The manifest echoes the resolved settings.
 
 Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on rejected
 input (bad flags, malformed JSON, mismatched dimensions, the dimension cap),
@@ -42,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config
+from . import __version__, config, hilbert
 from .exceptions import DimensionLimitError, FormatError, LayoutError, located
 from .bounds import BoundComparison, LinearFunctional, compare
 from .fisher import block_inverse_residuals, qcrb, qfim_mixed, qfim_pure
@@ -62,17 +61,16 @@ from .scenarios import (
 # many times, and each freeze would make their pending cyclic garbage permanent.
 gc.freeze()
 
-# (runner, default seed, default trials, the ScenarioConfig fields it reads)
-# per kind; setting a field the kind does not read is an error.
-_AUDIT_READS = {"seed", "trials", "tol"}
+# (runner, default seed, default trials) per kind; build_parser decides
+# which settings each kind takes.
 _AUDITS = {
-    "t1": (audit_separable_surrogate, 42, 200, _AUDIT_READS),
-    "t2": (audit_local_purification, 7, 200, _AUDIT_READS),
-    "prop1": (audit_block_inverse, 3, 1000, _AUDIT_READS),
+    "t1": (audit_separable_surrogate, 42, 200),
+    "t2": (audit_local_purification, 7, 200),
+    "prop1": (audit_block_inverse, 3, 1000),
 }
 _SCENARIOS = {
-    "gradient": (gradient_scenario, 0, 1, {"n_particles", "mu", "tol"}),
-    "optical": (optical_phase_scenario, 11, 50, {f.name for f in fields(ScenarioConfig)}),
+    "gradient": (gradient_scenario, 0, 1),
+    "optical": (optical_phase_scenario, 11, 50),
 }
 _RUNS = {"audit": _AUDITS, "scenario": _SCENARIOS}
 
@@ -81,25 +79,23 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _config(args, seed: int, trials: int, reads: set[str]) -> ScenarioConfig:
+def _config(args, seed: int, trials: int) -> ScenarioConfig:
     """The kind's defaults, then flags."""
     flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
     flags = {k: v for k, v in flags.items() if v is not None}
-    unread = set(flags) - reads
-    if unread:
-        raise FormatError(f"{args.command} {args.kind} does not read {sorted(unread)}")
     return located(None, replace, ScenarioConfig(seed=seed, trials=trials), **flags)
 
 
 def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:
     """Write ``doc`` as JSON, or ``header`` and ``rows`` as CSV, then the
-    run manifest echoing ``config``."""
+    run manifest echoing ``config`` and the runtime that computed it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         path = write_json(out / f"{name}.json", doc)
     else:
         path = write_csv(out / f"{name}.csv", header, rows)
+    blas_config, blas_core, blas_threads = hilbert._blas_config, hilbert._blas_core, hilbert._blas_threads
     manifest = {
         "tool": "qsnet",
         "version": __version__,
@@ -109,6 +105,15 @@ def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) 
         "started": started,
         "finished": _now(),
         "outputs": [str(path)],
+        # A name that numpy's BLAS does not export reads null.
+        "runtime": {
+            "numpy": np.__version__,
+            "blas_config": None if blas_config is None else blas_config().decode(),
+            "blas_core": None if blas_core is None else blas_core().decode(),
+            "blas_threads": None if blas_threads is None else blas_threads(),
+            "zheevd_bound": hilbert._zheevd is not None,
+            "heap_frozen": gc.get_freeze_count(),
+        },
     }
     write_json(out / f"{name}_manifest.json", manifest)
     print(f"report: {path}")
@@ -219,24 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=".", help="output directory (default: current)")
     table = argparse.ArgumentParser(add_help=False, parents=[out])
     table.add_argument("--format", choices=["json", "csv"], default="json")
-    run = argparse.ArgumentParser(add_help=False, parents=[table])
-    run.add_argument("--seed", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--tol", type=float, help=f"violation tolerance (default {ScenarioConfig.tol:g})")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int)
+    seeded.add_argument("--trials", type=int)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, help=f"violation tolerance (default {ScenarioConfig.tol:g})")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--N", dest="n_particles", type=int, help=f"particle budget (default {ScenarioConfig.n_particles})")
+    budget.add_argument("--mu", type=int, help=f"experiment repeats (default {ScenarioConfig.mu})")
+    modes = argparse.ArgumentParser(add_help=False)
+    modes.add_argument("--modes", dest="n_modes", type=int, help=f"mode count (default {ScenarioConfig.n_modes})")
+    modes.add_argument("--cutoff", dest="mode_cutoff", type=int, help=f"photon cutoff per mode (default {ScenarioConfig.mode_cutoff})")
 
-    audit = sub.add_parser("audit", parents=[run], help="run a randomized audit")
+    audit = sub.add_parser("audit", parents=[table, seeded, tol], help="run a randomized audit")
     audit.add_argument("kind", choices=sorted(_AUDITS))
     audit.set_defaults(handler=_run)
 
-    scenario = sub.add_parser("scenario", parents=[run], help="run a canned experiment")
-    scenario.add_argument("kind", choices=sorted(_SCENARIOS))
-    scenario.add_argument("--N", dest="n_particles", type=int, help=f"particle budget (default {ScenarioConfig.n_particles})")
-    scenario.add_argument("--mu", type=int, help=f"experiment repeats (default {ScenarioConfig.mu})")
-    scenario.add_argument("--modes", dest="n_modes", type=int, help=f"optical: mode count (default {ScenarioConfig.n_modes})")
-    scenario.add_argument(
-        "--cutoff", dest="mode_cutoff", type=int, help=f"optical: photon cutoff per mode (default {ScenarioConfig.mode_cutoff})"
-    )
-    scenario.set_defaults(handler=_run)
+    # One parser per kind: it takes exactly the settings the kind reads.
+    scenario = sub.add_parser("scenario", help="run a canned experiment")
+    kinds = scenario.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("gradient", parents=[table, tol, budget], help="two-site field difference").set_defaults(handler=_run)
+    kinds.add_parser("optical", parents=[table, seeded, tol, budget, modes], help="truncated-mode phases").set_defaults(handler=_run)
 
     bounds = sub.add_parser("bounds", parents=[table], help="closed-form bound tables")
     bounds.add_argument("action", choices=["sweep"])

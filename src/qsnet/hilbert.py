@@ -142,15 +142,29 @@ def check_floor(eigenvalues: np.ndarray, name: str, floor: float) -> None:
         raise ValueError(f"{name} has eigenvalue {lo:.3e} < 0")
 
 
-# LAPACK's zheevd through its LAPACKE wrapper, from the library that
-# np.linalg.eigh itself calls. Only this ILP64 name is bound (numpy's bundled
-# scipy-openblas64 exports it): a guessed name of another integer width would
-# corrupt memory. Where it is missing, np.linalg.eigh runs instead.
+# LAPACK's zheevd through its LAPACKE wrapper, and the BLAS configuration,
+# core and thread count that run manifests record, from the library that
+# np.linalg.eigh itself calls. Only these ILP64 names are bound (numpy's
+# bundled scipy-openblas64 exports them): a guessed name of another integer
+# width would corrupt memory. A missing name binds None; np.linalg.eigh then
+# runs in zheevd's place.
 try:
-    _zheevd = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_zheevd_work64_
+    _lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
 except (OSError, AttributeError):
-    _zheevd = None
-else:
+    _lapack = None
+_zheevd, _blas_config, _blas_core, _blas_threads = (
+    getattr(_lapack, name, None)
+    for name in (
+        "scipy_LAPACKE_zheevd_work64_",
+        "scipy_openblas_get_config64_",
+        "scipy_openblas_get_corename64_",
+        "scipy_openblas_get_num_threads64_",
+    )
+)
+for _getter, _restype in ((_blas_config, ctypes.c_char_p), (_blas_core, ctypes.c_char_p), (_blas_threads, ctypes.c_int)):
+    if _getter is not None:
+        _getter.argtypes, _getter.restype = (), _restype
+if _zheevd is not None:
     _zheevd.restype = ctypes.c_int64
     _zheevd.argtypes = (
         (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)

@@ -115,13 +115,14 @@ class TestClosedFormBounds:
     @pytest.mark.parametrize(
         "v, n, constructible",
         [
-            ([0.44721359576828607, 0.8944271908657518], 6, False),
-            ([0.29814239716597474, 0.5962847939675532, 0.7453559924594415], 11, True),
+            ([0.44721359576828673, 0.8944271908657531], 6, False),
+            ([0.2981423971659742, 0.5962847939675519, 0.7453559924594404], 11, True),
         ],
     )
     def test_ghz_probe_builds_exactly_when_constructible(self, v, n, constructible):
-        # Allocations within rounding of the 1e-9 integrality edge: the
-        # comparison flag and the probe constructor follow one rule.
+        # Exact allocations just past (by 9e-18) and just inside (by 2.5e-17)
+        # the 1e-9 integrality edge: the comparison flag and the probe
+        # constructor follow one rule.
         fam = qubit_ensemble_family()
         assert compare(LinearFunctional(v, fam.kappa, n)).ghz_constructible is constructible
         if constructible:
@@ -130,6 +131,18 @@ class TestClosedFormBounds:
         else:
             with pytest.raises(ValueError, match="not integral"):
                 ghz_probe(v, n, fam)
+
+    @pytest.mark.parametrize(
+        "d, n", [(2, 23726568), (2, 2**53), (3, 25165854), (5, 37887735), (2, 23726569), (2, 2**53 - 1)]
+    )
+    def test_uniform_allocation_decided_exactly(self, d, n):
+        # Float rounding of N |v_k| / ||v||_1 grows like N eps, past the 1e-9
+        # tolerance at these budgets; the equal entries split N exactly when
+        # d divides it.
+        f = LinearFunctional(_uniform(d), 1.0, n)
+        assert compare(f).ghz_constructible is (n % d == 0)
+        if n % d == 0:
+            assert list(f.ghz_allocation()) == [n // d] * d
 
 
 class TestSeparableAllocation:

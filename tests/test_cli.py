@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import asdict, dataclass
@@ -809,17 +810,65 @@ class TestCollectorPause:
 
 
 class TestUnreadSettings:
-    """A flag the kind never reads is a configuration error."""
+    """Each kind's parser takes exactly the settings the kind reads."""
 
     def test_gradient_flags_named(self, tmp_path, capsys):
         argv = ["scenario", "gradient", "--modes", "5", "--cutoff", "7", "--seed", "9", "--trials", "3"]
         assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert "['mode_cutoff', 'n_modes', 'seed', 'trials']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        for flag in ("--modes", "--cutoff", "--seed", "--trials"):
+            assert flag in err
         assert not (tmp_path / "scenario_gradient.json").exists()
 
     def test_read_settings_accepted(self, tmp_path):
         argv = ["scenario", "gradient", "--N", "6", "--mu", "2", "--tol", "1e-8"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
+
+    def test_gradient_help_lists_what_it_reads(self, capsys):
+        assert main(["scenario", "gradient", "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(--?\w+)", usage) == ["-h", "--out", "--format", "--tol", "--N", "--mu"]
+
+    def test_optical_takes_every_setting(self, tmp_path):
+        argv = ["scenario", "optical", "--out", str(tmp_path), "--format", "csv", "--seed", "5", "--trials", "2"]
+        argv += ["--tol", "1e-8", "--N", "3", "--mu", "2", "--modes", "2", "--cutoff", "2"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "scenario_optical_manifest.json").read_text())
+        resolved = ScenarioConfig(seed=5, trials=2, tol=1e-8, n_particles=3, mu=2, n_modes=2, mode_cutoff=2)
+        assert manifest["config"] == asdict(resolved)
+        assert (tmp_path / "scenario_optical.csv").exists()
+
+    def test_flag_before_kind_refused(self, tmp_path):
+        assert main(["scenario", "--trials", "2", "optical", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "scenario_optical.json").exists()
+
+
+class TestManifestRuntime:
+    """The manifest says how the run was computed."""
+
+    KEYS = {"numpy": str, "blas_config": str, "blas_core": str, "blas_threads": int, "zheevd_bound": bool, "heap_frozen": int}
+
+    def _runtime(self, tmp_path):
+        assert main(["scenario", "gradient", "--out", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "scenario_gradient_manifest.json").read_text())["runtime"]
+
+    def test_keys_and_types(self, tmp_path):
+        runtime = self._runtime(tmp_path)
+        assert set(runtime) == set(self.KEYS)
+        for key, kind in self.KEYS.items():
+            # Only the names numpy's BLAS may lack can read null.
+            assert type(runtime[key]) is kind or (runtime[key] is None and key.startswith("blas")), key
+        assert runtime["zheevd_bound"] is (hilbert._zheevd is not None)
+        assert runtime["numpy"] == np.__version__
+        assert runtime["heap_frozen"] == gc.get_freeze_count()
+
+    def test_missing_names_read_null(self, tmp_path, monkeypatch):
+        for name in ("_zheevd", "_blas_config", "_blas_core", "_blas_threads"):
+            monkeypatch.setattr(hilbert, name, None)
+        runtime = self._runtime(tmp_path)
+        assert set(runtime) == set(self.KEYS)
+        assert [runtime[k] for k in ("blas_config", "blas_core", "blas_threads", "zheevd_bound")] == [None, None, None, False]
 
 
 class TestDecomposeOnce:

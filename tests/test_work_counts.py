@@ -30,7 +30,10 @@ lost 200 + 2 x 496 = 1,192 ``dim`` calls that way. ``partial_trace`` and
 ``product_defect`` it replaces a ``dim`` call, so no other row moves.
 ``audit t2``'s Loewner check makes one ``eigvalsh`` call per accepted
 trial, and writing its ``loewner_margin`` one named call more per record
-(200 of each).
+(200 of each). Every run writes the manifest's ``runtime`` object, a dict of
+six scalars: seven report-encoder calls. ``ghz_allocation`` decides
+integrality in ``Fraction``s and calls no ``pnorm``: six calls fewer in
+``scenario gradient``, which allocates twice.
 """
 
 from pathlib import Path
@@ -51,14 +54,14 @@ CARRIERS = (QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 
 # run: (calls, eigh, eigvalsh, QFIM, PureState, DensityOperator, SensorSpec, SensorNetwork)
 COUNTS = {
-    "audit t1": (48402, 1083, 0, 483, 483, 0, 871, 283),
-    "audit t2": (69254, 2039, 200, 614, 903, 703, 1218, 614),
-    "audit prop1": (54845, 5878, 4678, 1200, 0, 0, 0, 0),
-    "scenario optical": (6430, 206, 0, 103, 103, 0, 2, 2),
-    "scenario gradient": (329, 6, 0, 2, 2, 0, 2, 2),
-    "qfim mixed.json": (199, 9, 3, 1, 0, 1, 3, 1),
-    "qfim haar.json": (198, 4, 3, 1, 1, 0, 3, 1),
-    "qfim bellpure.json": (181, 1, 0, 1, 1, 0, 3, 1),
+    "audit t1": (48409, 1083, 0, 483, 483, 0, 871, 283),
+    "audit t2": (69261, 2039, 200, 614, 903, 703, 1218, 614),
+    "audit prop1": (54852, 5878, 4678, 1200, 0, 0, 0, 0),
+    "scenario optical": (6437, 206, 0, 103, 103, 0, 2, 2),
+    "scenario gradient": (330, 6, 0, 2, 2, 0, 2, 2),
+    "qfim mixed.json": (206, 9, 3, 1, 0, 1, 3, 1),
+    "qfim haar.json": (205, 4, 3, 1, 1, 0, 3, 1),
+    "qfim bellpure.json": (188, 1, 0, 1, 1, 0, 3, 1),
 }
 
 
