@@ -10,10 +10,10 @@ Subcommands::
     qsnet qfim NETWORK STATE       information matrix and bound for a probe
 
 Every subcommand takes ``--out DIR``; all but ``qfim`` (always JSON) take
-``--format json|csv``. Each ``audit`` and ``scenario`` kind takes exactly
-the run settings it reads, after the kind, and its ``--help`` lists them;
-any other flag is refused. Run settings are layered: the kind's defaults,
-then explicit flags. The manifest echoes the resolved settings.
+``--format json|csv``. Flags follow the kind: each ``audit`` and
+``scenario`` kind takes exactly the run settings it reads, after the kind,
+each defaulting to the kind's own value, and its ``--help`` lists them;
+any other flag is refused. The manifest echoes exactly those settings.
 
 Exit codes: 0 on pass, 1 on an audit or scenario violation, 2 on rejected
 input (bad flags, malformed JSON, mismatched dimensions, the dimension cap),
@@ -35,7 +35,7 @@ import argparse
 import gc
 import sys
 import traceback
-from dataclasses import asdict, fields, replace
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,29 +61,29 @@ from .scenarios import (
 # many times, and each freeze would make their pending cyclic garbage permanent.
 gc.freeze()
 
-# (runner, default seed, default trials) per kind; build_parser decides
-# which settings each kind takes.
+# Run-setting flags by group: (flag, ScenarioConfig field, type, help).
+_FLAGS = {
+    "seeded": (("--seed", "seed", int, "random seed"), ("--trials", "trials", int, "accepted trials")),
+    "tol": (("--tol", "tol", float, "violation tolerance"),),
+    "budget": (("--N", "n_particles", int, "particle budget"), ("--mu", "mu", int, "experiment repeats")),
+    "modes": (("--modes", "n_modes", int, "mode count"), ("--cutoff", "mode_cutoff", int, "photon cutoff per mode")),
+}
+
+# (runner, help, groups of settings read, defaults that differ from
+# ScenarioConfig's) per kind; build_parser gives each kind its own flags.
 _AUDITS = {
-    "t1": (audit_separable_surrogate, 42, 200),
-    "t2": (audit_local_purification, 7, 200),
-    "prop1": (audit_block_inverse, 3, 1000),
+    "t1": (audit_separable_surrogate, "separable-surrogate optimality", ("seeded", "tol"), {"seed": 42, "trials": 200}),
+    "t2": (audit_local_purification, "local-purification optimality", ("seeded", "tol"), {"seed": 7, "trials": 200}),
+    "prop1": (audit_block_inverse, "block-inverse inequality", ("seeded", "tol"), {"seed": 3, "trials": 1000}),
 }
 _SCENARIOS = {
-    "gradient": (gradient_scenario, 0, 1),
-    "optical": (optical_phase_scenario, 11, 50),
+    "gradient": (gradient_scenario, "two-site field difference", ("tol", "budget"), {}),
+    "optical": (optical_phase_scenario, "truncated-mode phases", ("seeded", "tol", "budget", "modes"), {"seed": 11, "trials": 50}),
 }
-_RUNS = {"audit": _AUDITS, "scenario": _SCENARIOS}
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _config(args, seed: int, trials: int) -> ScenarioConfig:
-    """The kind's defaults, then flags."""
-    flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
-    flags = {k: v for k, v in flags.items() if v is not None}
-    return located(None, replace, ScenarioConfig(seed=seed, trials=trials), **flags)
 
 
 def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) -> None:
@@ -120,12 +120,12 @@ def _emit(args, name: str, config: dict, started: str, doc, header=(), rows=()) 
 
 
 def _run(args) -> int:
-    runner, *defaults = _RUNS[args.command][args.kind]
-    cfg = _config(args, *defaults)
+    settings = {f.name: getattr(args, f.name) for f in fields(ScenarioConfig) if hasattr(args, f.name)}
+    cfg = located(None, ScenarioConfig, **settings)
     started = _now()
-    result = runner(cfg)
+    result = args.runner(cfg)
     print(f"{result.summary()} {'PASS' if result.passed else 'FAIL'}")
-    _emit(args, f"{args.command}_{args.kind}", asdict(cfg), started, result.to_jsonable(), result.CSV_HEADER, [result.csv_row()])
+    _emit(args, f"{args.command}_{args.kind}", settings, started, result.to_jsonable(), result.CSV_HEADER, [result.csv_row()])
     return 0 if result.passed else 1
 
 
@@ -224,27 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=".", help="output directory (default: current)")
     table = argparse.ArgumentParser(add_help=False, parents=[out])
     table.add_argument("--format", choices=["json", "csv"], default="json")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int)
-    seeded.add_argument("--trials", type=int)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, help=f"violation tolerance (default {ScenarioConfig.tol:g})")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--N", dest="n_particles", type=int, help=f"particle budget (default {ScenarioConfig.n_particles})")
-    budget.add_argument("--mu", type=int, help=f"experiment repeats (default {ScenarioConfig.mu})")
-    modes = argparse.ArgumentParser(add_help=False)
-    modes.add_argument("--modes", dest="n_modes", type=int, help=f"mode count (default {ScenarioConfig.n_modes})")
-    modes.add_argument("--cutoff", dest="mode_cutoff", type=int, help=f"photon cutoff per mode (default {ScenarioConfig.mode_cutoff})")
 
-    audit = sub.add_parser("audit", parents=[table, seeded, tol], help="run a randomized audit")
-    audit.add_argument("kind", choices=sorted(_AUDITS))
-    audit.set_defaults(handler=_run)
-
-    # One parser per kind: it takes exactly the settings the kind reads.
-    scenario = sub.add_parser("scenario", help="run a canned experiment")
-    kinds = scenario.add_subparsers(dest="kind", required=True)
-    kinds.add_parser("gradient", parents=[table, tol, budget], help="two-site field difference").set_defaults(handler=_run)
-    kinds.add_parser("optical", parents=[table, seeded, tol, budget, modes], help="truncated-mode phases").set_defaults(handler=_run)
+    for command, kinds, text in (("audit", _AUDITS, "run a randomized audit"), ("scenario", _SCENARIOS, "run a canned experiment")):
+        usage = f"%(prog)s [-h] {{{','.join(kinds)}}} ... (flags follow the kind)"
+        runs = sub.add_parser(command, usage=usage, help=text)
+        kind_parsers = runs.add_subparsers(dest="kind", required=True, prog=runs.prog)
+        for kind, (runner, kind_help, groups, defaults) in kinds.items():
+            # Fresh flags per kind: set_defaults on flags shared through
+            # parents= would change the default of every kind.
+            kind_parser = kind_parsers.add_parser(kind, parents=[table], help=kind_help)
+            for flag, name, type_, help_ in (f for group in groups for f in _FLAGS[group]):
+                default = defaults.get(name, getattr(ScenarioConfig, name))
+                kind_parser.add_argument(flag, dest=name, type=type_, default=default, help=f"{help_} (default %(default)s)")
+            kind_parser.set_defaults(handler=_run, runner=runner)
 
     bounds = sub.add_parser("bounds", parents=[table], help="closed-form bound tables")
     bounds.add_argument("action", choices=["sweep"])

@@ -468,8 +468,7 @@ class TestRunConfig:
         argv = ["audit", "prop1", "--seed", "8", "--tol", "1e-8", "--trials", "10", "--out", str(tmp_path)]
         assert main(argv) == 0
         manifest = json.loads((tmp_path / "audit_prop1_manifest.json").read_text())
-        resolved = ScenarioConfig(seed=8, trials=10, tol=1e-8)
-        assert manifest["config"] == asdict(resolved)
+        assert manifest["config"] == {"seed": 8, "tol": 1e-8, "trials": 10}
         assert manifest["seed"] == 8
 
     def test_bounds_rejects_tol(self, tmp_path):
@@ -842,6 +841,42 @@ class TestUnreadSettings:
     def test_flag_before_kind_refused(self, tmp_path):
         assert main(["scenario", "--trials", "2", "optical", "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "scenario_optical.json").exists()
+
+    @pytest.mark.parametrize("command, kind", [("audit", "t1"), ("scenario", "optical")])
+    def test_flag_before_kind_names_the_rule(self, tmp_path, capsys, command, kind):
+        assert main([command, "--trials", "2", kind, "--out", str(tmp_path)]) == 2
+        assert "(flags follow the kind)" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}_{kind}.json").exists()
+
+    @pytest.mark.parametrize("kind, seed, trials", [("t1", 42, 200), ("t2", 7, 200), ("prop1", 3, 1000)])
+    def test_audit_help_lists_what_it_reads(self, kind, seed, trials, capsys):
+        assert main(["audit", kind, "--help"]) == 0
+        text = capsys.readouterr().out
+        usage = text.split("\n\n")[0]
+        assert re.findall(r"\[(--?\w+)", usage) == ["-h", "--out", "--format", "--seed", "--trials", "--tol"]
+        assert f"random seed (default {seed})" in text
+        assert f"accepted trials (default {trials})" in text
+
+
+class TestManifestEcho:
+    """The manifest's config echoes exactly the settings the kind reads."""
+
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (["audit", "t1", "--trials", "2"], {"seed": 42, "tol": 1e-9, "trials": 2}),
+            (["audit", "t2", "--trials", "2"], {"seed": 7, "tol": 1e-9, "trials": 2}),
+            (["audit", "prop1", "--trials", "5"], {"seed": 3, "tol": 1e-9, "trials": 5}),
+            (["scenario", "gradient"], {"mu": 1, "n_particles": 4, "tol": 1e-9}),
+            (["scenario", "optical", "--trials", "2"], asdict(ScenarioConfig(seed=11, trials=2))),
+        ],
+        ids=["t1", "t2", "prop1", "gradient", "optical"],
+    )
+    def test_config_echo(self, tmp_path, argv, echo):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{argv[0]}_{argv[1]}_manifest.json").read_text())
+        assert manifest["config"] == echo
+        assert manifest["seed"] == echo.get("seed")
 
 
 class TestManifestRuntime:
